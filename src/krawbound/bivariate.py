@@ -23,15 +23,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .numerics import InputError, InternalError, binary_entropy, inverse_entropy
+from .numerics import (
+    InputError,
+    InternalError,
+    _bisect,
+    _minimize_1d,
+    binary_entropy,
+    inverse_entropy,
+)
 
 _SLACK = 1e-12
+# grid points of the 1-d minimization oracles, scanned before golden section
+_GRID_POINTS = 2001
 
 
 def _clamp01(t: float) -> float:
     return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+
+
+def _linear_grid(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    return [lo + k * step for k in range(_GRID_POINTS)]
 
 
 def root_region_boundary(x: float) -> float:
@@ -150,14 +163,8 @@ def solve_h_inverse(p: float, target: float, iterations: int = 120) -> float:
         return 0.5
     # h(p,y) <= 2 y^{1/p}, so z below p(log2(target) - 1) brackets from the left
     lo = p * (math.log2(target) - 1.0) - 1.0
-    hi = -1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if little_h(p, 2.0 ** mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 2.0 ** (0.5 * (lo + hi))
+    z = _bisect(lambda z: little_h(p, 2.0 ** z) < target, lo, -1.0, iterations)
+    return 2.0 ** z
 
 
 def a_fn(p: float, delta: float) -> float:
@@ -181,14 +188,8 @@ def solve_a_inverse(p: float, x: float, iterations: int = 80) -> float:
         return 0.0
     if x == 0.0:
         return 0.5
-    lo, hi = 0.0, 0.5  # a decreasing: a(lo) = 1/2 >= x >= 0 = a(hi)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if a_fn(p, mid) > x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2)
+    return _bisect(lambda d: a_fn(p, d) > x, 0.0, 0.5, iterations)
 
 
 @dataclass(frozen=True)
@@ -254,66 +255,6 @@ def pi_fn(x: float, y: float) -> float:
     return exponent_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
 
 
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def grid_then_golden_min(
-    f: Callable[[float], float], lo: float, hi: float, grid: int = 2001
-) -> tuple[float, float]:
-    """Dense-grid scan followed by golden-section refinement in the best cell.
-
-    Robust oracle for 1-d minimizations whose unimodality we prefer not to
-    assume; cost ~grid + 60 evaluations.
-    """
-    step = (hi - lo) / (grid - 1)
-    best_i, best_v = 0, math.inf
-    xs = [lo + k * step for k in range(grid)]
-    for k, xk in enumerate(xs):
-        v = f(xk)
-        if v < best_v:
-            best_i, best_v = k, v
-    a = xs[max(0, best_i - 1)]
-    b = xs[min(grid - 1, best_i + 1)]
-    xm, vm = golden_section_min(f, a, b)
-    if vm <= best_v:
-        return xm, vm
-    return xs[best_i], best_v
-
-
-def x_of_sigma_delta(sigma: float, delta: float) -> float:
-    """The stationary overlap x(sigma, delta) =
-    (-d^2 + d sqrt(d^2 + 4(1-2d) sigma(1-sigma))) / (2(1-2d));
-    continuous limit sigma(1-sigma) at delta = 1/2."""
-    if delta >= 0.5 - 1e-14:
-        return sigma * (1.0 - sigma)
-    if delta <= 0.0 or sigma <= 0.0:
-        return 0.0
-    d = delta
-    q = sigma * (1.0 - sigma)
-    return (-d * d + d * math.sqrt(d * d + 4.0 * (1.0 - 2.0 * d) * q)) / (
-        2.0 * (1.0 - 2.0 * d)
-    )
-
-
 @dataclass(frozen=True)
 class PiMinRecord:
     sigma: float
@@ -329,13 +270,13 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
 
     pi(sigma,kappa) = (1/2) min_{0<=d<=1/2} { sigma H(x/sigma)
       + (1-sigma) H(x/(1-sigma)) + 2x log2(d) + (1-2x) log2(1-d)
-      - kappa log2(1-2d) },  x = x_of_sigma_delta(sigma, d).
+      - kappa log2(1-2d) },  x = x_star(sigma, d).
 
     Minimized by grid + golden section; compared against the closed form.
     """
 
     def objective(d: float) -> float:
-        x = x_of_sigma_delta(sigma, d)
+        x = x_star(sigma, d)
         acc = 0.0
         if sigma > 0.0:
             acc += sigma * binary_entropy(_clamp01(x / sigma))
@@ -347,8 +288,7 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
             acc -= kappa * math.log2(1.0 - 2.0 * d)
         return acc
 
-    lo, hi = 1e-12, 0.5 - 1e-12
-    d_star, val = grid_then_golden_min(objective, lo, hi)
+    d_star, val = _minimize_1d(objective, _linear_grid(1e-12, 0.5 - 1e-12))
     if 0.0 < val:
         # the d -> 0 endpoint has limit 0
         d_star, val = 0.0, 0.0
@@ -468,7 +408,7 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
         def neg_m(y: float) -> float:
             return -(y * c + binary_entropy(y) + 2.0 * tau(sigma, y))
 
-        best_y, neg_best = grid_then_golden_min(neg_m, 0.0, 0.5)
+        best_y, neg_best = _minimize_1d(neg_m, _linear_grid(0.0, 0.5))
         best = -neg_best
     grid_max = best - 2.0
     return PhiTransformRecord(
@@ -539,18 +479,8 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
 
     # log-spaced grid toward eps -> 0 where the y = 0 infimum lives
     lo, hi = 1e-9, 0.5
-    pts = 2001
-    best_e, best = hi, objective(hi)
-    for k in range(pts):
-        e = lo * (hi / lo) ** (k / (pts - 1))
-        v = objective(e)
-        if v < best:
-            best_e, best = e, v
-    e_ref, v_ref = golden_section_min(
-        objective, max(lo, best_e * 0.5), min(hi, best_e * 2.0)
-    )
-    if v_ref < best:
-        best_e, best = e_ref, v_ref
+    grid = [lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
+    best_e, best = _minimize_1d(objective, grid)
     if sigma == 0.0:
         closed = 0.0
     else:

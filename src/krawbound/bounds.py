@@ -163,8 +163,3 @@ def ue_exponent(R: float, eps: float) -> float:
         raise InputError(f"ue_exponent: need 0 < eps <= 1/2, got {eps}")
     sigma = inverse_entropy(R)
     return alpha_and_xstar(sigma, eps).alpha_max
-
-
-def tail_branch_point(n: int, s: int) -> float:
-    """The i where the tail exponent switches branches: n/2 - sqrt(s(n-s))."""
-    return n / 2.0 - math.sqrt(s * (n - s))

@@ -46,7 +46,7 @@ from .cube import (
 )
 from .induction import hanner_gap_kraw, induction_params, recursion_residual
 from .krawchouk import kraw_moments, kraw_table
-from .numerics import InputError, binary_entropy, inverse_entropy, log2_binomial
+from .numerics import InputError, _log2_binomial_row, binary_entropy, inverse_entropy
 from .verify import all_suite_tags, run_suite
 
 
@@ -263,9 +263,10 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
         if eps is not None:
             payload["noised_l2_exponent"] = 0.5 * prof.noise_inner_log2(2 * eps * (1 - eps)) * scale
         coeffs = prof.fourier()
+        lc = _log2_binomial_row(n)
         for k in range(n + 1):
             if coeffs.signs[k] != 0:
-                levels.append([k, (log2_binomial(n, k) + 2.0 * float(coeffs.logs[k])) * scale])
+                levels.append([k, (lc[k] + 2.0 * float(coeffs.logs[k])) * scale])
     payload["levels"] = levels
     _emit("eval", payload, (("k", "mass_exponent"), levels), fmt, out)
 

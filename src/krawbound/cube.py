@@ -12,9 +12,6 @@ divides by 2^n, the inverse does not; ||f||_p averages over the cube.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -24,10 +21,11 @@ import numpy as np
 
 from .krawchouk import kraw_log_row, kraw_table
 from .numerics import (
+    LOG2_BINOMIAL_CAP,
     InputError,
+    _log2_binomial_row,
     exact_binomial,
     log2_bigint,
-    log2_binomial,
     log_sum_exp2,
     log_sum_exp2_signed,
 )
@@ -36,14 +34,6 @@ DENSE_CAP = 24
 
 POINT = "point-values"
 FOURIER = "fourier-coefficients"
-
-
-def _log2_comb(n: int, i: int) -> float:
-    # exact bigints are O(n) each; past this size the log-gamma route is
-    # ~7e-12 absolute and constant time
-    if n <= 2048:
-        return log2_bigint(math.comb(n, i))
-    return log2_binomial(n, i)
 
 
 def weight_table(n: int) -> np.ndarray:
@@ -82,18 +72,20 @@ class CubeFunction:
 
 
 def _butterfly(data: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (length
+    2^n); leading axes are a batch."""
+    m = data.shape[-1]
     out = data.copy()
     h = 1
-    m = len(out)
     while h < m:
+        # blocks of 2h never straddle two rows, so one 2-d view serves a batch
         out = out.reshape(-1, 2 * h)
         a = out[:, :h].copy()
         b = out[:, h:].copy()
         out[:, :h] = a + b
         out[:, h:] = a - b
-        out = out.reshape(m)
         h *= 2
-    return out
+    return out.reshape(data.shape)
 
 
 def wht(f: CubeFunction) -> CubeFunction:
@@ -131,15 +123,6 @@ def spectral_project(f: CubeFunction, k: int) -> CubeFunction:
     masked = np.where(weight_table(f.n) == k, g.data, 0.0)
     proj = CubeFunction(f.n, FOURIER, masked)
     return to_points(proj) if f.domain_tag == POINT else proj
-
-
-def parity_flip(f: CubeFunction) -> CubeFunction:
-    """g(x) = (-1)^{|x|} f(x); its spectrum is f's reflected through
-    complementation."""
-    g = to_points(f)
-    signs = np.where(weight_table(f.n) % 2 == 0, 1.0, -1.0)
-    flipped = CubeFunction(f.n, POINT, g.data * signs)
-    return flipped if f.domain_tag == POINT else to_fourier(flipped)
 
 
 def lp_norm(f: CubeFunction, p: float) -> float:
@@ -182,11 +165,6 @@ def tensor_power(f: CubeFunction, m: int) -> CubeFunction:
     out = reduce(np.kron, [pts] * m)
     res = CubeFunction(f.n * m, POINT, out)
     return res if f.domain_tag == POINT else to_fourier(res)
-
-
-def tensor_moment(log2_moment: float, m: int) -> float:
-    """Moment bookkeeping beyond the dense cap: E|F_m|^q = (E|f|^q)^m."""
-    return m * log2_moment
 
 
 # ---------------------------------------------------------------- subsets
@@ -308,6 +286,9 @@ class SymmetricProfile:
 
     @classmethod
     def sphere_union(cls, n: int, radii: Iterable[int]) -> "SymmetricProfile":
+        # every norm of a profile needs the log2 binomial row, capped in n
+        if not (0 <= n <= LOG2_BINOMIAL_CAP):
+            raise InputError(f"sphere_union: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
         signs = np.zeros(n + 1, dtype=np.int8)
         logs = np.full(n + 1, -np.inf)
         for s in radii:
@@ -349,8 +330,9 @@ class SymmetricProfile:
             return float(np.max(self.logs[live])) if live.any() else -math.inf
         if p < 1:
             raise InputError(f"lp_norm_log2: need p >= 1 or inf, got p={p}")
+        lc = _log2_binomial_row(self.n)
         terms = [
-            _log2_comb(self.n, i) + p * float(self.logs[i]) - self.n
+            lc[i] + p * float(self.logs[i]) - self.n
             for i in range(self.n + 1)
             if self.signs[i] != 0
         ]
@@ -359,11 +341,8 @@ class SymmetricProfile:
 
     def size_log2(self) -> float:
         """log2 of the support size in points, sum of C(n,i) over the support."""
-        terms = [
-            _log2_comb(self.n, i)
-            for i in range(self.n + 1)
-            if self.signs[i] != 0
-        ]
+        lc = _log2_binomial_row(self.n)
+        terms = [lc[i] for i in range(self.n + 1) if self.signs[i] != 0]
         acc = log_sum_exp2(terms)
         return -math.inf if acc.is_zero else acc.exponent
 
@@ -393,6 +372,7 @@ class SymmetricProfile:
             raise InputError(f"noise_inner_log2: eps={eps} outside [0, 1/2]")
         g = self.fourier()
         rho = 1.0 - 2.0 * eps
+        lc = _log2_binomial_row(self.n)
         terms = []
         for k in range(self.n + 1):
             if g.signs[k] == 0:
@@ -400,10 +380,10 @@ class SymmetricProfile:
             if rho == 0.0:
                 if k > 0:
                     continue
-                terms.append(_log2_comb(self.n, k) + 2.0 * float(g.logs[k]))
+                terms.append(lc[k] + 2.0 * float(g.logs[k]))
             else:
                 terms.append(
-                    _log2_comb(self.n, k)
+                    lc[k]
                     + k * math.log2(rho)
                     + 2.0 * float(g.logs[k])
                 )
@@ -421,34 +401,6 @@ class SymmetricProfile:
 
 
 # ----------------------------------------------------------- serialization
-
-
-def function_to_json(f: CubeFunction) -> str:
-    return json.dumps(
-        {"n": f.n, "tag": f.domain_tag, "values": [float(v) for v in f.data]}
-    )
-
-
-def function_from_json(text: str) -> CubeFunction:
-    obj = json.loads(text)
-    return CubeFunction(int(obj["n"]), str(obj["tag"]), np.asarray(obj["values"], dtype=np.float64))
-
-
-def function_to_csv(f: CubeFunction) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["index", "value"])
-    for i, v in enumerate(f.data):
-        w.writerow([i, repr(float(v))])
-    return buf.getvalue()
-
-
-def function_from_csv(n: int, tag: str, text: str) -> CubeFunction:
-    rows = list(csv.reader(io.StringIO(text)))
-    vals = np.zeros(1 << n)
-    for idx, val in rows[1:]:
-        vals[int(idx)] = float(val)
-    return CubeFunction(n, tag, vals)
 
 
 def subset_from_bitstrings(n: int, text: str) -> CubeSubset:

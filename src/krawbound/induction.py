@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from .bivariate import ratio_r
 from .cube import SymmetricProfile
 from .krawchouk import kraw_moments, solve_i0
-from .numerics import InputError, InternalError, log_sum_exp2, log_sum_exp2_signed
+from .numerics import (
+    InputError,
+    InternalError,
+    _minimize_1d,
+    log_sum_exp2,
+    log_sum_exp2_signed,
+)
 
 _BRACKET_DOUBLINGS = 120
 
@@ -45,24 +51,14 @@ def der_zer_residual(u: float, rho: float, p: float) -> float:
     return lhs - rhs
 
 
-def _ternary_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    while hi - lo > tol * max(1.0, abs(hi)):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
-
-
 def cap_F(x: float, y: float, p: float) -> float:
     """F(x, y) = y sup_beta P(rho beta)/(beta+1)^{p/2} with rho = (x/y)^{2/p};
     F(x, 0) = x. 1-homogeneous, monotone in both arguments, >= max(x, y).
 
     The bracket [0, 4(p-1)/rho] grows geometrically until the objective is
-    seen to decrease, then a ternary search pins the interior maximum; the
-    stationarity identity is used as a consistency check when 1 < rho < p-1.
+    seen to decrease, then golden-section search pins the interior maximum;
+    the stationarity identity is used as a consistency check when
+    1 < rho < p-1.
     """
     if x < 0 or y < 0:
         raise InputError(f"cap_F: need x, y >= 0, got x={x}, y={y}")
@@ -93,8 +89,8 @@ def cap_F(x: float, y: float, p: float) -> float:
                 f"cap_F: bracket growth did not converge at x={x}, y={y}, p={p}"
             )
         return max(x, y)
-    beta = _ternary_max(log2_f, 0.0, hi)
-    best = max(log2_f(beta), log2_f(0.0), limit_log2)
+    beta, neg_best = _minimize_1d(lambda b: -log2_f(b), (0.0, hi))
+    best = max(-neg_best, limit_log2)
     if 1.0 + 1e-9 < rho < p - 1.0 - 1e-9 and beta > 1.0 / rho:
         u = 1.0 / (rho * (beta + 1.0))
         if abs(der_zer_residual(u, rho, p)) > 1e-5:
@@ -130,14 +126,16 @@ def induction_params(n: int, s: int, p: float) -> InductionParams:
     if p < 2:
         raise InputError(f"induction_params: need p >= 2, got {p}")
     i0 = solve_i0(n, s, p)
-    disc = (n - 2 * i0) ** 2 - 4.0 * s * (n - s)
-    disc = max(disc, 0.0)
+    # at p = 2, i0/n lies on the root-region boundary and the discriminant is
+    # exactly 0; computed, its rounding error would pass through sqrt and move
+    # t, rho and r(s/n, i0/n) (same discriminant) by ~1e-8
+    disc = 0.0 if p == 2 else max((n - 2 * i0) ** 2 - 4.0 * s * (n - s), 0.0)
     t = ((n - 2 * i0) + math.sqrt(disc)) / (2.0 * (n - s))
     rho = (n - 2 * i0) / s * t - 1.0
     quad = ((n - s) * t * t - (n - 2 * i0) * t + s) / n
     if abs(quad) > 1e-10 * n:
         raise InternalError(f"induction_params: quadratic residual {quad:.3e}")
-    ratio = ratio_r(s / n, i0 / n)
+    ratio = (n - 2.0 * s) / (2.0 * (n - i0)) if p == 2 else ratio_r(s / n, i0 / n)
     ref = (i0 / (n - i0)) ** (1.0 / p)
     if abs(ratio - ref) > 1e-8 * max(ref, 1e-12):
         raise InternalError(

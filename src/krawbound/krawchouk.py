@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bivariate import little_h
+from .bivariate import solve_h_inverse
 from .numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
     InternalError,
     LogValue,
+    _binomial_row,
+    _bisect,
+    _log2_binomial_row,
     log2_bigint,
     log2_binomial,
     log_sum_exp2,
@@ -94,21 +97,23 @@ class ConcentrationRecord:
     outside_proposition_range: bool = False
 
 
+def _kraw_sum(n: int, s: int, i: int) -> int:
+    """K_s(i) by the explicit alternating sum over k of C(i,k) C(n-i,s-k)."""
+    comb = math.comb
+    acc = 0
+    for k in range(s + 1):
+        term = comb(i, k) * comb(n - i, s - k)
+        acc = acc - term if (k & 1) else acc + term
+    return acc
+
+
 def kraw_table(n: int, s: int) -> KrawTable:
     """Exact K_s table via the explicit alternating binomial sum."""
     if not (0 <= s <= n):
         raise InputError(f"kraw_table: need 0 <= s <= n, got n={n}, s={s}")
     if n > KRAW_TABLE_CAP:
         raise InputError(f"kraw_table: n={n} exceeds cap {KRAW_TABLE_CAP}")
-    comb = math.comb
-    values = []
-    for i in range(n + 1):
-        acc = 0
-        for k in range(s + 1):
-            term = comb(i, k) * comb(n - i, s - k)
-            acc = acc - term if (k & 1) else acc + term
-        values.append(acc)
-    return KrawTable(n, s, tuple(values))
+    return KrawTable(n, s, tuple(_kraw_sum(n, s, i) for i in range(n + 1)))
 
 
 def kraw_table_recurrence(n: int, s: int) -> KrawTable:
@@ -252,13 +257,7 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     if not (0 <= s <= n):
         raise InputError(f"kraw_eval_real: need 0 <= s <= n, got n={n}, s={s}")
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
-        i = int(round(x))
-        comb = math.comb
-        acc = 0
-        for k in range(s + 1):
-            term = comb(i, k) * comb(n - i, s - k)
-            acc = acc - term if (k & 1) else acc + term
-        return float(acc)
+        return float(_kraw_sum(n, s, int(round(x))))
     m, e = _kraw_eval_scaled(n, s, x)
     return math.ldexp(m, e) if abs(e) < 16000 else (math.inf if m > 0 else -math.inf)
 
@@ -294,18 +293,10 @@ def kraw_roots(n: int, s: int) -> RootList:
         if f1 == 0.0:
             roots.append(x1)
         elif f1 * f2 < 0.0:
-            a, b, fa = x1, x2, f1
-            while b - a > 1e-11:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+            # as many halvings as bring the cell below 1e-11
+            halvings = max(0, math.ceil(math.log2((x2 - x1) / 1e-11)))
+            up = f1 > 0.0
+            roots.append(_bisect(lambda x: (f(x) > 0.0) == up, x1, x2, halvings))
         x1, f1 = x2, f2
     if f1 == 0.0:
         roots.append(x1)
@@ -332,61 +323,39 @@ def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
     if n <= KRAW_TABLE_CAP and float(p).is_integer() and p <= 8:
         # exact big-integer sum
         row = _kraw_row_weight_recurrence(n, s)
+        binom = _binomial_row(n)
         ip = int(p)
         total = 0
-        for i, v in enumerate(row):
+        for c, v in zip(binom, row):
             if v:
-                total += math.comb(n, i) * abs(v) ** ip
+                total += c * abs(v) ** ip
         log2_moment = log2_bigint(total) - n
-        log2_ratio = log2_moment - (p / 2.0) * log2_bigint(math.comb(n, s))
+        log2_ratio = log2_moment - (p / 2.0) * log2_bigint(binom[s])
         return MomentRecord(n, s, p, log2_moment, log2_ratio, "exact")
     signs, logs = kraw_log_row(n, s)
-    if n <= KRAW_TABLE_CAP:
-        log2_cns = log2_bigint(math.comb(n, s))
-        lc = [log2_bigint(math.comb(n, i)) for i in range(n + 1)]
-        mode = "exact-assisted"
-    else:
-        log2_cns = log2_binomial(n, s)
-        lc = [log2_binomial(n, i) for i in range(n + 1)]
-        mode = "log"
+    lc = _log2_binomial_row(n)
+    mode = "exact-assisted" if n <= KRAW_TABLE_CAP else "log"
     terms = [
         lc[i] + p * logs[i] - n
         for i in range(n + 1)
         if signs[i] != 0
     ]
     log2_moment = log_sum_exp2(terms).exponent
-    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * log2_cns, mode)
+    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * lc[s], mode)
 
 
 def solve_i0(n: float, s: float, p: float) -> float:
     """The unique i0 in [0, n/2] with h(p, i0/n) = 1 - 2s/n.
 
     h(p, .) increases from 0 to 1 on [0, 1/2], so s = n/2 gives i0 = 0 and
-    s = 0 gives i0 = n/2. For p = 2 the closed form
-    i0/n = 1/2 - sqrt((s/n)(1 - s/n)) is used.
+    s = 0 gives i0 = n/2. Solved in log2(i0/n) by solve_h_inverse: near
+    s = n/2 with large p, i0/n falls far below any absolute grid on [0, 1/2].
     """
     if p < 2:
         raise InputError(f"solve_i0: need p >= 2, got p={p}")
     if not (0 <= s <= n / 2):
         raise InputError(f"solve_i0: need 0 <= s <= n/2, got n={n}, s={s}")
-    sigma = s / n
-    if p == 2:
-        return n * (0.5 - math.sqrt(sigma * (1.0 - sigma)))
-    # h is flat at its endpoints (h' vanishes at 1/2, diverges at 0), so the
-    # boundary targets are returned exactly rather than bisected
-    if s == 0:
-        return n / 2.0
-    if 2.0 * s == n:
-        return 0.0
-    target = 1.0 - 2.0 * sigma
-    lo, hi = 0.0, 0.5
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if little_h(p, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return n * 0.5 * (lo + hi)
+    return n * solve_h_inverse(p, 1.0 - 2.0 * s / n)
 
 
 def lp_concentration(
@@ -404,10 +373,7 @@ def lp_concentration(
     outside = not (s0 < s_eff < n / 2 - s0)
     halfwidth = window * math.sqrt(n * math.log(n)) if n > 1 else 0.0
     signs, logs = kraw_log_row(n, s)
-    if n <= KRAW_TABLE_CAP:
-        lc = [log2_bigint(math.comb(n, i)) for i in range(n + 1)]
-    else:
-        lc = [log2_binomial(n, i) for i in range(n + 1)]
+    lc = _log2_binomial_row(n)
     all_terms, in_terms = [], []
     for i in range(n + 1):
         if signs[i] == 0:
@@ -437,12 +403,12 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
         raise InputError(f"l2_between_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
     roots = kraw_roots(n, s).roots
     row = _kraw_row_weight_recurrence(n, s)
-    log2_cns = log2_bigint(math.comb(n, s))
+    lc = _log2_binomial_row(n)
 
     def factor(i: int) -> float:
         if row[i] == 0:
             return 0.0
-        e = log2_bigint(math.comb(n, i)) + 2.0 * log2_bigint(abs(row[i])) - n - log2_cns
+        e = lc[i] + 2.0 * log2_bigint(abs(row[i])) - n - lc[s]
         return 2.0 ** e
 
     bounds = [0.0] + list(roots) + [float(n)]

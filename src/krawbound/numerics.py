@@ -1,4 +1,6 @@
-"""Shared numeric primitives: binary entropy, log-domain binomials, base-2 logsumexp.
+"""Shared numeric primitives: binary entropy, log-domain binomials, base-2 logsumexp,
+and the one bisection and one 1-d minimizer every implicit equation and
+minimization oracle runs on.
 
 Everything downstream works with base-2 exponents normalized per dimension n,
 so all helpers here speak log2. Exact integer binomials are kept separate from
@@ -9,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 LN2 = math.log(2.0)
 
@@ -49,6 +50,58 @@ def binary_entropy_np(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bisect(
+    below: Callable[[float], bool], lo: float, hi: float, iterations: int
+) -> float:
+    """Halve [lo, hi] `iterations` times around the point where the monotone
+    predicate `below` turns from true (left of it) to false; returns the
+    midpoint of the final bracket."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _minimize_1d(
+    f: Callable[[float], float], grid: Sequence[float]
+) -> tuple[float, float]:
+    """Minimize f: scan the increasing grid points, then refine by golden
+    section on the two cells around the best point, stopping once the
+    bracket [a, b] has b - a <= 1e-12 max(1, |a|, |b|). The relative test
+    terminates on brackets far beyond 1, where an absolute width below the
+    float spacing could never be reached. Returns (argmin, min)."""
+    best_k, best_v = 0, math.inf
+    for k, xk in enumerate(grid):
+        v = f(xk)
+        if v < best_v:
+            best_k, best_v = k, v
+    a = grid[max(0, best_k - 1)]
+    b = grid[min(len(grid) - 1, best_k + 1)]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    vm = f(xm)
+    if vm <= best_v:
+        return xm, vm
+    return grid[best_k], best_v
+
+
 def inverse_entropy(y: float, iterations: int = 60) -> float:
     """Inverse of H on [0, 1/2]: returns t with H(t) = y.
 
@@ -61,14 +114,7 @@ def inverse_entropy(y: float, iterations: int = 60) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: binary_entropy(t) < y, 0.0, 0.5, iterations)
 
 
 def exact_binomial(n: int, k: int) -> int:
@@ -78,6 +124,28 @@ def exact_binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, i) for i = 0..n by the multiplicative recurrence
+    C(n, i+1) = C(n, i) (n-i) / (i+1), mirrored across n/2."""
+    row = [1] * (n + 1)
+    c = 1
+    for i in range(n // 2):
+        c = c * (n - i) // (i + 1)
+        row[i + 1] = row[n - i - 1] = c
+    return row
+
+
+def _log2_binomial_row(n: int) -> list[float]:
+    """log2 C(n, i) for i = 0..n: from the exact integers up to
+    EXACT_BINOMIAL_CAP, from log-gamma above it (as log2_binomial)."""
+    if n < 0 or n > LOG2_BINOMIAL_CAP:
+        raise InputError(f"log2 binomial row: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
+    if n <= EXACT_BINOMIAL_CAP:
+        return [log2_bigint(c) for c in _binomial_row(n)]
+    lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    return ((lg[n] - lg - lg[::-1]) / LN2).tolist()
 
 
 def log2_binomial(n: int, k: int) -> float:
@@ -90,7 +158,7 @@ def log2_binomial(n: int, k: int) -> float:
         raise InputError(f"log2_binomial: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
     if k < 0 or k > n:
         raise InputError(f"log2_binomial: k={k} outside [0, {n}]")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / LN2
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
 def log2_bigint(v: int) -> float:

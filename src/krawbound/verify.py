@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +37,7 @@ from .bounds import (
 from .cube import (
     CubeFunction,
     SymmetricProfile,
+    _butterfly,
     lp_norm,
     sphere_union_ue_log2,
     to_points,
@@ -49,23 +48,6 @@ from .krawchouk import kraw_moments, l2_between_roots
 from .numerics import InputError, binary_entropy, inverse_entropy, log2_binomial
 
 
-def thread_count() -> int:
-    raw = os.environ.get("KRAWBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cells(fn, cells):
-    """Apply fn over cells, parallel when allowed, output order fixed."""
-    workers = thread_count()
-    if workers <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -73,7 +55,6 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
     budget: dict = field(default_factory=dict)
-    parallelism: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +63,6 @@ class SuiteConfig:
             "tolerances": self.tolerances,
             "seed": self.seed,
             "budget": self.budget,
-            "parallelism": self.parallelism,
         }
 
 
@@ -132,21 +112,6 @@ def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
 
 
 # ------------------------------------------------------- extremal search
-
-
-def _batched_butterfly(data: np.ndarray) -> np.ndarray:
-    rows, m = data.shape
-    out = data.copy()
-    h = 1
-    while h < m:
-        out = out.reshape(rows, -1, 2 * h)
-        a = out[:, :, :h].copy()
-        b = out[:, :, h:].copy()
-        out[:, :, :h] = a + b
-        out[:, :, h:] = a - b
-        out = out.reshape(rows, m)
-        h *= 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -218,7 +183,7 @@ def search_extremal_ratio(
     active = np.ones(rows, dtype=bool)
 
     def values(c):
-        pts = _batched_butterfly(c)
+        pts = _butterfly(c)
         return pts, np.log2(np.mean(np.abs(pts) ** p, axis=1))
 
     pts, best = values(coeffs)
@@ -226,7 +191,7 @@ def search_extremal_ratio(
         if not active.any():
             break
         grad_pts = p * np.abs(pts) ** (p - 1.0) * np.sign(pts)
-        grad = _batched_butterfly(grad_pts) / m
+        grad = _butterfly(grad_pts) / m
         grad[:, ~mask] = 0.0
         cand = coeffs + steps[:, None] * grad
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -432,7 +397,7 @@ def _sweep_phi_eq_f(grid: dict, tol: float) -> tuple:
         resid = abs(cap_F(par.rho ** (p / 2.0), 1.0, p) / par.phi_big - 1.0)
         return make_report("phi-eq-F", {"n": n, "s": s, "p": p}, resid, tol, tol=0.0)
 
-    return _map_cells(cell, _phi_f_cells(grid)), {}
+    return [cell(c) for c in _phi_f_cells(grid)], {}
 
 
 def _sweep_u_star(grid: dict, tol: float) -> tuple:
@@ -443,7 +408,7 @@ def _sweep_u_star(grid: dict, tol: float) -> tuple:
         return make_report("u-star", {"n": n, "s": s, "p": p}, resid, tol, tol=0.0)
 
     cells = [(n, s, p) for (n, s, p) in _phi_f_cells(grid) if p > 2]
-    return _map_cells(cell, cells), {}
+    return [cell(c) for c in cells], {}
 
 
 def _sweep_disc_cont(grid: dict, tol: float) -> tuple:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from krawbound.bivariate import alpha_value, tau
+from krawbound.bivariate import alpha_value, root_region_boundary, tau
 from krawbound.bounds import (
     BoundReport,
     edge_iso_bound,
@@ -19,7 +19,6 @@ from krawbound.bounds import (
     set_noise_bound,
     support_projection_bound,
     tail_bound,
-    tail_branch_point,
     ue_exponent,
 )
 from krawbound.cube import (
@@ -109,7 +108,7 @@ def test_tail_at_zero_distance():
 
 def test_tail_markov_branch_formula():
     n, s = 200, 30
-    istar = tail_branch_point(n, s)
+    istar = n * root_region_boundary(s / n)
     for i in range(int(istar) + 1, n // 2 + 1):
         rec = tail_bound(n, s, i)
         assert rec.threshold_exponent == pytest.approx(
@@ -120,7 +119,7 @@ def test_tail_markov_branch_formula():
 def test_tail_branch_continuity():
     n, s = 240, 40
     x = s / n
-    ystar = tail_branch_point(n, s) / n
+    ystar = root_region_boundary(s / n)
     below = tau(x, ystar - 1e-9) - binary_entropy(x) / 2
     above = tau(x, ystar + 1e-9) - binary_entropy(x) / 2
     assert abs(below - above) < 1e-8

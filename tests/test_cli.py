@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -39,6 +42,16 @@ def parse_csv(text):
 
 
 # ------------------------------------------------------------------- shapes
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is only a test dependency; the command line must not load it
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, krawbound.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_kraw_csv_example():
@@ -162,6 +175,9 @@ def test_unknown_flag_exits_2():
 
 def test_input_error_exits_2():
     assert run("kraw", "--n", "4", "--s", "9").exit_code == 2
+    # past the log2-binomial cap n is refused before anything of size n is built
+    assert run("eval", "--n", "1000001", "--s", "1").exit_code == 2
+    assert run("eval", "--n", "1000000000", "--s", "1").exit_code == 2
 
 
 def test_unknown_suite_exits_2():

@@ -16,13 +16,8 @@ from krawbound.cube import (
     SymmetricProfile,
     apply_noise,
     distance_distribution,
-    function_from_csv,
-    function_from_json,
-    function_to_csv,
-    function_to_json,
     inner_product,
     lp_norm,
-    parity_flip,
     random_homogeneous,
     spectral_project,
     sphere_indicator,
@@ -30,7 +25,6 @@ from krawbound.cube import (
     sphere_union_ue_log2,
     subset_from_bitstrings,
     subset_to_bitstrings,
-    tensor_moment,
     tensor_power,
     to_fourier,
     to_points,
@@ -398,7 +392,6 @@ def test_tensor_cap_and_bookkeeping():
     f = random_function(7, 32)
     with pytest.raises(InputError):
         tensor_power(f, 4)
-    assert tensor_moment(-1.25, 6) == -7.5
 
 
 # ------------------------------------------------------- module invariants
@@ -445,16 +438,6 @@ def test_sphere_noise_closed_form(n, s):
             )
         )
         assert abs(lhs - rhs) < 1e-10
-
-
-def test_parity_flip_reflects_spectrum_exactly():
-    rng = np.random.default_rng(42)
-    for n in (3, 6, 10):
-        f = CubeFunction.from_points(n, rng.standard_normal(1 << n))
-        fh = wht(f).data
-        gh = wht(parity_flip(f)).data
-        comp = np.bitwise_xor(np.arange(1 << n), (1 << n) - 1)
-        assert np.array_equal(gh, fh[comp])
 
 
 # ------------------------------------------------------ symmetric profiles
@@ -542,19 +525,6 @@ def test_union_ue_large_n_runs():
 
 
 # ----------------------------------------------------------- serialization
-
-
-def test_json_round_trip():
-    f = random_function(5, 50, domain=FOURIER)
-    g = function_from_json(function_to_json(f))
-    assert g.n == f.n and g.domain_tag == f.domain_tag
-    assert np.array_equal(g.data, f.data)
-
-
-def test_csv_round_trip():
-    f = random_function(4, 51)
-    g = function_from_csv(4, POINT, function_to_csv(f))
-    assert np.array_equal(g.data, f.data)
 
 
 def test_bitstring_round_trip():

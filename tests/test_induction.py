@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krawbound.bivariate import psi
+from krawbound.bivariate import psi, ratio_r
 from krawbound.induction import (
     big_P,
     cap_F,
@@ -122,10 +122,24 @@ def test_params_u_star_stationarity():
 
 
 def test_params_p2_boundary_flagged():
-    par = induction_params(64, 16, 2)
-    assert par.rho == pytest.approx(1.0, abs=1e-12)
-    assert par.rho_at_boundary
-    assert par.phi_big == pytest.approx(1.0, abs=1e-12)
+    # rho = 1 exactly at p = 2; (n, 3n/8) is where the computed discriminant
+    # used to come out a rounding error above 0
+    for n, s in [(64, 16), (64, 24), (512, 192), (100, 7)]:
+        par = induction_params(n, s, 2)
+        assert par.rho == pytest.approx(1.0, abs=1e-12)
+        assert par.rho_at_boundary
+        assert par.phi_big == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,s,p", [(8, 3, 40), (16, 7, 40), (256, 127, 10), (1024, 511, 10), (2048, 1023, 40)]
+)
+def test_params_near_half_with_large_p(n, s, p):
+    # i0/n lies between 1e-121 and 1e-24 here
+    par = induction_params(n, s, p)
+    assert all(math.isfinite(v) for v in (par.i0, par.t, par.rho, par.phi_big, par.u_star))
+    ref = (par.i0 / (n - par.i0)) ** (1.0 / p)
+    assert abs(ratio_r(s / n, par.i0 / n) - ref) <= 1e-12 * ref
 
 
 def test_params_domain():

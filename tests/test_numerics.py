@@ -13,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krawbound.numerics import (
+    EXACT_BINOMIAL_CAP,
     InputError,
     LogValue,
+    _binomial_row,
+    _log2_binomial_row,
+    _minimize_1d,
     binary_entropy,
     binary_entropy_np,
     exact_binomial,
@@ -72,6 +76,7 @@ def test_exact_binomial_pascal_triangle():
         rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
     for n in range(65):
         assert sum(rows[n]) == 2 ** n
+        assert _binomial_row(n) == rows[n]
         for k in range(n + 1):
             assert exact_binomial(n, k) == rows[n][k]
     assert exact_binomial(10, -1) == 0
@@ -87,6 +92,40 @@ def test_log2_binomial_against_exact():
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     with pytest.raises(InputError):
         log2_binomial(100, 101)
+    for bad in (-1, 10 ** 6 + 1):
+        with pytest.raises(InputError):
+            log2_binomial(bad, 0)
+        with pytest.raises(InputError):
+            _log2_binomial_row(bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 1001, 2048, EXACT_BINOMIAL_CAP])
+def test_log2_binomial_row_exact_up_to_cap(n):
+    want = [log2_bigint(math.comb(n, i)) for i in range(n + 1)]
+    assert _log2_binomial_row(n) == want
+
+
+def test_log2_binomial_row_above_cap_against_mpmath():
+    n = 10 ** 6
+    row = _log2_binomial_row(n)
+    assert len(row) == n + 1 and row[0] == 0.0
+    # the smallest i carry the largest relative error (cancellation between
+    # log-gamma values near 1.3e7), so all of them are checked
+    idx = list(range(64)) + list(range(64, n + 1, 9973)) + [n // 2, n - 1]
+    with mpmath.workdps(50):
+        lg = mpmath.loggamma
+        for i in idx:
+            want = (lg(n + 1) - lg(i + 1) - lg(n - i + 1)) / mpmath.log(2)
+            assert abs(row[i] - float(want)) <= 1e-10 * max(abs(float(want)), 1e-300)
+
+
+def test_minimize_1d_relative_stop():
+    # on [0, 1e15] an absolute width of 1e-12 is below the float spacing
+    x, _ = _minimize_1d(lambda t: (t - 6.0e14) ** 2, (0.0, 1.0e15))
+    assert abs(x - 6.0e14) <= 1e-12 * 1.0e15
+    # within [0, 1] the cells around the best grid point are refined to 1e-12
+    x, v = _minimize_1d(lambda t: abs(t - 0.33), [k / 10 for k in range(11)])
+    assert abs(x - 0.33) <= 1e-12 and v <= 1e-12
 
 
 def test_log2_binomial_large_n_sanity():

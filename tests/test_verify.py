@@ -225,14 +225,6 @@ def test_replay_payloads_byte_identical():
     assert a.wall_time != 0.0
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    monkeypatch.setenv("KRAWBOUND_THREADS", "4")
-    threaded = identity_sweep("phi-eq-F").to_json()
-    monkeypatch.setenv("KRAWBOUND_THREADS", "1")
-    serial = identity_sweep("phi-eq-F").to_json()
-    assert threaded == serial
-
-
 def test_config_roundtrip():
     cfg = SuiteConfig("pi-min", grid={"sigma": (0.1, 0.4, 5)}, seed=3)
     assert cfg.to_dict()["suite"] == "pi-min"
