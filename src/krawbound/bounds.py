@@ -49,8 +49,8 @@ def make_report(name: str, params: dict, lhs_log2n: float, rhs_log2n: float, tol
 
 def moment_bound(n: int, s: int, p: float) -> float:
     """log2 of the bound on E|f|^p / (E f^2)^{p/2} for degree-s f: psi(p, s/n) n."""
-    if not (0 <= s <= n / 2):
-        raise InputError(f"moment_bound: need 0 <= s <= n/2, got s={s}, n={n}")
+    if n < 1 or not (0 <= s <= n / 2):
+        raise InputError(f"moment_bound: need n >= 1 and 0 <= s <= n/2, got s={s}, n={n}")
     return psi(p, s / n).value * n
 
 
@@ -89,8 +89,8 @@ class TailRecord:
 def tail_bound(n: int, s: int, i: int) -> TailRecord:
     """Per-n exponents of the tail statement: |f| exceeds
     ||f||_2 2^{threshold n} with probability at most 2^{prob n}."""
-    if not (0 <= s <= n / 2) or not (0 <= i <= n / 2):
-        raise InputError(f"tail_bound: need 0 <= s, i <= n/2, got s={s}, i={i}")
+    if n < 1 or not (0 <= s <= n / 2) or not (0 <= i <= n / 2):
+        raise InputError(f"tail_bound: need n >= 1 and 0 <= s, i <= n/2, got n={n}, s={s}, i={i}")
     x, y = s / n, i / n
     threshold = tau(x, y) - binary_entropy(x) / 2
     prob = binary_entropy(y) - 1.0
@@ -133,8 +133,8 @@ def projection_bound(n: int, k: int, p: float, r_p: float) -> float:
     r_p = (1/n) log2(||f||_p / ||f||_1)."""
     if p < 2:
         raise InputError(f"projection_bound: need p >= 2, got {p}")
-    if not (0 <= k <= n):
-        raise InputError(f"projection_bound: k={k} outside [0, {n}]")
+    if n < 1 or not (0 <= k <= n):
+        raise InputError(f"projection_bound: need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     arg = 1.0 - (p / (p - 1.0)) * r_p
     if not (-1e-12 <= arg <= 1.0 + 1e-12):
         raise InputError(

@@ -170,6 +170,8 @@ def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
         if missing:
             raise click.UsageError(f"bound {kind} requires --{' --'.join(missing)}")
 
+    if n is not None and n < 1:
+        raise InputError(f"bound: need n >= 1, got n={n}")
     payload = {"kind": kind}
     if kind == "moment":
         need(n=n, s=s, p=p)
@@ -232,6 +234,8 @@ def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
 def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
     """Norms and spectral level masses of a sphere indicator (default) or a
     random homogeneous function; level rows are plot-ready (k, mass)."""
+    if n < 1:
+        raise InputError(f"eval: need n >= 1, got n={n}")
     scale = 1.0 if raw else 1.0 / n
     if seed is not None:
         # stays in the coefficient domain: off-level masses are exactly zero
@@ -385,6 +389,8 @@ def ue(n, eps, s, rate, raw, fmt, out):
 def iso(n, s, sigma, i, raw, fmt, out):
     """Edge-isoperimetric distance-distribution exponents; with --s the exact
     sphere counts are reported alongside for even distances."""
+    if n < 1:
+        raise InputError(f"iso: need n >= 1, got n={n}")
     if sigma is None:
         if s is None:
             raise click.UsageError("iso requires --s or --sigma")

@@ -14,6 +14,7 @@ from .krawchouk import kraw_moments, solve_i0
 from .numerics import (
     InputError,
     InternalError,
+    _bisect,
     _minimize_1d,
     log_sum_exp2,
     log_sum_exp2_signed,
@@ -56,9 +57,10 @@ def cap_F(x: float, y: float, p: float) -> float:
     F(x, 0) = x. 1-homogeneous, monotone in both arguments, >= max(x, y).
 
     The bracket [0, 4(p-1)/rho] grows geometrically until the objective is
-    seen to decrease, then golden-section search pins the interior maximum;
-    the stationarity identity is used as a consistency check when
-    1 < rho < p-1.
+    seen to decrease, then golden-section search pins the interior maximum.
+    When 1 < rho < p-1 and the maximum lies past beta = 1/rho, the stationary
+    point is also located by bisection on the sign of the stationarity
+    identity, whose residual is checked there.
     """
     if x < 0 or y < 0:
         raise InputError(f"cap_F: need x, y >= 0, got x={x}, y={y}")
@@ -92,8 +94,17 @@ def cap_F(x: float, y: float, p: float) -> float:
     beta, neg_best = _minimize_1d(lambda b: -log2_f(b), (0.0, hi))
     best = max(-neg_best, limit_log2)
     if 1.0 + 1e-9 < rho < p - 1.0 - 1e-9 and beta > 1.0 / rho:
-        u = 1.0 / (rho * (beta + 1.0))
-        if abs(der_zer_residual(u, rho, p)) > 1e-5:
+        # the residual's terms grow like (a+b)^{p-1}: golden section's argmin
+        # can leave it far above the gate, so bisect on its one sign change,
+        # negative at beta = 1/rho and positive as beta grows
+        def residual(b: float) -> float:
+            return der_zer_residual(1.0 / (rho * (b + 1.0)), rho, p)
+
+        lo = 1.0 / rho
+        halvings = 53 + math.ceil(math.log2((hi - lo) / lo))
+        beta = _bisect(lambda b: residual(b) < 0.0, lo, hi, halvings)
+        best = max(best, log2_f(beta))
+        if abs(residual(beta)) > 1e-5:
             raise InternalError(
                 f"cap_F: stationary-point check failed at x={x}, y={y}, p={p}"
             )
@@ -126,6 +137,12 @@ def induction_params(n: int, s: int, p: float) -> InductionParams:
     if p < 2:
         raise InputError(f"induction_params: need p >= 2, got {p}")
     i0 = solve_i0(n, s, p)
+    if i0 == 0.0:
+        # s < n/2 puts i0 > 0, but near s = n/2 with large p it can lie below
+        # the smallest positive float
+        raise InputError(
+            f"induction_params: i0/n underflows the float range at n={n}, s={s}, p={p}"
+        )
     # at p = 2, i0/n lies on the root-region boundary and the discriminant is
     # exactly 0; computed, its rounding error would pass through sqrt and move
     # t, rho and r(s/n, i0/n) (same discriminant) by ~1e-8
@@ -141,12 +158,14 @@ def induction_params(n: int, s: int, p: float) -> InductionParams:
         raise InternalError(
             f"induction_params: ratio identity off by {abs(ratio - ref):.3e}"
         )
-    phi_big = (
-        n
-        / (2.0 * (n - i0))
-        * (s / n) ** (0.5 * p)
-        * (1.0 + (n - s) / s * t) ** p
-    )
+    try:
+        # one p-th power of (s/n)^{1/2} (1 + (n-s)/s t): (s/n)^{p/2} and
+        # (1 + (n-s)/s t)^p apart leave the float range where Phi does not
+        phi_big = n / (2.0 * (n - i0)) * (math.sqrt(s / n) * (1.0 + (n - s) / s * t)) ** p
+    except OverflowError:
+        raise InputError(
+            f"induction_params: Phi exceeds the float range at n={n}, s={s}, p={p}"
+        ) from None
     u_star = s / (rho * n)
     return InductionParams(n, s, p, i0, t, rho, phi_big, u_star, rho <= 1.0 + 1e-12)
 

@@ -22,7 +22,6 @@ from .numerics import (
     InternalError,
     LogValue,
     _binomial_row,
-    _bisect,
     _log2_binomial_row,
     log2_bigint,
     log2_binomial,
@@ -31,7 +30,7 @@ from .numerics import (
 
 KRAW_TABLE_CAP = EXACT_BINOMIAL_CAP  # 4096
 KRAW_MOMENT_CAP = 10 ** 6
-KRAW_ROOT_CAP = 2048  # kraw_roots contract is n <= 512; interval scans go to 2048
+KRAW_ROOT_CAP = 2048  # kraw_roots / l2_between_roots; tested up to s = n/2 at n = 2048
 
 
 @dataclass(frozen=True)
@@ -262,50 +261,35 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     return math.ldexp(m, e) if abs(e) < 16000 else (math.inf if m > 0 else -math.inf)
 
 
+def _roots_and_counts(n: int, s: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Roots of K_s (eigenvalues of the Jacobi matrix of the degree recurrence,
+    Golub-Welsch), its exact row, and the number of roots below each integer
+    i = 0..n. Checked: every nonzero K_s(i) has sign (-1)^{#roots below i}
+    and every exact zero has a root within 1e-9."""
+    j = np.arange(1, s)
+    jacobi = np.diag(np.full(s, n / 2.0))
+    jacobi[j, j - 1] = jacobi[j - 1, j] = np.sqrt(j * (n - j + 1.0)) / 2.0
+    roots = np.linalg.eigvalsh(jacobi)
+    below = np.searchsorted(roots, np.arange(n + 1))
+    row = _kraw_row_weight_recurrence(n, s)
+    for i, v in enumerate(row):
+        if (np.abs(roots - i).min() > 1e-9) if v == 0 else (v < 0) != bool(below[i] & 1):
+            raise InternalError(
+                f"kraw_roots: eigenvalues disagree with the sign of K_{s}({i}) at n={n}"
+            )
+    return roots, row, below
+
+
 def kraw_roots(n: int, s: int) -> RootList:
-    """All s roots of K_s, located by a 0.25-step sign scan inside the root
-    interval n/2 +- sqrt(s(n-s)) and refined by bisection to 1e-10."""
+    """All s roots of K_s, in increasing order: the eigenvalues of the Jacobi
+    matrix of the degree recurrence, cross-checked against the exact signs
+    of K_s at the integers 0..n."""
     if not (1 <= s <= n / 2):
         raise InputError(f"kraw_roots: need 1 <= s <= n/2, got n={n}, s={s}")
     if n > KRAW_ROOT_CAP:
         raise InputError(f"kraw_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
-    half = math.sqrt(s * (n - s))
-    lo = max(0.0, n / 2.0 - half - 0.75)
-    hi = min(float(n), n / 2.0 + half + 0.75)
-    row = _kraw_row_weight_recurrence(n, s)
-
-    def f(x: float) -> float:
-        # exact signs at integer points (scan grid hits every integer, so
-        # integer roots are detected exactly); scaled floats elsewhere
-        r = round(x)
-        if x == r and 0 <= r <= n:
-            v = row[r]
-            return 0.0 if v == 0 else (1.0 if v > 0 else -1.0)
-        m, _ = _kraw_eval_scaled(n, s, x)
-        return m
-
-    roots: list[float] = []
-    step = 0.25
-    x1, f1 = lo, f(lo)
-    while x1 < hi - 1e-12:
-        x2 = min(x1 + step, hi)
-        f2 = f(x2)
-        if f1 == 0.0:
-            roots.append(x1)
-        elif f1 * f2 < 0.0:
-            # as many halvings as bring the cell below 1e-11
-            halvings = max(0, math.ceil(math.log2((x2 - x1) / 1e-11)))
-            up = f1 > 0.0
-            roots.append(_bisect(lambda x: (f(x) > 0.0) == up, x1, x2, halvings))
-        x1, f1 = x2, f2
-    if f1 == 0.0:
-        roots.append(x1)
-    if len(roots) != s:
-        raise InternalError(
-            f"kraw_roots: found {len(roots)} sign changes for s={s}, n={n}; "
-            "evaluator instability"
-        )
-    return RootList(n, s, tuple(roots))
+    roots, _, _ = _roots_and_counts(n, s)
+    return RootList(n, s, tuple(roots.tolist()))
 
 
 def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
@@ -401,29 +385,20 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
         raise InputError(f"l2_between_roots: need 1 <= s <= n/2, got n={n}, s={s}")
     if n > KRAW_ROOT_CAP:
         raise InputError(f"l2_between_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
-    roots = kraw_roots(n, s).roots
-    row = _kraw_row_weight_recurrence(n, s)
+    roots, row, below = _roots_and_counts(n, s)
     lc = _log2_binomial_row(n)
-
-    def factor(i: int) -> float:
-        if row[i] == 0:
-            return 0.0
-        e = lc[i] + 2.0 * log2_bigint(abs(row[i])) - n - lc[s]
-        return 2.0 ** e
-
-    bounds = [0.0] + list(roots) + [float(n)]
-    out = []
-    for k in range(len(bounds) - 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        lo_i = 0 if k == 0 else math.floor(lo + 1e-9) + 1
-        hi_i = n if k == len(bounds) - 2 else math.ceil(hi - 1e-9) - 1
-        best_i, best = None, 0.0
-        for i in range(max(0, lo_i), min(n, hi_i) + 1):
-            fi = factor(i)
-            if best_i is None or fi > best:
-                best_i, best = i, fi
-        if best_i is None:
-            out.append(IntervalRecord(lo, hi, None, 0.0, empty=True))
-        else:
-            out.append(IntervalRecord(lo, hi, best_i, best))
-    return out
+    best_i: list[int | None] = [None] * (s + 1)
+    best = [0.0] * (s + 1)
+    for i, v in enumerate(row):
+        # an integer that is not a root lies inside interval k = #roots below it
+        if v == 0:
+            continue
+        k = below[i]
+        fi = 2.0 ** (lc[i] + 2.0 * log2_bigint(abs(v)) - n - lc[s])
+        if best_i[k] is None or fi > best[k]:
+            best_i[k], best[k] = i, fi
+    bounds = [0.0, *roots.tolist(), float(n)]
+    return [
+        IntervalRecord(bounds[k], bounds[k + 1], best_i[k], best[k], empty=best_i[k] is None)
+        for k in range(s + 1)
+    ]

@@ -166,6 +166,8 @@ def search_extremal_ratio(
         raise InputError(f"search_extremal_ratio: need 0 <= s <= n/2")
     if p < 2:
         raise InputError(f"search_extremal_ratio: need p >= 2, got {p}")
+    if budget < 0:
+        raise InputError(f"search_extremal_ratio: need budget >= 0 restarts, got {budget}")
     bound = moment_bound(n, s, p)
     if s == 0:
         return SearchRecord(n, s, p, budget, seed, 0.0, (1.0,), 0.0, bound, budget + 1, None)
@@ -248,6 +250,8 @@ def degree_at_most_check(
     )
     if n > 14 or not (1 <= s <= n / 2) or p < 2:
         raise InputError("degree_at_most_check: need n <= 14, 1 <= s <= n/2, p >= 2")
+    if budget < 1:
+        raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {budget}")
     m = 1 << n
     w = weight_table(n)
     bound = moment_bound(n, s, p)
@@ -645,7 +649,7 @@ def run_suite(
         grid = grid or {}
         budget = budget or {}
         t0 = time.time()
-        restarts = int(budget.get("restarts") or 50)
+        restarts = int(budget.get("restarts", 50))
         config = SuiteConfig(name, grid=grid, seed=seed, budget={"restarts": restarts})
         cases = []
         artifacts = []
@@ -674,7 +678,7 @@ def run_suite(
         grid = grid or {}
         budget = budget or {}
         t0 = time.time()
-        instances = int(budget.get("instances") or 1000)
+        instances = int(budget.get("instances", 1000))
         config = SuiteConfig(name, grid=grid, seed=seed, budget={"instances": instances})
         cases = []
         for n in [int(v) for v in _values(grid, "n", (10,))]:

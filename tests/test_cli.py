@@ -178,6 +178,17 @@ def test_input_error_exits_2():
     # past the log2-binomial cap n is refused before anything of size n is built
     assert run("eval", "--n", "1000001", "--s", "1").exit_code == 2
     assert run("eval", "--n", "1000000000", "--s", "1").exit_code == 2
+    # n = 0 is refused before any division by n
+    assert run("eval", "--n", "0", "--s", "0").exit_code == 2
+    assert run("iso", "--n", "0", "--s", "0").exit_code == 2
+    assert run("bound", "moment", "--n", "0", "--s", "0", "--p", "4").exit_code == 2
+    # Phi or i0/n outside the float range
+    assert run("induction", "--n", "10", "--s", "3", "--p", "1e6").exit_code == 2
+    # fewer than 0 restarts or 1 instance
+    grid = ("--grid", "n=6:6:1", "--grid", "p=3:3:1")
+    assert run("verify", "--suite", "extremal-search", *grid, "--budget", "-1").exit_code == 2
+    assert run("verify", "--suite", "degree-at-most", "--budget", "-3").exit_code == 2
+    assert run("verify", "--suite", "degree-at-most", "--budget", "0").exit_code == 2
 
 
 def test_unknown_suite_exits_2():
@@ -228,6 +239,12 @@ def test_verify_budget_and_seed():
         "--budget", "50", "--seed", "3",
     )
     assert len(doc["payload"]["cases"]) == 50
+    # --budget 0 is zero restarts, not the default
+    doc = run_json(
+        "verify", "--suite", "extremal-search", "--grid", "n=6:6:1", "--grid", "p=3:3:1",
+        "--budget", "0",
+    )
+    assert doc["payload"]["config"]["budget"] == {"restarts": 0}
 
 
 def test_grid_parse_errors_exit_2():

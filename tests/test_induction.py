@@ -91,6 +91,20 @@ def test_cap_f_matches_phi_at_64_16_4():
     assert abs(F / par.phi_big - 1.0) < 1e-9
 
 
+def test_cap_f_large_ratio_stationary_point():
+    # the residual's terms reach 1e5-1e7 here; the stationary point comes from
+    # bisection on its sign, and the value matches a 20,001-point scan
+    p = 50
+    for x in (10.0, 1e3, 1e6):
+        rho = x ** (2.0 / p)
+        scan = max(
+            big_P(rho * b, p) / (b + 1.0) ** (p / 2.0)
+            for b in (k * 5e-4 for k in range(20001))
+        )
+        F = cap_F(x, 1.0, p)
+        assert scan <= F <= scan * (1.0 + 1e-6)
+
+
 def test_cap_f_domain():
     with pytest.raises(InputError):
         cap_F(-1.0, 1.0, 4)
@@ -142,11 +156,26 @@ def test_params_near_half_with_large_p(n, s, p):
     assert abs(ratio_r(s / n, par.i0 / n) - ref) <= 1e-12 * ref
 
 
+def test_params_phi_beyond_separate_powers():
+    # (s/n)^{p/2} and (1 + (n-s)/s t)^p alone leave the float range here,
+    # their product Phi ~ 2^520 does not
+    par = induction_params(10, 3, 600)
+    assert math.isfinite(par.phi_big)
+    ref = math.log2(10 / (2 * (10 - par.i0))) + 300 * math.log2(0.3) + 600 * math.log2(
+        1 + 7 / 3 * par.t
+    )
+    assert math.log2(par.phi_big) == pytest.approx(ref, rel=1e-12)
+
+
 def test_params_domain():
     with pytest.raises(InputError):
         induction_params(64, 0, 4)
     with pytest.raises(InputError):
         induction_params(64, 32, 4)
+    # i0/n underflows to 0 in the first two, Phi overflows in the third
+    for n, s, p in [(512, 255, 200), (10, 3, 1e6), (1000, 1, 300)]:
+        with pytest.raises(InputError, match="float range"):
+            induction_params(n, s, p)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

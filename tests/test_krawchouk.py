@@ -172,6 +172,46 @@ def test_first_root_upper_bound():
     print(f"\n  measured first-root constant: {worst:.4f}")
 
 
+def _mp_root(n, s, x, halfwidth=1e-9):
+    """50-digit root of K_s near x: bisection on the sign of the degree
+    recurrence (j+1) K_{j+1} = (n-2x) K_j - (n-j+1) K_{j-1} in mpmath."""
+    import mpmath
+
+    def k(y):
+        a, b = mpmath.mpf(1), n - 2 * y
+        for j in range(1, s):
+            a, b = b, ((n - 2 * y) * b - (n - j + 1) * a) / (j + 1)
+        return b
+
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(x) - halfwidth, mpmath.mpf(x) + halfwidth
+        flo, fhi = k(lo), k(hi)
+        assert flo * fhi < 0, f"no sign change around {x}"
+        while hi - lo > mpmath.mpf(10) ** -20:
+            mid = (lo + hi) / 2
+            fm = k(mid)
+            if fm == 0:
+                return mid
+            if (fm < 0) == (flo < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def test_roots_against_mpmath():
+    # every root of K_45 at n = 136, including the integer root 68
+    roots = kw.kraw_roots(136, 45).roots
+    assert roots[22] == pytest.approx(68.0, abs=1e-12)
+    for r in roots:
+        assert abs(r - float(_mp_root(136, 45, r))) <= 1e-12
+    # sampled roots at larger n
+    for n, s in [(512, 128), (2048, 512)]:
+        roots = kw.kraw_roots(n, s).roots
+        for idx in [0, 1, s // 3, s // 2, s - 1]:
+            assert abs(roots[idx] - float(_mp_root(n, s, roots[idx]))) <= 1e-11
+
+
 # ---------------------------------------------------------------- moments
 
 

@@ -55,6 +55,20 @@ def test_search_rejects_out_of_range():
         search_extremal_ratio(8, 5, 4)
     with pytest.raises(InputError):
         search_extremal_ratio(8, 2, 1.5)
+    with pytest.raises(InputError):
+        search_extremal_ratio(6, 1, 3, budget=-1)
+
+
+def test_run_suite_budgets():
+    grid = {"n": (6,), "p": (3.0,)}
+    with pytest.raises(InputError):
+        run_suite("extremal-search", grid=grid, budget={"restarts": -1})
+    with pytest.raises(InputError):
+        run_suite("degree-at-most", budget={"instances": 0})
+    # a zero budget means the Krawchouk start alone, not the default
+    rep = run_suite("extremal-search", grid=grid, budget={"restarts": 0})
+    assert rep.config.budget == {"restarts": 0}
+    assert len(rep.cases) == 3 and rep.passed
 
 
 def test_search_replay_bit_identical():
@@ -80,6 +94,9 @@ def test_degree_mixtures_hold_bound():
 def test_degree_mixtures_domain():
     with pytest.raises(InputError):
         degree_at_most_check(20, 3, 4)
+    for instances in (0, -3):
+        with pytest.raises(InputError):
+            degree_at_most_check(8, 2, 4, budget=instances)
 
 
 # ---------------------------------------------------------- identity sweeps
