@@ -189,6 +189,8 @@ def test_input_error_exits_2():
     assert run("verify", "--suite", "extremal-search", *grid, "--budget", "-1").exit_code == 2
     assert run("verify", "--suite", "degree-at-most", "--budget", "-3").exit_code == 2
     assert run("verify", "--suite", "degree-at-most", "--budget", "0").exit_code == 2
+    # a grid that selects no case is refused, not reported as a pass
+    assert run("verify", "--suite", "extremal-search", *grid, "--grid", "s=9:9:1").exit_code == 2
 
 
 def test_unknown_suite_exits_2():

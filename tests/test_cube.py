@@ -14,6 +14,7 @@ from krawbound.cube import (
     CubeFunction,
     CubeSubset,
     SymmetricProfile,
+    _walsh_hadamard,
     apply_noise,
     distance_distribution,
     inner_product,
@@ -74,6 +75,41 @@ def test_wht_roundtrip_and_parseval(n, seed):
     lhs = float(np.mean(f.data**2))
     rhs = float(np.sum(g.data**2))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
+
+
+def test_walsh_hadamard_against_dense_matrix():
+    # the oracle builds (-1)^{popcount(i & j)} bit by bit, a column block at
+    # a time so that n = 12 stays at a few MB
+    rng = np.random.default_rng(2024)
+    for n in range(13):
+        m = 1 << n
+        idx = np.arange(m, dtype=np.uint16)
+        inputs = [rng.standard_normal(shape) for shape in ((m,), (3, m), (2, 3, m))]
+        want = [np.empty_like(x) for x in inputs]
+        for c0 in range(0, m, 256):
+            both = idx[:, None] & idx[None, c0 : c0 + 256]
+            parity = np.zeros(both.shape, dtype=np.uint8)
+            for b in range(n):
+                parity ^= ((both >> b) & 1).astype(np.uint8)
+            block = 1.0 - 2.0 * parity
+            for x, w in zip(inputs, want):
+                w[..., c0 : c0 + 256] = x @ block
+        for x, w in zip(inputs, want):
+            got = _walsh_hadamard(x)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_walsh_hadamard_exact_on_integers(n):
+    # integer data keeps every partial sum exact in float64, so H H = 2^n I
+    # and the batch rows must match the 1-d transform bit for bit
+    rng = np.random.default_rng(n)
+    x = rng.integers(-8, 9, size=(2, 1 << n)).astype(np.float64)
+    once = _walsh_hadamard(x)
+    assert np.array_equal(_walsh_hadamard(once), x * (1 << n))
+    for row, out in zip(x, once):
+        assert np.array_equal(_walsh_hadamard(row), out)
 
 
 def test_wht_size_cap():
@@ -243,16 +279,18 @@ def test_distance_single_point():
 
 
 def test_distance_sphere_formula():
-    n, s = 10, 3
-    sub, _ = sphere_indicator(n, s)
-    dist = distance_distribution(sub)
-    size = math.comb(n, s)
-    for j in range(n // 2 + 1):
-        i = 2 * j
-        if i <= n:
-            assert dist.a[i] == size * math.comb(s, j) * math.comb(n - s, j)
-    for i in range(1, n + 1, 2):
-        assert dist.a[i] == 0
+    # |S_3| = 120 takes the pair scan, |S_5| = 2002 the spectral path
+    for n, s in ((10, 3), (14, 5)):
+        sub, _ = sphere_indicator(n, s)
+        dist = distance_distribution(sub)
+        size = math.comb(n, s)
+        for j in range(n // 2 + 1):
+            i = 2 * j
+            if i <= n:
+                assert dist.a[i] == size * math.comb(s, j) * math.comb(n - s, j)
+        for i in range(1, n + 1, 2):
+            assert dist.a[i] == 0
+        assert sum(dist.a) == size**2
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])

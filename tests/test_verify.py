@@ -71,6 +71,13 @@ def test_run_suite_budgets():
     assert len(rep.cases) == 3 and rep.passed
 
 
+def test_run_suite_empty_grid_is_input_error():
+    # the s axis keeps only 1 <= s <= n/2, so s = 9 at n = 6 leaves no case
+    grid = {"n": (6,), "s": (9,), "p": (3.0,)}
+    with pytest.raises(InputError, match="grid selects no cases"):
+        run_suite("extremal-search", grid=grid)
+
+
 def test_search_replay_bit_identical():
     a = search_extremal_ratio(8, 2, 4, budget=20, seed=11)
     b = search_extremal_ratio(8, 2, 4, budget=20, seed=11)
