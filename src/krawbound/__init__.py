@@ -79,7 +79,6 @@ from .krawchouk import (
 from .numerics import (
     InputError,
     InternalError,
-    LogValue,
     binary_entropy,
     exact_binomial,
     inverse_entropy,
@@ -104,7 +103,6 @@ __all__ = [
     "InductionParams",
     "InputError",
     "InternalError",
-    "LogValue",
     "PsiEval",
     "SuiteConfig",
     "SuiteReport",

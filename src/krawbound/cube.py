@@ -286,13 +286,9 @@ class SymmetricProfile:
     def from_weight_values(cls, n: int, values: Sequence[float]) -> "SymmetricProfile":
         if len(values) != n + 1:
             raise InputError("SymmetricProfile: need n+1 weight values")
-        signs = np.zeros(n + 1, dtype=np.int8)
-        logs = np.full(n + 1, -np.inf)
-        for i, v in enumerate(values):
-            if v != 0:
-                signs[i] = 1 if v > 0 else -1
-                logs[i] = math.log2(abs(v))
-        return cls(n, signs, logs)
+        v = np.asarray(values, dtype=float)
+        with np.errstate(divide="ignore"):
+            return cls(n, np.sign(v).astype(np.int8), np.log2(np.abs(v)))
 
     @classmethod
     def kraw(cls, n: int, s: int) -> "SymmetricProfile":
@@ -326,63 +322,36 @@ class SymmetricProfile:
     def _combine(self, other: "SymmetricProfile", coeff: int) -> "SymmetricProfile":
         if self.n != other.n:
             raise InputError("SymmetricProfile: dimension mismatch")
-        signs = np.zeros(self.n + 1, dtype=np.int8)
-        logs = np.full(self.n + 1, -np.inf)
-        for i in range(self.n + 1):
-            exps, sgns = [], []
-            if self.signs[i] != 0:
-                exps.append(float(self.logs[i]))
-                sgns.append(int(self.signs[i]))
-            if other.signs[i] != 0:
-                exps.append(float(other.logs[i]))
-                sgns.append(coeff * int(other.signs[i]))
-            sgn, val = log_sum_exp2_signed(exps, sgns)
-            if sgn != 0 and not val.is_zero:
-                signs[i] = sgn
-                logs[i] = val.exponent
+        signs, logs = log_sum_exp2_signed(
+            [self.logs, other.logs], [self.signs, coeff * other.signs]
+        )
         return SymmetricProfile(self.n, signs, logs)
 
     def lp_norm_log2(self, p: float) -> float:
         """log2 ||f||_p under the uniform cube measure."""
         if p == math.inf:
-            live = self.signs != 0
-            return float(np.max(self.logs[live])) if live.any() else -math.inf
+            return float(self.logs.max())
         if p < 1:
             raise InputError(f"lp_norm_log2: need p >= 1 or inf, got p={p}")
-        lc = _log2_binomial_row(self.n)
-        terms = [
-            lc[i] + p * float(self.logs[i]) - self.n
-            for i in range(self.n + 1)
-            if self.signs[i] != 0
-        ]
-        acc = log_sum_exp2(terms)
-        return -math.inf if acc.is_zero else acc.exponent / p
+        lc = np.asarray(_log2_binomial_row(self.n))
+        return log_sum_exp2(lc + p * self.logs - self.n) / p
 
     def size_log2(self) -> float:
         """log2 of the support size in points, sum of C(n,i) over the support."""
-        lc = _log2_binomial_row(self.n)
-        terms = [lc[i] for i in range(self.n + 1) if self.signs[i] != 0]
-        acc = log_sum_exp2(terms)
-        return -math.inf if acc.is_zero else acc.exponent
+        lc = np.asarray(_log2_binomial_row(self.n))
+        return log_sum_exp2(np.where(self.signs != 0, lc, -np.inf))
 
     def fourier(self) -> "SymmetricProfile":
-        """Coefficient profile g(k) = (1/2^n) sum_i v_i K_i(k); quadratic in
-        the support size, so intended for sparse supports or moderate n."""
-        sup = [i for i in range(self.n + 1) if self.signs[i] != 0]
-        rows = {i: kraw_log_row(self.n, i) for i in sup}
-        signs = np.zeros(self.n + 1, dtype=np.int8)
-        logs = np.full(self.n + 1, -np.inf)
-        for k in range(self.n + 1):
-            exps, sgns = [], []
-            for i in sup:
-                rs, rl = rows[i]
-                if rs[k] != 0:
-                    exps.append(float(self.logs[i]) + float(rl[k]) - self.n)
-                    sgns.append(int(self.signs[i]) * int(rs[k]))
-            sgn, val = log_sum_exp2_signed(exps, sgns)
-            if sgn != 0 and not val.is_zero:
-                signs[k] = sgn
-                logs[k] = val.exponent
+        """Coefficient profile g(k) = (1/2^n) sum_i v_i K_i(k); one row of
+        n+1 terms per support weight, so intended for sparse supports or
+        moderate n."""
+        sup = np.flatnonzero(self.signs)
+        rows = [kraw_log_row(self.n, int(i)) for i in sup]
+        rs = np.array([r[0] for r in rows], dtype=np.int8).reshape(len(sup), self.n + 1)
+        rl = np.array([r[1] for r in rows]).reshape(len(sup), self.n + 1)
+        signs, logs = log_sum_exp2_signed(
+            self.logs[sup, None] + rl - self.n, self.signs[sup, None] * rs
+        )
         return SymmetricProfile(self.n, signs, logs)
 
     def noise_inner_log2(self, eps: float) -> float:
@@ -391,23 +360,12 @@ class SymmetricProfile:
             raise InputError(f"noise_inner_log2: eps={eps} outside [0, 1/2]")
         g = self.fourier()
         rho = 1.0 - 2.0 * eps
-        lc = _log2_binomial_row(self.n)
-        terms = []
-        for k in range(self.n + 1):
-            if g.signs[k] == 0:
-                continue
-            if rho == 0.0:
-                if k > 0:
-                    continue
-                terms.append(lc[k] + 2.0 * float(g.logs[k]))
-            else:
-                terms.append(
-                    lc[k]
-                    + k * math.log2(rho)
-                    + 2.0 * float(g.logs[k])
-                )
-        acc = log_sum_exp2(terms)
-        return -math.inf if acc.is_zero else acc.exponent
+        if rho == 0.0:
+            # only k = 0 survives, with C(n, 0) = 1
+            return 2.0 * float(g.logs[0])
+        lc = np.asarray(_log2_binomial_row(self.n))
+        k = np.arange(self.n + 1)
+        return log_sum_exp2(lc + k * math.log2(rho) + 2.0 * g.logs)
 
     def to_dense(self) -> CubeFunction:
         if self.n > DENSE_CAP:
@@ -478,8 +436,6 @@ def sphere_union_ue_log2(n: int, s: int, eps: float) -> float:
     a = sphere_union_distance_distribution(n, s)
     size = exact_binomial(n, s - 1) + exact_binomial(n, s)
     le, l1e = math.log2(eps), math.log2(1.0 - eps)
-    terms = [
-        log2_bigint(a[i]) + i * le + (n - i) * l1e for i in range(1, n + 1) if a[i]
-    ]
-    acc = log_sum_exp2(terms)
-    return -math.inf if acc.is_zero else acc.exponent - log2_bigint(size)
+    la = np.array([log2_bigint(v) if v else -math.inf for v in a[1:]])
+    i = np.arange(1, n + 1)
+    return log_sum_exp2(la + i * le + (n - i) * l1e) - log2_bigint(size)

@@ -20,7 +20,6 @@ from .numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
     InternalError,
-    LogValue,
     _binomial_row,
     _log2_binomial_row,
     log2_bigint,
@@ -316,15 +315,10 @@ def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
         log2_moment = log2_bigint(total) - n
         log2_ratio = log2_moment - (p / 2.0) * log2_bigint(binom[s])
         return MomentRecord(n, s, p, log2_moment, log2_ratio, "exact")
-    signs, logs = kraw_log_row(n, s)
+    _, logs = kraw_log_row(n, s)
     lc = _log2_binomial_row(n)
     mode = "exact-assisted" if n <= KRAW_TABLE_CAP else "log"
-    terms = [
-        lc[i] + p * logs[i] - n
-        for i in range(n + 1)
-        if signs[i] != 0
-    ]
-    log2_moment = log_sum_exp2(terms).exponent
+    log2_moment = log_sum_exp2(np.asarray(lc) + p * logs - n)
     return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * lc[s], mode)
 
 
@@ -356,19 +350,11 @@ def lp_concentration(
     s0 = n / math.log(n) if n > 1 else 0.0
     outside = not (s0 < s_eff < n / 2 - s0)
     halfwidth = window * math.sqrt(n * math.log(n)) if n > 1 else 0.0
-    signs, logs = kraw_log_row(n, s)
-    lc = _log2_binomial_row(n)
-    all_terms, in_terms = [], []
-    for i in range(n + 1):
-        if signs[i] == 0:
-            continue
-        t = lc[i] + p * logs[i]
-        all_terms.append(t)
-        if abs(i - i0) <= halfwidth or abs(i - (n - i0)) <= halfwidth:
-            in_terms.append(t)
-    total = log_sum_exp2(all_terms)
-    inside = log_sum_exp2(in_terms)
-    mass = 0.0 if inside.is_zero else 2.0 ** (inside.exponent - total.exponent)
+    _, logs = kraw_log_row(n, s)
+    terms = np.asarray(_log2_binomial_row(n)) + p * logs
+    i = np.arange(n + 1)
+    inside = (np.abs(i - i0) <= halfwidth) | (np.abs(i - (n - i0)) <= halfwidth)
+    mass = 2.0 ** (log_sum_exp2(np.where(inside, terms, -np.inf)) - log_sum_exp2(terms))
     return ConcentrationRecord(
         n, s, p, window, halfwidth, i0, min(mass, 1.0), outside
     )

@@ -3,15 +3,15 @@ and the one bisection and one 1-d minimizer every implicit equation and
 minimization oracle runs on.
 
 Everything downstream works with base-2 exponents normalized per dimension n,
-so all helpers here speak log2. Exact integer binomials are kept separate from
-the log-domain approximations; callers choose explicitly.
+so all helpers here speak log2, with -inf as the log of zero. Exact integer
+binomials are kept separate from the log-domain approximations; callers
+choose explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,16 +38,6 @@ def binary_entropy(t: float) -> float:
     if t == 0.0 or t == 1.0:
         return 0.0
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
-
-
-def binary_entropy_np(t: np.ndarray) -> np.ndarray:
-    """Vectorized H for arrays with entries in [0, 1]. Endpoints map to 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inner = (t > 0.0) & (t < 1.0)
-    ti = t[inner]
-    out[inner] = -ti * np.log2(ti) - (1.0 - ti) * np.log2(1.0 - ti)
-    return out
 
 
 def _bisect(
@@ -151,8 +141,7 @@ def _log2_binomial_row(n: int) -> list[float]:
 def log2_binomial(n: int, k: int) -> float:
     """log2 C(n, k) via log-gamma; relative error ~1e-10 up to n = 10^6.
 
-    k outside [0, n] raises: there is no -inf convention here, callers that
-    need a "zero" value should use LogValue.
+    k outside [0, n] raises instead of returning -inf.
     """
     if n < 0 or n > LOG2_BINOMIAL_CAP:
         raise InputError(f"log2_binomial: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
@@ -177,102 +166,44 @@ def log2_bigint(v: int) -> float:
     return math.log2(top) + shift
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A nonnegative quantity stored as (is_zero, log2 magnitude).
+def log_sum_exp2(exponents: np.typing.ArrayLike) -> float | np.ndarray:
+    """log2 of a sum of nonnegative terms given by their log2 exponents,
+    reduced along the first axis; -inf is the exponent of a zero term.
 
-    exponent is meaningless when is_zero is set. Multiplication adds
-    exponents, comparison orders zeros below everything.
+    An empty input, or a column of zeros, gives -inf. Accurate to ~1e-15
+    absolute in the exponent for up to ~10^7 terms.
     """
-
-    exponent: float
-    is_zero: bool = False
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(0.0, True)
-
-    @staticmethod
-    def from_float(v: float) -> "LogValue":
-        if v < 0.0:
-            raise InputError("LogValue.from_float: negative value")
-        if v == 0.0:
-            return LogValue.zero()
-        return LogValue(math.log2(v))
-
-    @staticmethod
-    def from_bigint(v: int) -> "LogValue":
-        if v == 0:
-            return LogValue.zero()
-        if v < 0:
-            raise InputError("LogValue.from_bigint: negative value")
-        return LogValue(log2_bigint(v))
-
-    def to_float(self) -> float:
-        return 0.0 if self.is_zero else 2.0 ** self.exponent
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.exponent + other.exponent)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
-            return False
-        return self.exponent < other.exponent
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self < other or self == other
-
-
-def log_sum_exp2(terms: Iterable[LogValue | float]) -> LogValue:
-    """log2 of a sum of nonnegative terms given by their log2 exponents.
-
-    Accepts plain floats (treated as exponents of nonzero terms) or LogValue.
-    An empty input, or all-zero terms, gives LogValue.zero(). Accurate to
-    ~1e-15 absolute in the exponent for up to ~10^7 terms.
-    """
-    exps = []
-    for t in terms:
-        if isinstance(t, LogValue):
-            if not t.is_zero:
-                exps.append(t.exponent)
-        else:
-            exps.append(float(t))
-    if not exps:
-        return LogValue.zero()
-    arr = np.asarray(exps, dtype=float)
-    m = float(arr.max())
-    s = float(np.sum(np.exp2(arr - m)))
-    return LogValue(m + math.log2(s))
+    arr = np.asarray(exponents, dtype=float)
+    m = arr.max(axis=0, initial=-np.inf)
+    # shift zero columns by 0, not by -inf, so that no -inf - -inf arises
+    m = np.where(m == -np.inf, 0.0, m)
+    with np.errstate(divide="ignore"):
+        out = m + np.log2(np.sum(np.exp2(arr - m), axis=0))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_sum_exp2_signed(
-    exponents: Sequence[float], signs: Sequence[int]
-) -> tuple[int, LogValue]:
-    """Signed base-2 logsumexp: returns (sign, LogValue of |sum|).
+    exponents: np.typing.ArrayLike, signs: np.typing.ArrayLike
+) -> tuple[int, float] | tuple[np.ndarray, np.ndarray]:
+    """Signed base-2 logsumexp along the first axis: returns (sign, log2 of
+    |sum|), arrays for 2-d input.
 
     Terms with sign 0 are skipped. Cancellation between the positive and the
     negative part is resolved in the exponent domain; exact cancellation to
-    zero returns (0, LogValue.zero()).
+    zero gives sign 0 and -inf.
     """
-    pos = [e for e, s in zip(exponents, signs) if s > 0]
-    neg = [e for e, s in zip(exponents, signs) if s < 0]
-    p = log_sum_exp2(pos)
-    q = log_sum_exp2(neg)
-    if p.is_zero and q.is_zero:
-        return 0, LogValue.zero()
-    if q.is_zero:
-        return 1, p
-    if p.is_zero:
-        return -1, q
-    if p.exponent == q.exponent:
-        return 0, LogValue.zero()
-    big, small, sign = (p, q, 1) if p.exponent > q.exponent else (q, p, -1)
-    diff = small.exponent - big.exponent
-    rest = 1.0 - 2.0 ** diff
-    if rest <= 0.0:
-        return 0, LogValue.zero()
-    return sign, LogValue(big.exponent + math.log2(rest))
+    e = np.asarray(exponents, dtype=float)
+    s = np.asarray(signs)
+    pos = np.asarray(log_sum_exp2(np.where(s > 0, e, -np.inf)))
+    neg = np.asarray(log_sum_exp2(np.where(s < 0, e, -np.inf)))
+    lo, hi = np.minimum(pos, neg), np.maximum(pos, neg)
+    live = lo < hi
+    hi = np.where(live, hi, 0.0)
+    rest = 1.0 - np.power(2.0, np.where(live, lo - hi, -np.inf))
+    live &= rest > 0.0
+    sign = np.where(live, np.where(pos > neg, 1, -1), 0)
+    with np.errstate(divide="ignore"):
+        out = np.where(live, hi + np.log2(rest), -np.inf)
+    if out.ndim == 0:
+        return int(sign), float(out)
+    return sign.astype(np.int8), out

@@ -523,6 +523,21 @@ def test_profile_noise_inner_matches_dense():
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def test_profile_plus_minus_match_dense_sums():
+    a = SymmetricProfile.from_weight_values(8, [1.0, -2.0, 0.5, 3.0, 0.0, -1.25, 4.0, 0.0, 2.0])
+    b = SymmetricProfile.from_weight_values(8, [1.0, 2.0, -0.5, 0.0, 0.0, 1.25, -4.0, 0.75, 2.0])
+    for op, dense in ((a.plus, a.to_dense().data + b.to_dense().data),
+                      (a.minus, a.to_dense().data - b.to_dense().data)):
+        c = op(b)
+        assert c.signs.dtype == np.int8
+        assert np.allclose(c.to_dense().data, dense, rtol=1e-15, atol=0.0)
+        # weights that cancel exactly carry sign 0 and log -inf
+        zero = dense[[(1 << k) - 1 for k in range(9)]] == 0.0
+        assert zero.any()
+        assert np.array_equal(c.signs == 0, zero)
+        assert np.all(c.logs[zero] == -np.inf)
+
+
 def test_profile_size():
     prof = SymmetricProfile.sphere_union(12, [5, 6])
     assert abs(2.0 ** prof.size_log2() - (math.comb(12, 5) + math.comb(12, 6))) < 1e-6

@@ -92,10 +92,11 @@ def test_cap_f_matches_phi_at_64_16_4():
 
 
 def test_cap_f_large_ratio_stationary_point():
-    # the residual's terms reach 1e5-1e7 here; the stationary point comes from
-    # bisection on its sign, and the value matches a 20,001-point scan
-    p = 50
-    for x in (10.0, 1e3, 1e6):
+    # the residual's terms reach 1e5-1e7 at p = 50 and 1e12-5e14 at p = 100;
+    # the stationary point comes from bisection on its sign, and the value
+    # matches a 20,001-point scan
+    for x, p in [(10.0, 50), (1e3, 50), (1e6, 50),
+                 (1.1, 100), (2.0, 100), (10.0, 100), (100.0, 100), (1e6, 100)]:
         rho = x ** (2.0 / p)
         scan = max(
             big_P(rho * b, p) / (b + 1.0) ** (p / 2.0)
