@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .krawchouk import kraw_log_row, kraw_table
+from .krawchouk import kraw_log_row
 from .numerics import (
     LOG2_BINOMIAL_CAP,
     InputError,

@@ -11,7 +11,7 @@ h(p, i0/n) = 1 - 2s/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

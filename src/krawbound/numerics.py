@@ -199,7 +199,8 @@ def log_sum_exp2_signed(
     lo, hi = np.minimum(pos, neg), np.maximum(pos, neg)
     live = lo < hi
     hi = np.where(live, hi, 0.0)
-    rest = 1.0 - np.power(2.0, np.where(live, lo - hi, -np.inf))
+    # 1 - 2^d as -expm1(d ln 2): accurate to rounding when the parts nearly cancel
+    rest = -np.expm1(np.where(live, lo - hi, -np.inf) * LN2)
     live &= rest > 0.0
     sign = np.where(live, np.where(pos > neg, 1, -1), 0)
     with np.errstate(divide="ignore"):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krawbound.krawchouk import kraw_log_row
 from krawbound.numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
@@ -225,3 +226,25 @@ def test_log_sum_exp2_signed_columns_against_mpmath():
             assert logs[j] == -math.inf
         else:
             assert abs(logs[j] - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_log_sum_exp2_signed_near_cancellation_against_mpmath():
+    # the sign-changing entries of K_s +- K_{s-1}: the two parts nearly
+    # cancel, and 1 - 2^d formed directly loses up to 2.8e-15 relative at
+    # n = 1024 and 3.4e-9 at n = 5000
+    checked = 0
+    for n, s in ((64, 16), (300, 40), (1024, 256), (5000, 1250)):
+        top, below = kraw_log_row(n, s), kraw_log_row(n, s - 1)
+        for coeff in (1, -1):
+            e = np.array([top[1], below[1]])
+            sg = np.array([top[0], coeff * below[0]])
+            sign, got = log_sum_exp2_signed(e, sg)
+            for i in np.flatnonzero(sg[0] * sg[1] < 0):
+                want_sign, want = _mp_signed_sum(e[:, i], sg[:, i])
+                assert sign[i] == want_sign
+                if want_sign == 0:
+                    assert got[i] == -math.inf
+                else:
+                    assert abs(got[i] - want) <= 1e-15 * abs(want), (n, s, coeff, i)
+                    checked += 1
+    assert checked > 6000

@@ -48,6 +48,17 @@ def test_search_larger_cell_no_violation():
     assert 0 <= rec.converged_starts <= rec.budget + 1
 
 
+def test_search_reports_lowest_tied_row():
+    # many starts reach optima whose values tie the Krawchouk row's to
+    # rounding; the reported row is the lowest-index one within 1e-12
+    # relative of the maximum, which is the uniform Krawchouk row 0
+    rec = search_extremal_ratio(10, 4, 6.0, budget=200, seed=0)
+    uniform = 1.0 / math.sqrt(math.comb(10, 4))
+    assert len(rec.best_fourier_coeffs) == math.comb(10, 4)
+    assert max(abs(v - uniform) for v in rec.best_fourier_coeffs) < 1e-12
+    assert rec.best_log2_ratio == pytest.approx(rec.kraw_log2_ratio, rel=1e-12)
+
+
 def test_search_rejects_out_of_range():
     with pytest.raises(InputError):
         search_extremal_ratio(16, 2, 4)
