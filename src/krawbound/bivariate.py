@@ -276,14 +276,7 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     """
 
     def objective(d: float) -> float:
-        x = x_star(sigma, d)
-        acc = 0.0
-        if sigma > 0.0:
-            acc += sigma * binary_entropy(_clamp01(x / sigma))
-        acc += (1.0 - sigma) * binary_entropy(_clamp01(x / (1.0 - sigma)))
-        if x > 0.0:
-            acc += 2.0 * x * math.log2(d)
-        acc += (1.0 - 2.0 * x) * math.log2(1.0 - d)
+        acc = alpha_value(sigma, d, x_star(sigma, d))
         if kappa > 0.0:
             acc -= kappa * math.log2(1.0 - 2.0 * d)
         return acc
@@ -391,18 +384,15 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
     with the closed-form maximizer
     y* = ((1-eps) - sqrt(eps^2 + 4(1-2eps) sigma(1-sigma))) / (2-2eps)."""
     p_val = phi(sigma, eps)
-    q = sigma * (1.0 - sigma)
     if eps >= 0.5 - 1e-14:
+        # log2(1-2eps) = -inf kills every y > 0
         y_closed = 0.0
+        best_y, best = 0.0, binary_entropy(0.0) + 2.0 * tau(sigma, 0.0)
     else:
+        q = sigma * (1.0 - sigma)
         y_closed = ((1.0 - eps) - math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q)) / (
             2.0 - 2.0 * eps
         )
-
-    if eps >= 0.5 - 1e-14:
-        # log2(1-2eps) = -inf kills every y > 0
-        best_y, best = 0.0, binary_entropy(0.0) + 2.0 * tau(sigma, 0.0)
-    else:
         c = math.log2(1.0 - 2.0 * eps)
 
         def neg_m(y: float) -> float:

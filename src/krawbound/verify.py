@@ -1,12 +1,15 @@
 """Orchestrated verification suites.
 
-Three families: counterexample search for the moment inequality (the power
-method for l_p norms over homogeneous polynomials, after D. W. Boyd 1974 and
-N. J. Higham 1992), identity sweeps driving the closed-form cross-checks
-over default grids, and tightness sweeps measuring how close the extremal
-objects come to the bounds. Every suite consumes a SuiteConfig and emits a
-SuiteReport whose payload is a pure function of the config: replays are
-bit-for-bit identical, wall time lives outside the payload.
+Every suite is one row of a table keyed by its tag, and `run_suite` is the
+only dispatcher. Three families share the table: identity sweeps drive the
+closed-form cross-checks over grids (a row gives its cells and a residual
+checked against a tolerance), tightness sweeps measure how close the extremal
+objects come to the bounds, and seeded searches look for counterexamples to
+the moment inequality (the power method for l_p norms over homogeneous
+polynomials, after D. W. Boyd 1974 and N. J. Higham 1992). Every suite
+consumes a SuiteConfig and emits a SuiteReport whose payload is a pure
+function of the config: replays are bit-for-bit identical, wall time lives
+outside the payload.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -57,13 +62,7 @@ class SuiteConfig:
     budget: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -284,210 +283,85 @@ def degree_at_most_check(
     return _finish(config, cases, {}, [], t0)
 
 
-# --------------------------------------------------------- identity sweeps
+# ---------------------------------------------------------- identity cells
 
 
-def _axis(grid: dict, name: str, default: tuple) -> np.ndarray:
-    """Grid overrides are explicit value sequences; defaults are
-    (lo, hi, count) linspace specs."""
-    if name in grid:
-        return np.asarray(grid[name], dtype=float)
-    lo, hi, count = default
-    return np.linspace(lo, hi, int(count))
+def _lin(lo: float, hi: float, count: int) -> tuple:
+    return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
-def _values(grid: dict, name: str, default: tuple):
-    """Explicit value sequence for axes that are lists, not linspace specs."""
-    got = grid.get(name, default)
-    return got if isinstance(got, (tuple, list, np.ndarray)) else (got,)
+def _product(**axes):
+    """The default cells: every combination of the axis values, as floats,
+    the first axis outermost."""
+    for values in product(*axes.values()):
+        yield dict(zip(axes, map(float, values)))
 
 
-def _sweep_tau_symmetry(grid: dict, tol: float) -> tuple:
-    cases = []
-    for x in _axis(grid, "x", (0.02, 0.48, 24)):
-        for y in _axis(grid, "y", (0.02, 0.48, 24)):
-            resid = abs(
-                binary_entropy(y) + tau(float(x), float(y))
-                - binary_entropy(x) - tau(float(y), float(x))
-            )
-            cases.append(
-                make_report("tau-symmetry", {"x": float(x), "y": float(y)}, resid, tol, tol=0.0)
-            )
-    return cases, {}
+def _pi_min_cells(sigma, kappa):
+    # pi(sigma, kappa) is defined for kappa <= 2 sigma (1 - sigma) only
+    for sg, kp in product(map(float, sigma), map(float, kappa)):
+        if kp <= 2 * sg * (1 - sg):
+            yield {"sigma": sg, "kappa": kp}
 
 
-def _sweep_psi_two_reps(grid: dict, tol: float) -> tuple:
-    cases = []
-    for p in _axis(grid, "p", (2.1, 10.0, 21)):
-        for x in _axis(grid, "x", (0.01, 0.49, 21)):
-            ev = psi(float(p), float(x))
-            resid = abs(ev.value - ev.second_value)
-            cases.append(
-                make_report("psi-two-reps", {"p": float(p), "x": float(x)}, resid, tol, tol=0.0)
-            )
-    return cases, {}
+def _edge_iso_min_cells(sigma, yfrac):
+    # y runs over fractions of its range [0, 2 sigma (1 - sigma)]
+    for sg, frac in product(map(float, sigma), map(float, yfrac)):
+        yield {"sigma": sg, "y": frac * (2 * sg * (1 - sg))}
 
 
-def _sweep_pi_min(grid: dict, tol: float) -> tuple:
-    cases = []
-    for sigma in _axis(grid, "sigma", (0.05, 0.5, 10)):
-        for kappa in _axis(grid, "kappa", (0.0, 0.45, 10)):
-            if kappa > 2 * sigma * (1 - sigma):
-                continue
-            rec = pi_min_check(float(sigma), float(kappa))
-            cases.append(
-                make_report(
-                    "pi-min",
-                    {"sigma": float(sigma), "kappa": float(kappa)},
-                    abs(rec.gap),
-                    tol,
-                    tol=0.0,
-                )
-            )
-    return cases, {}
+def _nsp_cells(n, p):
+    # three s per (n, p): n/8, n/4 and 3n/8
+    for nv, pv in product(n, p):
+        for s in (nv // 8, nv // 4, 3 * nv // 8):
+            yield {"n": int(nv), "s": int(s), "p": float(pv)}
 
 
-def _sweep_phi_transform(grid: dict, tol: float) -> tuple:
-    cases = []
-    for sigma in _axis(grid, "sigma", (0.02, 0.5, 8)):
-        for eps in _axis(grid, "eps", (0.01, 0.5, 8)):
-            rec = phi_transform_check(float(sigma), float(eps))
-            cases.append(
-                make_report(
-                    "phi-transform",
-                    {"sigma": float(sigma), "eps": float(eps)},
-                    abs(rec.gap),
-                    tol,
-                    tol=0.0,
-                )
-            )
-    return cases, {}
+def _psi_two_reps(p, x):
+    ev = psi(p, x)
+    return abs(ev.value - ev.second_value)
 
 
-def _sweep_edge_iso_min(grid: dict, tol: float) -> tuple:
-    cases = []
-    for sigma in _axis(grid, "sigma", (0.05, 0.5, 8)):
-        ymax = 2 * sigma * (1 - sigma)
-        for frac in _axis(grid, "yfrac", (0.05, 0.95, 8)):
-            rec = edge_iso_min_check(float(sigma), float(frac * ymax))
-            cases.append(
-                make_report(
-                    "edge-iso-min",
-                    {"sigma": float(sigma), "y": float(frac * ymax)},
-                    abs(rec.gap),
-                    tol,
-                    tol=0.0,
-                )
-            )
-    return cases, {}
+def _phi_eq_f(n, s, p):
+    par = induction_params(n, s, p)
+    return abs(cap_F(par.rho ** (p / 2.0), 1.0, p) / par.phi_big - 1.0)
 
 
-def _phi_f_cells(grid: dict):
-    ns = _values(grid, "n", (32, 64, 128))
-    ps = _values(grid, "p", (2.5, 3, 4, 6))
-    cells = []
-    for n in ns:
-        for p in ps:
-            for s in (n // 8, n // 4, 3 * n // 8):
-                cells.append((int(n), int(s), float(p)))
-    return cells
+def _u_star(n, s, p):
+    par = induction_params(n, s, p)
+    return abs(der_zer_residual(par.u_star, par.rho, p))
 
 
-def _sweep_phi_eq_f(grid: dict, tol: float) -> tuple:
-    def cell(args):
-        n, s, p = args
-        par = induction_params(n, s, p)
-        resid = abs(cap_F(par.rho ** (p / 2.0), 1.0, p) / par.phi_big - 1.0)
-        return make_report("phi-eq-F", {"n": n, "s": s, "p": p}, resid, tol, tol=0.0)
-
-    return [cell(c) for c in _phi_f_cells(grid)], {}
+# ----------------------------------------------------------- measured suites
+#
+# Each returns (cases, measured constants, counterexample artifacts).
 
 
-def _sweep_u_star(grid: dict, tol: float) -> tuple:
-    def cell(args):
-        n, s, p = args
-        par = induction_params(n, s, p)
-        resid = abs(der_zer_residual(par.u_star, par.rho, p))
-        return make_report("u-star", {"n": n, "s": s, "p": p}, resid, tol, tol=0.0)
-
-    cells = [(n, s, p) for (n, s, p) in _phi_f_cells(grid) if p > 2]
-    return [cell(c) for c in cells], {}
-
-
-def _sweep_disc_cont(grid: dict, tol: float) -> tuple:
+def _disc_cont(n, sigma, eps, tol):
     # The continuous maximum defining phi exceeds its n-point grid version
     # by at most O(1/n); the measured constant is reported.
     cases = []
     worst_c = 0.0
-    for n in _values(grid, "n", (64, 128, 256, 512)):
-        n = int(n)
-        for sigma in _axis(grid, "sigma", (0.1, 0.4, 4)):
-            for eps in _axis(grid, "eps", (0.05, 0.45, 4)):
-                sigma, eps = float(sigma), float(eps)
-                cont = phi(sigma, eps)
-                c = math.log2(1.0 - 2.0 * eps)
-                disc = max(
-                    k / n * c
-                    + binary_entropy(k / n)
-                    + 2.0 * tau(sigma, k / n)
-                    - 2.0
-                    for k in range(n // 2 + 1)
-                )
-                gap = cont - disc
-                worst_c = max(worst_c, gap * n)
-                # grid max may never exceed the continuous max, and must be
-                # within tol/n below it
-                ok_resid = max(-gap, gap - tol / n)
-                cases.append(
-                    make_report(
-                        "disc-cont",
-                        {"n": n, "sigma": sigma, "eps": eps},
-                        ok_resid,
-                        0.0,
-                        tol=1e-12,
-                    )
-                )
-    return cases, {"disc_cont_n_times_gap": worst_c}
-
-
-_IDENTITY_REGISTRY = {
-    "tau-symmetry": (_sweep_tau_symmetry, 1e-8),
-    "psi-two-reps": (_sweep_psi_two_reps, 1e-9),
-    "pi-min": (_sweep_pi_min, 1e-8),
-    "phi-transform": (_sweep_phi_transform, 1e-6),
-    "edge-iso-min": (_sweep_edge_iso_min, 1e-6),
-    "phi-eq-F": (_sweep_phi_eq_f, 1e-9),
-    "u-star": (_sweep_u_star, 1e-8),
-    "disc-cont": (_sweep_disc_cont, 1.0),
-}
-
-
-def identity_tags() -> list:
-    return sorted(_IDENTITY_REGISTRY)
-
-
-def identity_sweep(which: str, grid: dict | None = None, tol: float | None = None) -> SuiteReport:
-    """Sweep one closed-form identity over a grid; each case's measured
-    residual must sit below the identity's tolerance."""
-    t0 = time.time()
-    if which not in _IDENTITY_REGISTRY:
-        raise InputError(
-            f"identity_sweep: unknown tag {which!r}; known: {', '.join(identity_tags())}"
+    for nv, sg, ep in product(map(int, n), map(float, sigma), map(float, eps)):
+        cont = phi(sg, ep)
+        c = math.log2(1.0 - 2.0 * ep)
+        disc = max(
+            k / nv * c + binary_entropy(k / nv) + 2.0 * tau(sg, k / nv) - 2.0
+            for k in range(nv // 2 + 1)
         )
-    fn, default_tol = _IDENTITY_REGISTRY[which]
-    tol = default_tol if tol is None else tol
-    grid = grid or {}
-    config = SuiteConfig(which, grid=grid, tolerances={"residual": tol})
-    cases, constants = fn(grid, tol)
-    return _finish(config, cases, constants, [], t0)
+        gap = cont - disc
+        worst_c = max(worst_c, gap * nv)
+        # grid max may never exceed the continuous max, and must be within
+        # tol/n below it
+        ok_resid = max(-gap, gap - tol / nv)
+        cases.append(
+            make_report("disc-cont", {"n": nv, "sigma": sg, "eps": ep}, ok_resid, 0.0, tol=1e-12)
+        )
+    return cases, {"disc_cont_n_times_gap": worst_c}, ()
 
 
-# -------------------------------------------------------- tightness sweeps
-
-
-def _tight_edge_iso_sphere(grid: dict) -> tuple:
-    n = int(_values(grid, "n", (40,))[0])
-    s = int(_values(grid, "s", (10,))[0])
+def _edge_iso_sphere(n, s):
+    n, s = int(n), int(s)
     sigma = s / n
     cases = []
     worst_c = 0.0
@@ -502,19 +376,19 @@ def _tight_edge_iso_sphere(grid: dict) -> tuple:
         cases.append(
             make_report("edge-iso-sphere", {"n": n, "s": s, "i": i}, actual, bound, tol=1e-9)
         )
-    return cases, {"edge_iso_overshoot_per_i": worst_c}
+    return cases, {"edge_iso_overshoot_per_i": worst_c}, ()
 
 
-def _tight_hc_sphere(grid: dict) -> tuple:
-    eps = float(_values(grid, "eps", (0.15,))[0])
-    svals = [int(v) for v in _values(grid, "s", (2, 4, 8, 16, 32))]
+def _hc_sphere_gap(eps, s):
+    eps = float(eps)
+    svals = [int(v) for v in s]
     p = 1 + (1 - 2 * eps) ** 2
     cases = []
     gaps = []
     cs = []
-    for s in svals:
-        n = 4 * s
-        prof = SymmetricProfile.sphere(n, s)
+    for sv in svals:
+        n = 4 * sv
+        prof = SymmetricProfile.sphere(n, sv)
         r_p = (prof.lp_norm_log2(p) - prof.lp_norm_log2(1)) / n
         bound = hypercontractive_bound(r_p, eps, p)
         # ||T_eps f||_2^2 = <T_eps' f, f> with the composed rate eps'
@@ -522,114 +396,196 @@ def _tight_hc_sphere(grid: dict) -> tuple:
         p_norm = prof.lp_norm_log2(p)
         gap = bound * n + p_norm - lhs
         gaps.append(gap)
-        cs.append(2.0**gap / s**0.75)
+        cs.append(2.0**gap / sv**0.75)
         cases.append(
-            make_report("hc-sphere-gap", {"n": n, "s": s, "eps": eps}, lhs, bound * n + p_norm, tol=1e-9)
+            make_report("hc-sphere-gap", {"n": n, "s": sv, "eps": eps}, lhs, bound * n + p_norm, tol=1e-9)
         )
-    xs = [math.log2(s) for s in svals]
+    xs = [math.log2(sv) for sv in svals]
     slope = float(np.polyfit(xs, gaps, 1)[0])
-    return cases, {
-        "hc_gap_bits_slope_vs_log2_s": slope,
-        "hc_gap_factor_over_s_0.75": cs,
-    }
+    constants = {"hc_gap_bits_slope_vs_log2_s": slope, "hc_gap_factor_over_s_0.75": cs}
+    return cases, constants, ()
 
 
-def _tight_ue_union(grid: dict) -> tuple:
-    eps = float(_values(grid, "eps", (0.1,))[0])
-    ns = [int(v) for v in _values(grid, "n", (50, 100, 200))]
-    R = float(_values(grid, "R", (0.5,))[0])
+def _ue_sphere_union(eps, n, R):
+    eps, R = float(eps), float(R)
     cases = []
     per_log = []
-    for n in ns:
-        s = round(inverse_entropy(R) * n)
-        r_eff = binary_entropy(s / n)
-        brute = sphere_union_ue_log2(n - 1, s, eps)
-        exact = ue_exponent(r_eff, eps) * n
+    for nv in map(int, n):
+        s = round(inverse_entropy(R) * nv)
+        r_eff = binary_entropy(s / nv)
+        brute = sphere_union_ue_log2(nv - 1, s, eps)
+        exact = ue_exponent(r_eff, eps) * nv
         factor_log2 = exact - brute
-        per_log.append(factor_log2 / math.log2(n))
+        per_log.append(factor_log2 / math.log2(nv))
         cases.append(
-            make_report("ue-sphere-union", {"n": n, "R": R, "eps": eps}, brute, exact, tol=1e-9)
+            make_report("ue-sphere-union", {"n": nv, "R": R, "eps": eps}, brute, exact, tol=1e-9)
         )
     exploding = any(b > a + 1.0 for a, b in zip(per_log, per_log[1:]))
     constants = {"ue_gap_bits_per_log2n": per_log, "trend_non_exploding": not exploding}
-    return cases, constants
+    return cases, constants, ()
 
 
-def _tight_tails_sphere(grid: dict) -> tuple:
+def _tails_sphere(n):
     # every root-delimited interval must carry l2 mass; the margin is the
     # headroom in bits over an n^{-5/2} floor
     cases = []
     scaled = []
-    for n in [int(v) for v in _values(grid, "n", (128, 256, 512))]:
-        s = n // 4
-        records = l2_between_roots(n, s)
+    for nv in map(int, n):
+        s = nv // 4
+        records = l2_between_roots(nv, s)
         interior = [r for r in records if not r.empty]
         worst = min(r.attainment_factor for r in interior)
-        scaled.append(worst * n**2.5)
-        cases.append(
-            make_report(
-                "tails-sphere",
-                {"n": n, "s": s, "intervals": len(records), "nonempty": len(interior)},
-                -math.log2(max(scaled[-1], 1e-300)),
-                0.0,
-                tol=0.0,
-            )
-        )
-    return cases, {"between_roots_mass_times_n_2.5": scaled}
+        scaled.append(worst * nv**2.5)
+        cell = {"n": nv, "s": s, "intervals": len(records), "nonempty": len(interior)}
+        headroom = math.log2(max(scaled[-1], 1e-300))
+        cases.append(make_report("tails-sphere", cell, -headroom, 0.0, tol=0.0))
+    return cases, {"between_roots_mass_times_n_2.5": scaled}, ()
 
 
-def _tight_max_proj_roots(grid: dict) -> tuple:
+def _max_proj_roots(n):
     cases = []
     scaled = []
-    for n in [int(v) for v in _values(grid, "n", (32, 64, 128))]:
-        s = n // 8
-        sigma = inverse_entropy(log2_binomial(n, s) / n)
-        records = l2_between_roots(n, s)
+    for nv in map(int, n):
+        s = nv // 8
+        sigma = inverse_entropy(log2_binomial(nv, s) / nv)
+        records = l2_between_roots(nv, s)
         worst_factor = 0.0
         for rec in records:
-            if rec.empty or not (1 <= rec.best_i <= n // 2):
+            if rec.empty or not (1 <= rec.best_i <= nv // 2):
                 continue
             actual_log2 = 0.5 * math.log2(rec.attainment_factor)
-            bound_log2 = support_projection_bound(sigma, rec.best_i / n) * n
+            bound_log2 = support_projection_bound(sigma, rec.best_i / nv) * nv
             worst_factor = max(worst_factor, 2.0 ** (bound_log2 - actual_log2))
-            cases.append(
-                make_report(
-                    "max-proj-roots",
-                    {"n": n, "s": s, "k": rec.best_i},
-                    actual_log2,
-                    bound_log2,
-                    tol=1e-9,
-                )
-            )
-        scaled.append(worst_factor / n**2.5)
-    return cases, {"max_proj_factor_over_n_2.5": scaled}
+            cell = {"n": nv, "s": s, "k": rec.best_i}
+            cases.append(make_report("max-proj-roots", cell, actual_log2, bound_log2, tol=1e-9))
+        scaled.append(worst_factor / nv**2.5)
+    return cases, {"max_proj_factor_over_n_2.5": scaled}, ()
 
 
-_TIGHTNESS_REGISTRY = {
-    "edge-iso-sphere": _tight_edge_iso_sphere,
-    "hc-sphere-gap": _tight_hc_sphere,
-    "ue-sphere-union": _tight_ue_union,
-    "tails-sphere": _tight_tails_sphere,
-    "max-proj-roots": _tight_max_proj_roots,
+def _extremal_search(n, s, p, seed, restarts):
+    cases = []
+    artifacts = []
+    for nv, pv in product(map(int, n), map(float, p)):
+        for sv in (v for v in map(int, s) if 1 <= v <= nv // 2):
+            rec = search_extremal_ratio(nv, sv, pv, budget=restarts, seed=seed)
+            cell = {"n": nv, "s": sv, "p": pv}
+            lhs, bound = rec.best_log2_ratio, rec.bound_log2
+            cases.append(make_report("extremal-search", cell, lhs, bound, tol=1e-9))
+            if rec.counterexample:
+                artifacts.append(rec.counterexample)
+    return cases, {}, artifacts
+
+
+def _degree_at_most(n, s, p, seed, instances):
+    cases = []
+    for nv, sv, pv in product(map(int, n), map(int, s), map(float, p)):
+        cases.extend(degree_at_most_check(nv, sv, pv, budget=instances, seed=seed).cases)
+    return cases, {}, ()
+
+
+# ------------------------------------------------------------- suite table
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One row of the suite table. `axes` maps each grid axis the suite reads
+    to its default values; a bare number marks an axis that takes one value.
+    An identity sweep has a `tol` that its `residual` must stay below on each
+    cell of `cells(**axes)`. Other suites `measure(**axes)`, given also `tol`,
+    or `seed` and the `budget` (key, default) of a seeded search, and return
+    cases, measured constants and counterexample artifacts."""
+
+    axes: dict
+    tol: float | None = None
+    residual: Callable | None = None
+    cells: Callable = _product
+    measure: Callable | None = None
+    budget: tuple | None = None
+
+
+_SUITES = {
+    "tau-symmetry": _Suite(
+        {"x": _lin(0.02, 0.48, 24), "y": _lin(0.02, 0.48, 24)},
+        1e-8,
+        lambda x, y: abs(binary_entropy(y) + tau(x, y) - binary_entropy(x) - tau(y, x)),
+    ),
+    "psi-two-reps": _Suite({"p": _lin(2.1, 10.0, 21), "x": _lin(0.01, 0.49, 21)}, 1e-9, _psi_two_reps),
+    "pi-min": _Suite(
+        {"sigma": _lin(0.05, 0.5, 10), "kappa": _lin(0.0, 0.45, 10)},
+        1e-8,
+        lambda sigma, kappa: abs(pi_min_check(sigma, kappa).gap),
+        _pi_min_cells,
+    ),
+    "phi-transform": _Suite(
+        {"sigma": _lin(0.02, 0.5, 8), "eps": _lin(0.01, 0.5, 8)},
+        1e-6,
+        lambda sigma, eps: abs(phi_transform_check(sigma, eps).gap),
+    ),
+    "edge-iso-min": _Suite(
+        {"sigma": _lin(0.05, 0.5, 8), "yfrac": _lin(0.05, 0.95, 8)},
+        1e-6,
+        lambda sigma, y: abs(edge_iso_min_check(sigma, y).gap),
+        _edge_iso_min_cells,
+    ),
+    "phi-eq-F": _Suite({"n": (32, 64, 128), "p": (2.5, 3, 4, 6)}, 1e-9, _phi_eq_f, _nsp_cells),
+    "u-star": _Suite(
+        {"n": (32, 64, 128), "p": (2.5, 3, 4, 6)},
+        1e-8,
+        _u_star,
+        lambda n, p: (c for c in _nsp_cells(n, p) if c["p"] > 2),
+    ),
+    "disc-cont": _Suite(
+        {"n": (64, 128, 256, 512), "sigma": _lin(0.1, 0.4, 4), "eps": _lin(0.05, 0.45, 4)},
+        1.0,
+        measure=_disc_cont,
+    ),
+    "edge-iso-sphere": _Suite({"n": 40, "s": 10}, measure=_edge_iso_sphere),
+    "hc-sphere-gap": _Suite({"eps": 0.15, "s": (2, 4, 8, 16, 32)}, measure=_hc_sphere_gap),
+    "ue-sphere-union": _Suite({"eps": 0.1, "n": (50, 100, 200), "R": 0.5}, measure=_ue_sphere_union),
+    "tails-sphere": _Suite({"n": (128, 256, 512)}, measure=_tails_sphere),
+    "max-proj-roots": _Suite({"n": (32, 64, 128)}, measure=_max_proj_roots),
+    # s keeps 1 <= s <= n/2 of 1..7, every s the search's cap n <= 14 allows
+    "extremal-search": _Suite(
+        {"n": (6, 8), "s": tuple(range(1, 8)), "p": (3, 4)},
+        measure=_extremal_search,
+        budget=("restarts", 50),
+    ),
+    "degree-at-most": _Suite(
+        {"n": (10,), "s": (3,), "p": (4,)}, measure=_degree_at_most, budget=("instances", 1000)
+    ),
 }
 
 
+def all_suite_tags() -> list:
+    return sorted(_SUITES)
+
+
+def identity_tags() -> list:
+    return sorted(tag for tag, row in _SUITES.items() if row.tol is not None)
+
+
 def tightness_tags() -> list:
-    return sorted(_TIGHTNESS_REGISTRY)
+    return sorted(tag for tag, row in _SUITES.items() if row.tol is None and row.budget is None)
 
 
-def tightness_sweep(which: str, grid: dict | None = None) -> SuiteReport:
-    """Measure how close the matching extremal object comes to a bound;
-    constants are reported, pass means margins hold and nothing explodes."""
-    t0 = time.time()
-    if which not in _TIGHTNESS_REGISTRY:
-        raise InputError(
-            f"tightness_sweep: unknown tag {which!r}; known: {', '.join(tightness_tags())}"
-        )
-    grid = grid or {}
-    config = SuiteConfig(which, grid=grid)
-    cases, constants = _TIGHTNESS_REGISTRY[which](grid)
-    return _finish(config, cases, constants, [], t0)
+def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
+    """Each axis's values from the grid, or its default. A grid axis the
+    suite does not read, or several values on an axis that takes one, is an
+    InputError rather than silently dropped."""
+    unknown = sorted(set(grid) - set(axes))
+    if unknown:
+        raise InputError(f"{tag}: no grid axis {', '.join(unknown)}; it reads {', '.join(axes)}")
+    out = {}
+    for name, default in axes.items():
+        got = grid.get(name, default)
+        values = (got,) if np.isscalar(got) else tuple(got)
+        if isinstance(default, tuple):
+            out[name] = values
+        elif len(values) == 1:
+            out[name] = values[0]
+        else:
+            raise InputError(f"{tag}: grid axis {name!r} takes one value, got {len(values)}")
+    return out
 
 
 def run_suite(
@@ -639,57 +595,49 @@ def run_suite(
     budget: dict | None = None,
     tol: float | None = None,
 ) -> SuiteReport:
-    """Dispatch by suite tag across all three families."""
-    if name in _IDENTITY_REGISTRY:
-        return identity_sweep(name, grid, tol)
-    if name in _TIGHTNESS_REGISTRY:
-        return tightness_sweep(name, grid)
-    if name == "extremal-search":
-        grid = grid or {}
-        budget = budget or {}
-        t0 = time.time()
-        restarts = int(budget.get("restarts", 50))
-        config = SuiteConfig(name, grid=grid, seed=seed, budget={"restarts": restarts})
-        cases = []
-        artifacts = []
-        for n in [int(v) for v in _values(grid, "n", (6, 8))]:
-            svals = (
-                [s for s in (int(v) for v in _values(grid, "s", ())) if 1 <= s <= n // 2]
-                if "s" in grid
-                else range(1, n // 2 + 1)
-            )
-            for p in [float(v) for v in _values(grid, "p", (3, 4))]:
-                for s in svals:
-                    rec = search_extremal_ratio(n, s, p, budget=restarts, seed=seed)
-                    cases.append(
-                        make_report(
-                            "extremal-search",
-                            {"n": n, "s": s, "p": p},
-                            rec.best_log2_ratio,
-                            rec.bound_log2,
-                            tol=1e-9,
-                        )
-                    )
-                    if rec.counterexample:
-                        artifacts.append(rec.counterexample)
-        return _finish(config, cases, {}, artifacts, t0)
-    if name == "degree-at-most":
-        grid = grid or {}
-        budget = budget or {}
-        t0 = time.time()
-        instances = int(budget.get("instances", 1000))
-        config = SuiteConfig(name, grid=grid, seed=seed, budget={"instances": instances})
-        cases = []
-        for n in [int(v) for v in _values(grid, "n", (10,))]:
-            for s in [int(v) for v in _values(grid, "s", (3,))]:
-                for p in [float(v) for v in _values(grid, "p", (4,))]:
-                    sub = degree_at_most_check(n, s, p, budget=instances, seed=seed)
-                    cases.extend(sub.cases)
-        return _finish(config, cases, {}, [], t0)
-    raise InputError(f"run_suite: unknown suite {name!r}")
+    """Run the suite `name` of the table. `tol` overrides an identity's
+    residual tolerance; `seed` and `budget` reach only the seeded searches."""
+    t0 = time.time()
+    if name not in _SUITES:
+        raise InputError(f"run_suite: unknown suite {name!r}")
+    row = _SUITES[name]
+    if tol is not None and row.tol is None:
+        raise InputError(f"{name}: has no residual tolerance to override, got tol={tol}")
+    grid = grid or {}
+    axes = _axis_values(name, row.axes, grid)
+    if row.tol is not None:
+        tol = row.tol if tol is None else tol
+        extra, config = {"tol": tol}, SuiteConfig(name, grid, tolerances={"residual": tol})
+    elif row.budget is not None:
+        key, default = row.budget
+        spent = {key: int((budget or {}).get(key, default))}
+        extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, seed=seed, budget=spent)
+    else:
+        extra, config = {}, SuiteConfig(name, grid)
+    if row.residual is None:
+        cases, constants, artifacts = row.measure(**axes, **extra)
+    else:
+        cases = [
+            make_report(name, cell, row.residual(**cell), tol, tol=0.0)
+            for cell in row.cells(**axes)
+        ]
+        constants, artifacts = {}, ()
+    return _finish(config, cases, constants, artifacts, t0)
 
 
-def all_suite_tags() -> list:
-    return sorted(
-        list(_IDENTITY_REGISTRY) + list(_TIGHTNESS_REGISTRY) + ["extremal-search", "degree-at-most"]
-    )
+def _member(caller: str, tag: str, tags: list) -> str:
+    if tag not in tags:
+        raise InputError(f"{caller}: unknown tag {tag!r}; known: {', '.join(tags)}")
+    return tag
+
+
+def identity_sweep(which: str, grid: dict | None = None, tol: float | None = None) -> SuiteReport:
+    """Sweep one closed-form identity over a grid; each case's measured
+    residual must sit below the identity's tolerance."""
+    return run_suite(_member("identity_sweep", which, identity_tags()), grid, tol=tol)
+
+
+def tightness_sweep(which: str, grid: dict | None = None) -> SuiteReport:
+    """Measure how close the matching extremal object comes to a bound;
+    constants are reported, pass means margins hold and nothing explodes."""
+    return run_suite(_member("tightness_sweep", which, tightness_tags()), grid)

@@ -191,6 +191,11 @@ def test_input_error_exits_2():
     assert run("verify", "--suite", "degree-at-most", "--budget", "0").exit_code == 2
     # a grid that selects no case is refused, not reported as a pass
     assert run("verify", "--suite", "extremal-search", *grid, "--grid", "s=9:9:1").exit_code == 2
+    # an axis the suite does not read, a tolerance on a suite without one, and
+    # several values on an axis the suite reads one value of
+    assert run("verify", "--suite", "tau-symmetry", "--grid", "q=1:2:2").exit_code == 2
+    assert run("verify", "--suite", "edge-iso-sphere", "--tol", "1e-300").exit_code == 2
+    assert run("verify", "--suite", "edge-iso-sphere", "--grid", "n=40:80:3").exit_code == 2
 
 
 def test_unknown_suite_exits_2():

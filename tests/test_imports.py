@@ -1,0 +1,50 @@
+"""Source hygiene: every name a krawbound module imports is read in that
+module, or re-exported through its `__all__`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "krawbound"
+
+
+def _unread_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {elt.value for elt in node.value.elts}
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in read and name not in exported
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert _unread_imports(path) == []
+
+
+def test_scan_flags_an_unread_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import log2, pi as PI\n"
+        "__all__ = ['PI']\n"
+        "print(os.sep)\n"
+    )
+    assert _unread_imports(module) == ["log2 (line 3)"]

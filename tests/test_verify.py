@@ -246,6 +246,33 @@ def test_run_suite_dispatch_and_unknown():
         run_suite("mystery")
 
 
+def test_run_suite_rejects_unknown_axis():
+    # the default 576 cases would run, with q recorded in the config
+    with pytest.raises(InputError, match="no grid axis q"):
+        run_suite("tau-symmetry", grid={"q": (1.0, 2.0)})
+
+
+def test_run_suite_rejects_tol_without_residual():
+    for tag in tightness_tags() + ["extremal-search", "degree-at-most"]:
+        with pytest.raises(InputError, match="no residual tolerance"):
+            run_suite(tag, tol=1e-300)
+
+
+def test_run_suite_rejects_several_values_on_a_single_value_axis():
+    for tag, grid in [
+        ("edge-iso-sphere", {"n": (40, 60, 80)}),
+        ("edge-iso-sphere", {"s": (8, 10)}),
+        ("hc-sphere-gap", {"eps": (0.1, 0.2)}),
+        ("ue-sphere-union", {"eps": (0.1, 0.2)}),
+        ("ue-sphere-union", {"R": (0.3, 0.5)}),
+    ]:
+        (axis,) = grid
+        with pytest.raises(InputError, match=f"grid axis '{axis}' takes one value"):
+            run_suite(tag, grid=grid)
+    # one value is accepted, as a sequence or a bare number
+    assert run_suite("edge-iso-sphere", grid={"n": (60,), "s": 12}).cases[0].params["n"] == 60
+
+
 def test_payload_excludes_wall_time():
     rep = identity_sweep("u-star")
     assert "wall_time" not in rep.payload()
