@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .bivariate import (
     PsiEval,
-    alpha_and_xstar,
     eta,
     eta_p,
     exponent_I,
@@ -109,7 +108,6 @@ __all__ = [
     "SymmetricProfile",
     "__version__",
     "all_suite_tags",
-    "alpha_and_xstar",
     "apply_noise",
     "big_P",
     "binary_entropy",

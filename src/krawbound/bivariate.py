@@ -38,8 +38,24 @@ _SLACK = 1e-12
 _GRID_POINTS = 2001
 
 
-def _clamp01(t: float) -> float:
-    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+def _gate(name: str, label: str, t: float) -> float:
+    """The domain gate of every [0, 1/2] argument: InputError unless
+    0 <= t <= 1/2 + _SLACK, else t clamped into [0, 1/2]."""
+    if 0.0 <= t <= 0.5:
+        return t
+    if 0.5 < t <= 0.5 + _SLACK:
+        return 0.5
+    raise InputError(f"{name}: {label}={t} outside [0, 1/2]")
+
+
+def _split_entropy(sigma: float, t: float) -> float:
+    """sigma H(t/sigma) + (1-sigma) H(t/(1-sigma)) for t >= 0, each ratio
+    capped at 1; 0 at sigma = 0."""
+    if sigma <= 0.0:
+        return 0.0
+    return sigma * binary_entropy(min(t / sigma, 1.0)) + (1.0 - sigma) * binary_entropy(
+        min(t / (1.0 - sigma), 1.0)
+    )
 
 
 def _linear_grid(lo: float, hi: float) -> list[float]:
@@ -58,8 +74,7 @@ def ratio_r(x: float, y: float) -> float:
     Defined for 0 <= x <= 1/2 and 0 <= y <= 1/2 - sqrt(x(1-x)); decreasing
     in y with r(x,0) = 1-2x and r(0,y) = 1.
     """
-    if not (0.0 <= x <= 0.5 + _SLACK):
-        raise InputError(f"ratio_r: x={x} outside [0, 1/2]")
+    x = _gate("ratio_r", "x", x)
     if y < -_SLACK or y > root_region_boundary(x) + 1e-9:
         raise InputError(f"ratio_r: y={y} outside [0, 1/2 - sqrt(x(1-x))] for x={x}")
     a = 1.0 - 2.0 * x
@@ -94,8 +109,7 @@ def exponent_I(x_deg: float, y_pt: float) -> float:
     so exponent_I(x, 0) = -1 for every x, and exponent_I(0, y) = -1 since
     r(0, .) = 1. Computed in closed form for x, y > 0.
     """
-    if not (0.0 <= x_deg <= 0.5 + _SLACK):
-        raise InputError(f"exponent_I: x_deg={x_deg} outside [0, 1/2]")
+    x_deg = _gate("exponent_I", "x_deg", x_deg)
     if y_pt < -_SLACK or y_pt > root_region_boundary(x_deg) + 1e-9:
         raise InputError(
             f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}"
@@ -112,10 +126,7 @@ def tau(x: float, y: float) -> float:
     H(x) + exponent_I(x,y) + 1 inside the root region, (1+H(x)-H(y))/2
     outside; continuous across the seam; tau(x,0) = H(x), tau(x,1/2) = H(x)/2.
     """
-    if not (0.0 <= x <= 0.5 + _SLACK and 0.0 <= y <= 0.5 + _SLACK):
-        raise InputError(f"tau: (x,y)=({x},{y}) outside [0, 1/2]^2")
-    x = min(max(x, 0.0), 0.5)
-    y = min(max(y, 0.0), 0.5)
+    x, y = _gate("tau", "x", x), _gate("tau", "y", y)
     if y <= root_region_boundary(x):
         return binary_entropy(x) + exponent_I(x, y) + 1.0
     return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
@@ -126,11 +137,9 @@ def little_h(p: float, x: float) -> float:
     increases from 0 to 1 on x in [0, 1/2]."""
     if p < 2:
         raise InputError(f"little_h: need p >= 2, got p={p}")
-    if not (0.0 <= x <= 0.5 + _SLACK):
-        raise InputError(f"little_h: x={x} outside [0, 1/2]")
+    x = _gate("little_h", "x", x)
     if x <= 0.0:
         return 0.0
-    x = min(x, 0.5)
     u, v = 1.0 / p, (p - 1.0) / p
     return x ** u * (1.0 - x) ** v + x ** v * (1.0 - x) ** u
 
@@ -140,16 +149,14 @@ def little_g(p: float, x: float) -> float:
     h^2 - g^2 = 4x(1-x)."""
     if p < 2:
         raise InputError(f"little_g: need p >= 2, got p={p}")
-    if not (0.0 <= x <= 0.5 + _SLACK):
-        raise InputError(f"little_g: x={x} outside [0, 1/2]")
+    x = _gate("little_g", "x", x)
     if x <= 0.0:
         return 0.0
-    x = min(x, 0.5)
     u, v = 1.0 / p, (p - 1.0) / p
     return x ** u * (1.0 - x) ** v - x ** v * (1.0 - x) ** u
 
 
-def solve_h_inverse(p: float, target: float, iterations: int = 120) -> float:
+def solve_h_inverse(p: float, target: float) -> float:
     """y in [0, 1/2] with h(p, y) = target; bisection on the increasing h.
 
     Bisects in log2(y): near 0 the solution is y ~ target^p, far below any
@@ -163,7 +170,7 @@ def solve_h_inverse(p: float, target: float, iterations: int = 120) -> float:
         return 0.5
     # h(p,y) <= 2 y^{1/p}, so z below p(log2(target) - 1) brackets from the left
     lo = p * (math.log2(target) - 1.0) - 1.0
-    z = _bisect(lambda z: little_h(p, 2.0 ** z) < target, lo, -1.0, iterations)
+    z = _bisect(lambda z: little_h(p, 2.0 ** z) < target, lo, -1.0)
     return 2.0 ** z
 
 
@@ -172,15 +179,13 @@ def a_fn(p: float, delta: float) -> float:
     decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
     if p < 2:
         raise InputError(f"a_fn: need p >= 2, got p={p}")
-    if not (0.0 <= delta <= 0.5 + _SLACK):
-        raise InputError(f"a_fn: delta={delta} outside [0, 1/2]")
-    d = min(max(delta, 0.0), 0.5)
+    d = _gate("a_fn", "delta", delta)
     num = (1.0 - d) ** (p - 1.0) - d ** (p - 1.0)
     den = (1.0 - d) ** p + d ** p
     return (0.5 - d) * num / den
 
 
-def solve_a_inverse(p: float, x: float, iterations: int = 80) -> float:
+def solve_a_inverse(p: float, x: float) -> float:
     """delta in [0, 1/2] with a(p, delta) = x; bisection on the decreasing a."""
     if not (0.0 <= x <= 0.5):
         raise InputError(f"solve_a_inverse: x={x} outside [0, 1/2]")
@@ -189,7 +194,7 @@ def solve_a_inverse(p: float, x: float, iterations: int = 80) -> float:
     if x == 0.0:
         return 0.5
     # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2)
-    return _bisect(lambda d: a_fn(p, d) > x, 0.0, 0.5, iterations)
+    return _bisect(lambda d: a_fn(p, d) > x, 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -214,9 +219,7 @@ def psi(p: float, x: float) -> PsiEval:
     """
     if p < 2:
         raise InputError(f"psi: need p >= 2, got p={p}")
-    if not (0.0 <= x <= 0.5 + _SLACK):
-        raise InputError(f"psi: x={x} outside [0, 1/2]")
-    x = min(max(x, 0.0), 0.5)
+    x = _gate("psi", "x", x)
     if x == 0.0:
         # y = 1/2, delta = 1/2; both representations collapse to 0 in the limit
         return PsiEval(p, x, 0.0, 0.0, 0.5, 0.5)
@@ -246,10 +249,7 @@ def pi_fn(x: float, y: float) -> float:
 
     Symmetric, nonpositive, strictly negative strictly inside the region.
     """
-    if not (0.0 <= x <= 0.5 + _SLACK and 0.0 <= y <= 0.5 + _SLACK):
-        raise InputError(f"pi_fn: (x,y)=({x},{y}) outside [0, 1/2]^2")
-    x = min(max(x, 0.0), 0.5)
-    y = min(max(y, 0.0), 0.5)
+    x, y = _gate("pi_fn", "x", x), _gate("pi_fn", "y", y)
     if y > root_region_boundary(x):
         return 0.0
     return exponent_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
@@ -303,30 +303,23 @@ def alpha_value(sigma: float, eps: float, x: float) -> float:
     Limits: sigma = 0 forces x = 0 with value log2(1-eps); eps = 0 gives 0 at
     x = 0 and -inf for x > 0; eps = 1/2 contributes a flat -1.
     """
-    if not (0.0 <= sigma <= 0.5 + _SLACK and 0.0 <= eps <= 0.5 + _SLACK):
-        raise InputError(f"alpha_value: (sigma,eps)=({sigma},{eps}) outside [0,1/2]^2")
+    sigma, eps = _gate("alpha_value", "sigma", sigma), _gate("alpha_value", "eps", eps)
     if x < -_SLACK or x > sigma + _SLACK:
         raise InputError(f"alpha_value: x={x} outside [0, sigma={sigma}]")
     x = min(max(x, 0.0), sigma)
-    acc = 0.0
-    if sigma > 0.0:
-        acc += sigma * binary_entropy(_clamp01(x / sigma))
-        acc += (1.0 - sigma) * binary_entropy(_clamp01(x / (1.0 - sigma)))
+    acc = _split_entropy(sigma, x)
     if x > 0.0:
         if eps == 0.0:
             return -math.inf
         acc += 2.0 * x * math.log2(eps)
-    if eps < 1.0:
-        acc += (1.0 - 2.0 * x) * math.log2(1.0 - eps)
-    return acc
+    return acc + (1.0 - 2.0 * x) * math.log2(1.0 - eps)
 
 
 def x_star(sigma: float, eps: float) -> float:
     """Maximizer of alpha_{sigma,eps}:
     x* = (-eps^2 + eps sqrt(eps^2 + 4(1-2eps) sigma(1-sigma))) / (2(1-2eps));
     limit sigma(1-sigma) at eps = 1/2."""
-    if not (0.0 <= sigma <= 0.5 + _SLACK and 0.0 <= eps <= 0.5 + _SLACK):
-        raise InputError(f"x_star: (sigma,eps)=({sigma},{eps}) outside [0,1/2]^2")
+    sigma, eps = _gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps)
     if eps <= 0.0 or sigma <= 0.0:
         return 0.0
     if eps >= 0.5 - 1e-14:
@@ -337,24 +330,9 @@ def x_star(sigma: float, eps: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    sigma: float
-    eps: float
-    x_star: float
-    alpha_max: float
-
-
-def alpha_and_xstar(sigma: float, eps: float) -> NoiseParams:
-    """Closed-form maximizer of alpha with its value."""
-    xs = x_star(sigma, eps)
-    return NoiseParams(sigma, eps, xs, alpha_value(sigma, eps, xs))
-
-
 def phi(sigma: float, eps: float) -> float:
     """phi(sigma, eps) = H(sigma) - 1 + max_x alpha_{sigma,eps}(x)."""
-    if not (0.0 <= sigma <= 0.5 + _SLACK and 0.0 <= eps <= 0.5 + _SLACK):
-        raise InputError(f"phi: (sigma,eps)=({sigma},{eps}) outside [0,1/2]^2")
+    sigma, eps = _gate("phi", "sigma", sigma), _gate("phi", "eps", eps)
     if eps == 0.0:
         return binary_entropy(sigma) - 1.0
     return binary_entropy(sigma) - 1.0 + alpha_value(sigma, eps, x_star(sigma, eps))
@@ -411,8 +389,7 @@ def eta_p(p: float, x: float, eps: float) -> float:
     + x/(p-1), for 0 <= x <= (p-1)/p and p >= 1 + (1-2eps)^2."""
     if p <= 1.0:
         raise InputError(f"eta_p: need p > 1, got p={p}")
-    if not (0.0 <= eps <= 0.5 + _SLACK):
-        raise InputError(f"eta_p: eps={eps} outside [0, 1/2]")
+    eps = _gate("eta_p", "eps", eps)
     if x < -_SLACK or x > (p - 1.0) / p + 1e-9:
         raise InputError(f"eta_p: x={x} outside [0, (p-1)/p] for p={p}")
     x = min(max(x, 0.0), (p - 1.0) / p)
@@ -425,8 +402,7 @@ def eta_p(p: float, x: float, eps: float) -> float:
 
 def eta(x: float, eps: float) -> float:
     """eta(x, eps) = eta_p(x, eps) at p = 1 + (1-2eps)^2."""
-    if not (0.0 <= eps <= 0.5 + _SLACK):
-        raise InputError(f"eta: eps={eps} outside [0, 1/2]")
+    eps = _gate("eta", "eps", eps)
     p = 1.0 + (1.0 - 2.0 * eps) ** 2
     if p <= 1.0 + 1e-14:
         # eps = 1/2: the admissible interval degenerates to x = 0
@@ -452,8 +428,7 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
     min_{0<eps<=1/2} { phi(sigma,eps) + 1 - H(sigma) - y log2(eps)
       - (1-y) log2(1-eps) } = sigma H(y/(2 sigma)) + (1-sigma) H(y/(2(1-sigma))).
     """
-    if not (0.0 <= sigma <= 0.5 + _SLACK):
-        raise InputError(f"edge_iso_min_check: sigma={sigma} outside [0, 1/2]")
+    sigma = _gate("edge_iso_min_check", "sigma", sigma)
     if y < -_SLACK or y > 2.0 * sigma * (1.0 - sigma) + 1e-9:
         raise InputError(
             f"edge_iso_min_check: y={y} outside [0, 2 sigma (1-sigma)] for sigma={sigma}"
@@ -471,10 +446,5 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
     lo, hi = 1e-9, 0.5
     grid = [lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
     best_e, best = _minimize_1d(objective, grid)
-    if sigma == 0.0:
-        closed = 0.0
-    else:
-        closed = sigma * binary_entropy(_clamp01(y / (2.0 * sigma))) + (
-            1.0 - sigma
-        ) * binary_entropy(_clamp01(y / (2.0 * (1.0 - sigma))))
+    closed = _split_entropy(sigma, 0.5 * y)
     return EdgeIsoMinRecord(sigma, y, best, closed, best - closed, best_e)

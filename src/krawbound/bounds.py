@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bivariate import alpha_and_xstar, eta_p, phi, pi_fn, psi, tau
+from .bivariate import _split_entropy, alpha_value, eta_p, phi, pi_fn, psi, tau, x_star
 from .krawchouk import kraw_moments
 from .numerics import InputError, binary_entropy, inverse_entropy
 
@@ -108,10 +108,7 @@ def edge_iso_bound(n: int, sigma: float, i: int) -> float:
             "typical distance between two random points at this set density "
             "the count is already maximal"
         )
-    y = i / n
-    return sigma * binary_entropy(y / (2.0 * sigma)) + (1.0 - sigma) * binary_entropy(
-        y / (2.0 * (1.0 - sigma))
-    )
+    return _split_entropy(sigma, 0.5 * (i / n))
 
 
 def hypercontractive_bound(r_p: float, eps: float, p: float) -> float:
@@ -162,4 +159,4 @@ def ue_exponent(R: float, eps: float) -> float:
     if not (0.0 < eps <= 0.5):
         raise InputError(f"ue_exponent: need 0 < eps <= 1/2, got {eps}")
     sigma = inverse_entropy(R)
-    return alpha_and_xstar(sigma, eps).alpha_max
+    return alpha_value(sigma, eps, x_star(sigma, eps))

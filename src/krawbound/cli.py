@@ -41,7 +41,6 @@ from .cube import (
     lp_norm,
     random_homogeneous,
     spectral_project,
-    sphere_indicator,
     sphere_union_ue_log2,
 )
 from .induction import hanner_gap_kraw, induction_params, recursion_residual
@@ -236,20 +235,16 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
     random homogeneous function; level rows are plot-ready (k, mass)."""
     if n < 1:
         raise InputError(f"eval: need n >= 1, got n={n}")
+    if eps is not None and not (0.0 <= eps <= 0.5):
+        # the sphere path's noise_inner_log2(2 eps (1-eps)) would take eps up to 1
+        raise InputError(f"eval: eps={eps} outside [0, 1/2]")
     scale = 1.0 if raw else 1.0 / n
+    obj = "sphere-indicator" if seed is None else "random-homogeneous"
+    payload = {"object": obj, "n": n, "s": s}
+    levels = []
     if seed is not None:
         # stays in the coefficient domain: off-level masses are exactly zero
         f = random_homogeneous(n, s, seed)
-        obj = "random-homogeneous"
-    elif n <= 24:
-        _, f = sphere_indicator(n, s)
-        obj = "sphere-indicator"
-    else:
-        f = None
-        obj = "sphere-indicator"
-    payload = {"object": obj, "n": n, "s": s}
-    levels = []
-    if f is not None:
         payload["l2_exponent"] = math.log2(lp_norm(f, 2)) * scale
         if p is not None:
             payload["lp_exponent"] = math.log2(lp_norm(f, p)) * scale

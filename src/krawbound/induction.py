@@ -93,9 +93,7 @@ def cap_F(x: float, y: float, p: float) -> float:
         def residual(b: float) -> float:
             return der_zer_residual(1.0 / (rho * (b + 1.0)), rho, p)
 
-        lo = 1.0 / rho
-        halvings = 53 + math.ceil(math.log2((hi - lo) / lo))
-        beta = _bisect(lambda b: residual(b) < 0.0, lo, hi, halvings)
+        beta = _bisect(lambda b: residual(b) < 0.0, 1.0 / rho, hi)
         best = max(best, log2_f(beta))
         # the gate scales with the residual's largest product
         # (a+b)^{p-1} max(a, rho b): at p = 100 it reaches ~1e14, and the

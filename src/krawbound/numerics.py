@@ -40,19 +40,18 @@ def binary_entropy(t: float) -> float:
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
 
 
-def _bisect(
-    below: Callable[[float], bool], lo: float, hi: float, iterations: int
-) -> float:
-    """Halve [lo, hi] `iterations` times around the point where the monotone
-    predicate `below` turns from true (left of it) to false; returns the
-    midpoint of the final bracket."""
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Halve [lo, hi] around the point where the monotone predicate `below`
+    turns from true (left of it) to false, until no float lies strictly
+    between the two ends; returns the midpoint of the final bracket."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if below(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -92,11 +91,12 @@ def _minimize_1d(
     return grid[best_k], best_v
 
 
-def inverse_entropy(y: float, iterations: int = 60) -> float:
+def inverse_entropy(y: float) -> float:
     """Inverse of H on [0, 1/2]: returns t with H(t) = y.
 
-    Plain bisection; 60 iterations pin t to about 1e-18 absolute, well below
-    the 1e-12 contract for the composed identity H(inverse_entropy(y)) = y.
+    Plain bisection to float resolution, so H(inverse_entropy(y)) = y holds
+    to 1e-12 relative down to the smallest y, where t is far below any
+    absolute grid on [0, 1/2].
     """
     if y < 0.0 or y > 1.0:
         raise InputError(f"inverse_entropy: y={y} outside [0, 1]")
@@ -104,7 +104,7 @@ def inverse_entropy(y: float, iterations: int = 60) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    return _bisect(lambda t: binary_entropy(t) < y, 0.0, 0.5, iterations)
+    return _bisect(lambda t: binary_entropy(t) < y, 0.0, 0.5)
 
 
 def exact_binomial(n: int, k: int) -> int:

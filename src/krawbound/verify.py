@@ -596,13 +596,16 @@ def run_suite(
     tol: float | None = None,
 ) -> SuiteReport:
     """Run the suite `name` of the table. `tol` overrides an identity's
-    residual tolerance; `seed` and `budget` reach only the seeded searches."""
+    residual tolerance; `seed` and `budget` reach only the seeded searches,
+    and a budget given to any other suite is an InputError."""
     t0 = time.time()
     if name not in _SUITES:
         raise InputError(f"run_suite: unknown suite {name!r}")
     row = _SUITES[name]
     if tol is not None and row.tol is None:
         raise InputError(f"{name}: has no residual tolerance to override, got tol={tol}")
+    if budget is not None and row.budget is None:
+        raise InputError(f"{name}: is no seeded search to give a budget, got budget={budget}")
     grid = grid or {}
     axes = _axis_values(name, row.axes, grid)
     if row.tol is not None:

@@ -544,3 +544,55 @@ def test_edge_iso_example():
 def test_edge_iso_domain_error():
     with pytest.raises(InputError):
         bv.edge_iso_min_check(0.2, 0.4)
+
+
+# ------------------------------------------------------------ domain gate
+
+# each [0, 1/2] argument of an evaluator, the others held inside the domain
+_GATED = {
+    "ratio_r.x": lambda t: bv.ratio_r(t, 0.0),
+    "exponent_I.x_deg": lambda t: bv.exponent_I(t, 0.0),
+    "tau.x": lambda t: bv.tau(t, 0.1),
+    "tau.y": lambda t: bv.tau(0.1, t),
+    "little_h.x": lambda t: bv.little_h(3.0, t),
+    "little_g.x": lambda t: bv.little_g(3.0, t),
+    "a_fn.delta": lambda t: bv.a_fn(3.0, t),
+    "psi.x": lambda t: bv.psi(3.0, t),
+    "pi_fn.x": lambda t: bv.pi_fn(t, 0.1),
+    "pi_fn.y": lambda t: bv.pi_fn(0.1, t),
+    "alpha_value.sigma": lambda t: bv.alpha_value(t, 0.1, 0.0),
+    "alpha_value.eps": lambda t: bv.alpha_value(0.3, t, 0.1),
+    "x_star.sigma": lambda t: bv.x_star(t, 0.1),
+    "x_star.eps": lambda t: bv.x_star(0.3, t),
+    "phi.sigma": lambda t: bv.phi(t, 0.1),
+    "phi.eps": lambda t: bv.phi(0.3, t),
+    "eta_p.eps": lambda t: bv.eta_p(3.0, 0.2, t),
+    "eta.eps": lambda t: bv.eta(0.0, t),
+    "edge_iso_min_check.sigma": lambda t: bv.edge_iso_min_check(t, 0.0),
+}
+# accepted up to 1/2 + 1e-12, refused below 0
+_EDGES = [
+    (-1e-9, False),
+    (-1e-13, False),
+    (0.0, True),
+    (0.5, True),
+    (0.5 + 4e-13, True),
+    (0.5 + 1.5e-12, False),
+    (0.7, False),
+]
+
+
+@pytest.mark.parametrize("t, accepted", _EDGES)
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_domain_gate_edges(name, t, accepted):
+    if accepted:
+        _GATED[name](t)
+    else:
+        with pytest.raises(InputError):
+            _GATED[name](t)
+
+
+def test_domain_gate_clamps_to_half():
+    # inside the slack the argument is evaluated at 1/2 itself
+    assert bv.alpha_value(0.3, 0.5 + 4e-13, 0.1) == bv.alpha_value(0.3, 0.5, 0.1)
+    assert bv.tau(0.5 + 4e-13, 0.1) == bv.tau(0.5, 0.1)

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from krawbound import cli
+from krawbound.cube import apply_noise, lp_norm, spectral_project, sphere_indicator
 from krawbound.verify import SuiteConfig, SuiteReport
 
 SCHEMA = json.loads(
@@ -119,6 +120,26 @@ def test_eval_profile_path_closed_forms():
     assert len(payload["levels"]) >= 2
 
 
+def test_eval_sphere_matches_dense_indicator():
+    # the weight-profile route against the dense indicator it replaced
+    for n in range(1, 9):
+        for s in range(n + 1):
+            payload = run_json("eval", "--n", str(n), "--s", str(s), "--p", "3", "--eps", "0.2")["payload"]
+            _, f = sphere_indicator(n, s)
+            assert payload["l2_exponent"] == pytest.approx(math.log2(lp_norm(f, 2)) / n, abs=1e-14)
+            assert payload["lp_exponent"] == pytest.approx(math.log2(lp_norm(f, 3)) / n, abs=1e-14)
+            noised = math.log2(lp_norm(apply_noise(f, 0.2), 2)) / n
+            assert payload["noised_l2_exponent"] == pytest.approx(noised, abs=1e-14)
+            levels = []
+            for k in range(n + 1):
+                mass = lp_norm(spectral_project(f, k), 2) ** 2
+                if mass > 0.0:
+                    levels.append((k, math.log2(mass) / n))
+            assert [k for k, _ in payload["levels"]] == [k for k, _ in levels]
+            for (_, got), (_, want) in zip(payload["levels"], levels):
+                assert got == pytest.approx(want, abs=1e-14)
+
+
 def test_eval_random_homogeneous_deterministic():
     a = run_json("eval", "--n", "8", "--s", "2", "--seed", "5")["payload"]
     b = run_json("eval", "--n", "8", "--s", "2", "--seed", "5")["payload"]
@@ -195,6 +216,10 @@ def test_input_error_exits_2():
     # several values on an axis the suite reads one value of
     assert run("verify", "--suite", "tau-symmetry", "--grid", "q=1:2:2").exit_code == 2
     assert run("verify", "--suite", "edge-iso-sphere", "--tol", "1e-300").exit_code == 2
+    assert run("verify", "--suite", "edge-iso-sphere", "--budget", "5").exit_code == 2
+    # eps outside [0, 1/2] on either object of eval
+    assert run("eval", "--n", "10", "--s", "3", "--eps", "0.7").exit_code == 2
+    assert run("eval", "--n", "30", "--s", "5", "--eps", "0.7").exit_code == 2
     assert run("verify", "--suite", "edge-iso-sphere", "--grid", "n=40:80:3").exit_code == 2
 
 

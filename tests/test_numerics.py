@@ -17,6 +17,7 @@ from krawbound.numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
     _binomial_row,
+    _bisect,
     _log2_binomial_row,
     _minimize_1d,
     binary_entropy,
@@ -67,6 +68,19 @@ def test_inverse_entropy_roundtrip(t):
     assert abs(binary_entropy(back) - y) <= 1e-12
     if t <= 0.49:
         assert abs(back - t) < 1e-12
+
+
+def test_bisect_runs_to_float_resolution():
+    root = _bisect(lambda t: t * t < 2.0, 1.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    # a predicate false everywhere shrinks the bracket onto its left end
+    assert _bisect(lambda t: False, 0.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-12])
+def test_inverse_entropy_tiny_y(y):
+    # the root lies far below any absolute grid on [0, 1/2]
+    assert abs(binary_entropy(inverse_entropy(y)) - y) <= 1e-12 * y
 
 
 def test_exact_binomial_pascal_triangle():

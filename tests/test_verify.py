@@ -76,6 +76,9 @@ def test_run_suite_budgets():
         run_suite("extremal-search", grid=grid, budget={"restarts": -1})
     with pytest.raises(InputError):
         run_suite("degree-at-most", budget={"instances": 0})
+    # a suite that is no seeded search refuses a budget instead of dropping it
+    with pytest.raises(InputError, match="budget"):
+        run_suite("edge-iso-sphere", budget={"restarts": 5})
     # a zero budget means the Krawchouk start alone, not the default
     rep = run_suite("extremal-search", grid=grid, budget={"restarts": 0})
     assert rep.config.budget == {"restarts": 0}
