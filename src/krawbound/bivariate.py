@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .numerics import (
     InputError,
@@ -36,6 +39,8 @@ from .numerics import (
 _SLACK = 1e-12
 # grid points of the 1-d minimization oracles, scanned before golden section
 _GRID_POINTS = 2001
+# sigma rows kept over the three oracles, whose grids use at most 12 sigmas each
+_SIGMA_ROWS = 64
 
 
 def _gate(name: str, label: str, t: float) -> float:
@@ -61,6 +66,19 @@ def _split_entropy(sigma: float, t: float) -> float:
 def _linear_grid(lo: float, hi: float) -> list[float]:
     step = (hi - lo) / (_GRID_POINTS - 1)
     return [lo + k * step for k in range(_GRID_POINTS)]
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float row, because every caller shares the cached rows."""
+    row = np.array(values, dtype=float)
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=_SIGMA_ROWS)
+def _sigma_row(f, grid_rows, sigma: float) -> np.ndarray:
+    """f(sigma, g) at each point g of the grid that grid_rows() returns first."""
+    return _frozen([f(sigma, g) for g in grid_rows()[0].tolist()])
 
 
 def root_region_boundary(x: float) -> float:
@@ -137,7 +155,11 @@ def little_h(p: float, x: float) -> float:
     increases from 0 to 1 on x in [0, 1/2]."""
     if p < 2:
         raise InputError(f"little_h: need p >= 2, got p={p}")
-    x = _gate("little_h", "x", x)
+    return _h(p, _gate("little_h", "x", x))
+
+
+def _h(p: float, x: float) -> float:
+    """little_h's formula, for x already in [0, 1/2]."""
     if x <= 0.0:
         return 0.0
     u, v = 1.0 / p, (p - 1.0) / p
@@ -162,15 +184,18 @@ def solve_h_inverse(p: float, target: float) -> float:
     Bisects in log2(y): near 0 the solution is y ~ target^p, far below any
     absolute grid on [0, 1/2], while h(2^z) stays monotone in z.
     """
+    if p < 2:
+        raise InputError(f"solve_h_inverse: need p >= 2, got p={p}")
     if not (0.0 <= target <= 1.0):
         raise InputError(f"solve_h_inverse: target={target} outside [0, 1]")
     if target == 0.0:
         return 0.0
     if target == 1.0:
         return 0.5
-    # h(p,y) <= 2 y^{1/p}, so z below p(log2(target) - 1) brackets from the left
+    # h(p,y) <= 2 y^{1/p}, so z below p(log2(target) - 1) brackets from the
+    # left; every 2^z of the bracket lies in [0, 1/2], so h skips its gate
     lo = p * (math.log2(target) - 1.0) - 1.0
-    z = _bisect(lambda z: little_h(p, 2.0 ** z) < target, lo, -1.0)
+    z = _bisect(lambda z: _h(p, 2.0 ** z) < target, lo, -1.0)
     return 2.0 ** z
 
 
@@ -179,7 +204,11 @@ def a_fn(p: float, delta: float) -> float:
     decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
     if p < 2:
         raise InputError(f"a_fn: need p >= 2, got p={p}")
-    d = _gate("a_fn", "delta", delta)
+    return _a(p, _gate("a_fn", "delta", delta))
+
+
+def _a(p: float, d: float) -> float:
+    """a_fn's formula, for d already in [0, 1/2]."""
     num = (1.0 - d) ** (p - 1.0) - d ** (p - 1.0)
     den = (1.0 - d) ** p + d ** p
     return (0.5 - d) * num / den
@@ -187,14 +216,16 @@ def a_fn(p: float, delta: float) -> float:
 
 def solve_a_inverse(p: float, x: float) -> float:
     """delta in [0, 1/2] with a(p, delta) = x; bisection on the decreasing a."""
+    if p < 2:
+        raise InputError(f"solve_a_inverse: need p >= 2, got p={p}")
     if not (0.0 <= x <= 0.5):
         raise InputError(f"solve_a_inverse: x={x} outside [0, 1/2]")
     if x == 0.5:
         return 0.0
     if x == 0.0:
         return 0.5
-    # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2)
-    return _bisect(lambda d: a_fn(p, d) > x, 0.0, 0.5)
+    # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2); the bracket is a's domain
+    return _bisect(lambda d: _a(p, d) > x, 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -274,14 +305,7 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
 
     Minimized by grid + golden section; compared against the closed form.
     """
-
-    def objective(d: float) -> float:
-        acc = alpha_value(sigma, d, x_star(sigma, d))
-        if kappa > 0.0:
-            acc -= kappa * math.log2(1.0 - 2.0 * d)
-        return acc
-
-    d_star, val = _minimize_1d(objective, _linear_grid(1e-12, 0.5 - 1e-12))
+    d_star, val = _minimize_1d(*_pi_min_problem(sigma, kappa))
     if 0.0 < val:
         # the d -> 0 endpoint has limit 0
         d_star, val = 0.0, 0.0
@@ -294,6 +318,34 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     closed = pi_fn(sigma, kappa)
     half = 0.5 * val
     return PiMinRecord(sigma, kappa, half, closed, half - closed, d_star)
+
+
+@lru_cache(maxsize=None)
+def _delta_rows() -> tuple[np.ndarray, np.ndarray]:
+    """pi-min's grid of delta, and log2(1 - 2 delta) on it."""
+    grid = _linear_grid(1e-12, 0.5 - 1e-12)
+    return _frozen(grid), _frozen([math.log2(1.0 - 2.0 * d) for d in grid])
+
+
+def _alpha_max(sigma: float, d: float) -> float:
+    """max_x alpha_{sigma,d}(x), attained at x = x_star(sigma, d)."""
+    return alpha_value(sigma, d, x_star(sigma, d))
+
+
+def _pi_objective(alpha, kappa: float, log2_1m2d):
+    """pi-min's objective from its parts, on floats or on rows."""
+    return alpha - kappa * log2_1m2d if kappa > 0.0 else alpha
+
+
+def _pi_min_problem(sigma: float, kappa: float) -> tuple:
+    """pi-min's objective, its grid and its values there, for _minimize_1d."""
+    grid, log2_1m2d = _delta_rows()
+
+    def objective(d: float) -> float:
+        return _pi_objective(_alpha_max(sigma, d), kappa, math.log2(1.0 - 2.0 * d))
+
+    alpha_row = _sigma_row(_alpha_max, _delta_rows, sigma)
+    return objective, grid, _pi_objective(alpha_row, kappa, log2_1m2d)
 
 
 def alpha_value(sigma: float, eps: float, x: float) -> float:
@@ -371,17 +423,37 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
         y_closed = ((1.0 - eps) - math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q)) / (
             2.0 - 2.0 * eps
         )
-        c = math.log2(1.0 - 2.0 * eps)
-
-        def neg_m(y: float) -> float:
-            return -(y * c + binary_entropy(y) + 2.0 * tau(sigma, y))
-
-        best_y, neg_best = _minimize_1d(neg_m, _linear_grid(0.0, 0.5))
+        best_y, neg_best = _minimize_1d(*_phi_transform_problem(sigma, eps))
         best = -neg_best
     grid_max = best - 2.0
     return PhiTransformRecord(
         sigma, eps, p_val, grid_max, p_val - grid_max, best_y, max(y_closed, 0.0)
     )
+
+
+@lru_cache(maxsize=None)
+def _y_rows() -> tuple[np.ndarray, np.ndarray]:
+    """phi-transform's grid of y, and H(y) on it."""
+    grid = _linear_grid(0.0, 0.5)
+    return _frozen(grid), _frozen([binary_entropy(y) for y in grid])
+
+
+def _neg_transform(y, c: float, h_y, tau_y):
+    """Minus phi-transform's objective y c + H(y) + 2 tau(sigma, y), with
+    c = log2(1 - 2 eps), from its parts, on floats or on rows."""
+    return -(y * c + h_y + 2.0 * tau_y)
+
+
+def _phi_transform_problem(sigma: float, eps: float) -> tuple:
+    """phi-transform's negated objective, its grid and its values there, for
+    _minimize_1d; eps < 1/2."""
+    grid, h_row = _y_rows()
+    c = math.log2(1.0 - 2.0 * eps)
+
+    def objective(y: float) -> float:
+        return _neg_transform(y, c, binary_entropy(y), tau(sigma, y))
+
+    return objective, grid, _neg_transform(grid, c, h_row, _sigma_row(tau, _y_rows, sigma))
 
 
 def eta_p(p: float, x: float, eps: float) -> float:
@@ -434,17 +506,41 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
             f"edge_iso_min_check: y={y} outside [0, 2 sigma (1-sigma)] for sigma={sigma}"
         )
     y = min(max(y, 0.0), 2.0 * sigma * (1.0 - sigma)) if sigma > 0 else 0.0
+    best_e, best = _minimize_1d(*_edge_iso_problem(sigma, y))
+    closed = _split_entropy(sigma, 0.5 * y)
+    return EdgeIsoMinRecord(sigma, y, best, closed, best - closed, best_e)
+
+
+@lru_cache(maxsize=None)
+def _eps_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """edge-iso-min's grid of eps, log-spaced toward eps -> 0 where the
+    y = 0 infimum lives, and log2(1 - eps) and log2(eps) on it."""
+    lo, hi = 1e-9, 0.5
+    grid = [lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
+    return (
+        _frozen(grid),
+        _frozen([math.log2(1.0 - e) for e in grid]),
+        _frozen([math.log2(e) for e in grid]),
+    )
+
+
+def _edge_objective(phi_e, base: float, y: float, log2_1me, log2_e):
+    """edge-iso-min's objective phi + base - (1-y) log2(1-eps) - y log2(eps),
+    with base = 1 - H(sigma), from its parts, on floats or on rows."""
+    val = phi_e + base - (1.0 - y) * log2_1me
+    if y > 0.0:
+        val = val - y * log2_e
+    return val
+
+
+def _edge_iso_problem(sigma: float, y: float) -> tuple:
+    """edge-iso-min's objective, its grid and its values there, for
+    _minimize_1d; sigma and y already in their domain."""
+    grid, log2_1me, log2_e = _eps_rows()
     base = 1.0 - binary_entropy(sigma)
 
     def objective(e: float) -> float:
-        val = phi(sigma, e) + base - (1.0 - y) * math.log2(1.0 - e)
-        if y > 0.0:
-            val -= y * math.log2(e)
-        return val
+        return _edge_objective(phi(sigma, e), base, y, math.log2(1.0 - e), math.log2(e))
 
-    # log-spaced grid toward eps -> 0 where the y = 0 infimum lives
-    lo, hi = 1e-9, 0.5
-    grid = [lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
-    best_e, best = _minimize_1d(objective, grid)
-    closed = _split_entropy(sigma, 0.5 * y)
-    return EdgeIsoMinRecord(sigma, y, best, closed, best - closed, best_e)
+    phi_row = _sigma_row(phi, _eps_rows, sigma)
+    return objective, grid, _edge_objective(phi_row, base, y, log2_1me, log2_e)

@@ -84,7 +84,10 @@ def cap_F(x: float, y: float, p: float) -> float:
                 f"cap_F: bracket growth did not converge at x={x}, y={y}, p={p}"
             )
         return max(x, y)
-    beta, neg_best = _minimize_1d(lambda b: -log2_f(b), (0.0, hi))
+    def neg(beta: float) -> float:
+        return -log2_f(beta)
+
+    beta, neg_best = _minimize_1d(neg, (0.0, hi), (neg(0.0), neg(hi)))
     best = max(-neg_best, limit_log2)
     if 1.0 + 1e-9 < rho < p - 1.0 - 1e-9 and beta > 1.0 / rho:
         # the residual's terms grow like (a+b)^{p-1}: golden section's argmin

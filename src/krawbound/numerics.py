@@ -58,20 +58,21 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _minimize_1d(
-    f: Callable[[float], float], grid: Sequence[float]
+    f: Callable[[float], float], grid: Sequence[float], values: np.typing.ArrayLike
 ) -> tuple[float, float]:
-    """Minimize f: scan the increasing grid points, then refine by golden
-    section on the two cells around the best point, stopping once the
-    bracket [a, b] has b - a <= 1e-12 max(1, |a|, |b|). The relative test
-    terminates on brackets far beyond 1, where an absolute width below the
-    float spacing could never be reached. Returns (argmin, min)."""
-    best_k, best_v = 0, math.inf
-    for k, xk in enumerate(grid):
-        v = f(xk)
-        if v < best_v:
-            best_k, best_v = k, v
-    a = grid[max(0, best_k - 1)]
-    b = grid[min(len(grid) - 1, best_k + 1)]
+    """Minimize f: take the first least of `values`, f at the increasing
+    grid points, then refine by golden section on the two cells around that
+    point, stopping once the bracket [a, b] has b - a <= 1e-12 max(1, |a|, |b|).
+    The relative test terminates on brackets far beyond 1, where an absolute
+    width below the float spacing could never be reached. A NaN in `values`
+    raises InternalError. Returns (argmin, min)."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise InternalError("_minimize_1d: NaN among the grid values")
+    best_k = int(np.argmin(values))
+    best_v = float(values[best_k])
+    a = float(grid[max(0, best_k - 1)])
+    b = float(grid[min(len(grid) - 1, best_k + 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -88,7 +89,7 @@ def _minimize_1d(
     vm = f(xm)
     if vm <= best_v:
         return xm, vm
-    return grid[best_k], best_v
+    return float(grid[best_k]), best_v
 
 
 def inverse_entropy(y: float) -> float:
@@ -96,7 +97,8 @@ def inverse_entropy(y: float) -> float:
 
     Plain bisection to float resolution, so H(inverse_entropy(y)) = y holds
     to 1e-12 relative down to the smallest y, where t is far below any
-    absolute grid on [0, 1/2].
+    absolute grid on [0, 1/2]. H(t) >= 2t on [0, 1/2] brackets t in
+    [0, y/2], so a tiny y takes about as many halvings as y = 1/2.
     """
     if y < 0.0 or y > 1.0:
         raise InputError(f"inverse_entropy: y={y} outside [0, 1]")
@@ -104,7 +106,7 @@ def inverse_entropy(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    return _bisect(lambda t: binary_entropy(t) < y, 0.0, 0.5)
+    return _bisect(lambda t: binary_entropy(t) < y, 0.0, 0.5 * y)
 
 
 def exact_binomial(n: int, k: int) -> int:

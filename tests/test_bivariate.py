@@ -1,7 +1,12 @@
 """Bivariate exponent family: closed forms against quadrature and grid oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -596,3 +601,54 @@ def test_domain_gate_clamps_to_half():
     # inside the slack the argument is evaluated at 1/2 itself
     assert bv.alpha_value(0.3, 0.5 + 4e-13, 0.1) == bv.alpha_value(0.3, 0.5, 0.1)
     assert bv.tau(0.5 + 4e-13, 0.1) == bv.tau(0.5, 0.1)
+
+
+# ------------------------------------------------------------ oracle rows
+
+# each oracle's problem, the scalar evaluator and grid of its sigma row, and
+# cells at the domain corners: sigma in {0, 1/2}, kappa = 0, y = 0, eps near 1/2
+_ORACLE_ROWS = {
+    "pi-min": (
+        bv._pi_min_problem,
+        (bv._alpha_max, bv._delta_rows),
+        [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
+    ),
+    "phi-transform": (
+        bv._phi_transform_problem,
+        (bv.tau, bv._y_rows),
+        [(0.0, 0.01), (0.5, 0.0), (0.5, 0.5 - 1e-13), (0.3, 0.2)],
+    ),
+    "edge-iso-min": (
+        bv._edge_iso_problem,
+        (bv.phi, bv._eps_rows),
+        [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "oracle, cell", [(name, cell) for name, (_, _, cells) in _ORACLE_ROWS.items() for cell in cells]
+)
+def test_oracle_scan_is_the_objective_on_the_grid(oracle, cell):
+    problem, (evaluator, grid_rows), _ = _ORACLE_ROWS[oracle]
+    objective, grid, values = problem(*cell)
+    # the array expression is the scalar objective, bit for bit
+    assert np.array_equal(values, [objective(g) for g in grid.tolist()])
+    # the cached rows are shared, so no caller may write them
+    assert not bv._sigma_row(evaluator, grid_rows, cell[0]).flags.writeable
+    assert not any(row.flags.writeable for row in grid_rows())
+
+
+def test_import_builds_no_row():
+    # every cached row is built on first use, none at import
+    src = str(pathlib.Path(bv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import krawbound, krawbound.bivariate as bv; "
+        "caches = [f for f in vars(bv).values() if hasattr(f, 'cache_info')]; "
+        "print(len(caches), sum(f.cache_info().currsize for f in caches))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "0"]
+

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krawbound import numerics
 from krawbound.krawchouk import kraw_log_row
 from krawbound.numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
+    InternalError,
     _binomial_row,
     _bisect,
     _log2_binomial_row,
@@ -136,11 +138,36 @@ def test_log2_binomial_row_above_cap_against_mpmath():
 
 def test_minimize_1d_relative_stop():
     # on [0, 1e15] an absolute width of 1e-12 is below the float spacing
-    x, _ = _minimize_1d(lambda t: (t - 6.0e14) ** 2, (0.0, 1.0e15))
+    def far(t):
+        return (t - 6.0e14) ** 2
+
+    x, _ = _minimize_1d(far, (0.0, 1.0e15), (far(0.0), far(1.0e15)))
     assert abs(x - 6.0e14) <= 1e-12 * 1.0e15
     # within [0, 1] the cells around the best grid point are refined to 1e-12
-    x, v = _minimize_1d(lambda t: abs(t - 0.33), [k / 10 for k in range(11)])
+    grid = [k / 10 for k in range(11)]
+    x, v = _minimize_1d(lambda t: abs(t - 0.33), grid, [abs(t - 0.33) for t in grid])
     assert abs(x - 0.33) <= 1e-12 and v <= 1e-12
+
+
+def test_minimize_1d_refuses_nan_values():
+    # a NaN grid value is a bug of the objective, not a point to skip
+    with pytest.raises(InternalError):
+        _minimize_1d(abs, [0.0, 1.0, 2.0], [1.0, math.nan, 0.5])
+
+
+def test_inverse_entropy_tiny_y_bisects_a_short_bracket(monkeypatch):
+    # H(t) >= 2t brackets t in [0, y/2]: y = 1e-300 needs no more halvings
+    # than float resolution at t itself, not the ~1000 from [0, 1/2]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return binary_entropy(t)
+
+    monkeypatch.setattr(numerics, "binary_entropy", counted)
+    t = inverse_entropy(1e-300)
+    assert 0 < len(calls) <= 64
+    assert abs(binary_entropy(t) - 1e-300) <= 1e-12 * 1e-300
 
 
 def test_log2_binomial_large_n_sanity():
