@@ -57,6 +57,7 @@ from .cube import (
     to_fourier,
     to_points,
     undetected_error_probability,
+    walsh_hadamard,
     wht,
 )
 from .induction import (
@@ -158,5 +159,6 @@ __all__ = [
     "to_points",
     "ue_exponent",
     "undetected_error_probability",
+    "walsh_hadamard",
     "wht",
 ]

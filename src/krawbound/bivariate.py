@@ -14,9 +14,11 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
-Implicit equations are solved by bisection on monotone maps only. The few
-removable singularities (y = 0 rows, sigma or eps in {0, 1/2}) are evaluated
-by their analytic limits, noted inline.
+Implicit equations are solved on monotone maps only, by the one
+root-bracketing solver (Illinois steps inside a bisection-bounded bracket,
+run to float resolution). The few removable singularities (y = 0 rows,
+sigma or eps in {0, 1/2}) are evaluated by their analytic limits, noted
+inline.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .numerics import (
     InputError,
     InternalError,
-    _bisect,
     _minimize_1d,
+    _solve,
     binary_entropy,
     inverse_entropy,
 )
@@ -125,15 +127,22 @@ def exponent_I(x_deg: float, y_pt: float) -> float:
     exponent_I(x, y) = -1 + integral_0^y log2 r(x, z) dz,
 
     so exponent_I(x, 0) = -1 for every x, and exponent_I(0, y) = -1 since
-    r(0, .) = 1. Computed in closed form for x, y > 0.
+    r(0, .) = 1. Computed in closed form for x, y > 0 inside the computed
+    boundary; at or past it, the seam value -(1 + H(x) + H(y))/2 that tau's
+    outer branch gives.
     """
     x_deg = _gate("exponent_I", "x_deg", x_deg)
-    if y_pt < -_SLACK or y_pt > root_region_boundary(x_deg) + 1e-9:
+    boundary = root_region_boundary(x_deg)
+    if y_pt < -_SLACK or y_pt > boundary + 1e-9:
         raise InputError(
             f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}"
         )
     if y_pt <= 0.0 or x_deg <= 0.0:
         return -1.0
+    if y_pt >= boundary:
+        # also where the boundary rounds to 1/2 for tiny x and the closed
+        # form would take log2(0)
+        return -0.5 * (1.0 + binary_entropy(x_deg) + binary_entropy(y_pt))
     return _I_closed(y_pt, x_deg) - _I_closed(0.0, x_deg) - 1.0
 
 
@@ -145,7 +154,7 @@ def tau(x: float, y: float) -> float:
     outside; continuous across the seam; tau(x,0) = H(x), tau(x,1/2) = H(x)/2.
     """
     x, y = _gate("tau", "x", x), _gate("tau", "y", y)
-    if y <= root_region_boundary(x):
+    if y < root_region_boundary(x):
         return binary_entropy(x) + exponent_I(x, y) + 1.0
     return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
 
@@ -179,9 +188,9 @@ def little_g(p: float, x: float) -> float:
 
 
 def solve_h_inverse(p: float, target: float) -> float:
-    """y in [0, 1/2] with h(p, y) = target; bisection on the increasing h.
+    """y in [0, 1/2] with h(p, y) = target; solved on the increasing h.
 
-    Bisects in log2(y): near 0 the solution is y ~ target^p, far below any
+    Solves in log2(y): near 0 the solution is y ~ target^p, far below any
     absolute grid on [0, 1/2], while h(2^z) stays monotone in z.
     """
     if p < 2:
@@ -195,7 +204,7 @@ def solve_h_inverse(p: float, target: float) -> float:
     # h(p,y) <= 2 y^{1/p}, so z below p(log2(target) - 1) brackets from the
     # left; every 2^z of the bracket lies in [0, 1/2], so h skips its gate
     lo = p * (math.log2(target) - 1.0) - 1.0
-    z = _bisect(lambda z: _h(p, 2.0 ** z) < target, lo, -1.0)
+    z = _solve(lambda z: _h(p, 2.0 ** z) - target, lo, -1.0)
     return 2.0 ** z
 
 
@@ -215,7 +224,9 @@ def _a(p: float, d: float) -> float:
 
 
 def solve_a_inverse(p: float, x: float) -> float:
-    """delta in [0, 1/2] with a(p, delta) = x; bisection on the decreasing a."""
+    """delta in [0, 1/2] with a(p, delta) = x; solved on the decreasing a.
+    For x below ~1e-32 the root lies within a float spacing of 1/2 and
+    rounds to it."""
     if p < 2:
         raise InputError(f"solve_a_inverse: need p >= 2, got p={p}")
     if not (0.0 <= x <= 0.5):
@@ -225,7 +236,7 @@ def solve_a_inverse(p: float, x: float) -> float:
     if x == 0.0:
         return 0.5
     # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2); the bracket is a's domain
-    return _bisect(lambda d: _a(p, d) > x, 0.0, 0.5)
+    return _solve(lambda d: x - _a(p, d), 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -262,12 +273,9 @@ def psi(p: float, x: float) -> PsiEval:
     hx = binary_entropy(x)
     rep1 = binary_entropy(y) - 1.0 + p * tau(x, y) - 0.5 * p * hx
     d = solve_a_inverse(p, x)
-    rep2 = (
-        (p - 1.0)
-        + math.log2((1.0 - d) ** p + d ** p)
-        - 0.5 * p * hx
-        - p * x * math.log2(1.0 - 2.0 * d)
-    )
+    # x log2(1 - 2d) -> 0 as x -> 0, where d rounds to 1/2
+    tail = p * x * math.log2(1.0 - 2.0 * d) if d < 0.5 else 0.0
+    rep2 = (p - 1.0) + math.log2((1.0 - d) ** p + d ** p) - 0.5 * p * hx - tail
     if abs(rep1 - rep2) > 1e-6:
         raise InternalError(
             f"psi: representations disagree by {abs(rep1 - rep2):.3e} at p={p}, x={x}"
@@ -281,7 +289,7 @@ def pi_fn(x: float, y: float) -> float:
     Symmetric, nonpositive, strictly negative strictly inside the region.
     """
     x, y = _gate("pi_fn", "x", x), _gate("pi_fn", "y", y)
-    if y > root_region_boundary(x):
+    if y >= root_region_boundary(x):
         return 0.0
     return exponent_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
 

@@ -82,7 +82,7 @@ def _sylvester(k: int) -> np.ndarray:
     return h
 
 
-def _walsh_hadamard(data: np.ndarray) -> np.ndarray:
+def walsh_hadamard(data: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis (length
     2^n); leading axes are a batch.
 
@@ -110,7 +110,7 @@ def _walsh_hadamard(data: np.ndarray) -> np.ndarray:
 
 def wht(f: CubeFunction) -> CubeFunction:
     """Walsh-Hadamard transform; point -> Fourier divides by 2^n."""
-    out = _walsh_hadamard(f.data)
+    out = walsh_hadamard(f.data)
     if f.domain_tag == POINT:
         return CubeFunction(f.n, FOURIER, out / (1 << f.n))
     return CubeFunction(f.n, POINT, out)
@@ -240,7 +240,7 @@ def distance_distribution(A: CubeSubset, force_scan: bool = False) -> DistanceDi
                 a[i] += 1
         return DistanceDistribution(n, tuple(a))
     f = to_fourier(A.indicator())
-    conv = _walsh_hadamard(f.data**2) * (1 << n)
+    conv = walsh_hadamard(f.data**2) * (1 << n)
     # float sums of rounded counts are exact: the total |A|^2 <= 2^48 < 2^53
     a = np.bincount(w, weights=np.rint(conv), minlength=n + 1)
     return DistanceDistribution(n, tuple(int(v) for v in a))

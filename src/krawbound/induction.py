@@ -13,7 +13,7 @@ import numpy as np
 from .bivariate import ratio_r
 from .cube import SymmetricProfile
 from .krawchouk import kraw_moments, solve_i0
-from .numerics import InputError, InternalError, _bisect, _minimize_1d, log_sum_exp2_signed
+from .numerics import InputError, InternalError, _minimize_1d, _solve, log_sum_exp2_signed
 
 _BRACKET_DOUBLINGS = 120
 
@@ -52,8 +52,8 @@ def cap_F(x: float, y: float, p: float) -> float:
     The bracket [0, 4(p-1)/rho] grows geometrically until the objective is
     seen to decrease, then golden-section search pins the interior maximum.
     When 1 < rho < p-1 and the maximum lies past beta = 1/rho, the stationary
-    point is also located by bisection on the sign of the stationarity
-    identity, whose residual is checked there.
+    point is also located as the sign change of the stationarity identity,
+    whose residual is checked there.
     """
     if x < 0 or y < 0:
         raise InputError(f"cap_F: need x, y >= 0, got x={x}, y={y}")
@@ -91,12 +91,14 @@ def cap_F(x: float, y: float, p: float) -> float:
     best = max(-neg_best, limit_log2)
     if 1.0 + 1e-9 < rho < p - 1.0 - 1e-9 and beta > 1.0 / rho:
         # the residual's terms grow like (a+b)^{p-1}: golden section's argmin
-        # can leave it far above the gate, so bisect on its one sign change,
-        # negative at beta = 1/rho and positive as beta grows
+        # can leave it far above the gate, so solve for its one sign change,
+        # negative at beta = 1/rho and positive as beta grows; the solver
+        # never evaluates that end, where a - b rounds below 0 and the
+        # fractional power of it is complex
         def residual(b: float) -> float:
             return der_zer_residual(1.0 / (rho * (b + 1.0)), rho, p)
 
-        beta = _bisect(lambda b: residual(b) < 0.0, 1.0 / rho, hi)
+        beta = _solve(residual, 1.0 / rho, hi)
         best = max(best, log2_f(beta))
         # the gate scales with the residual's largest product
         # (a+b)^{p-1} max(a, rho b): at p = 100 it reaches ~1e14, and the

@@ -42,10 +42,10 @@ from .bounds import (
 from .cube import (
     CubeFunction,
     SymmetricProfile,
-    _walsh_hadamard,
     lp_norm,
     sphere_union_ue_log2,
     to_points,
+    walsh_hadamard,
     weight_table,
 )
 from .induction import cap_F, der_zer_residual, induction_params
@@ -183,7 +183,7 @@ def search_extremal_ratio(
         # g = f |f|^(p-2) is both the point-space gradient direction and,
         # times f, the p-th moment; exponent p - 2 hits numpy's fast powers
         # at p = 2.5, 3 and 4
-        pts = _walsh_hadamard(c)
+        pts = walsh_hadamard(c)
         g = pts * np.abs(pts) ** (p - 2.0)
         return g, np.log2(np.mean(g * pts, axis=1))
 
@@ -194,7 +194,7 @@ def search_extremal_ratio(
             break
         # d/dc mean|f|^p is proportional to WHT(g); <WHT(g), c> = sum |f|^p
         # > 0, so its weight-s projection never vanishes
-        cand = _walsh_hadamard(g[active])
+        cand = walsh_hadamard(g[active])
         cand *= mask
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         cand_g, cand_val = values(cand)

@@ -339,6 +339,33 @@ def test_psi_domain_errors():
         bv.psi(3.0, 0.6)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-32])
+def test_psi_tiny_x(x):
+    # h(3, y) = 1 - 2x rounds y to 1/2 and a(3, delta) = x rounds delta to
+    # 1/2; the second representation's x log2(1 - 2 delta) takes its limit 0
+    assert bv.solve_a_inverse(3.0, x) == 0.5
+    ev = bv.psi(3.0, x)
+    assert ev.y_aux == 0.5 and ev.delta_aux == 0.5
+    assert abs(ev.value - ev.second_value) <= 1e-9
+    assert ev.second_value == pytest.approx(-1.5 * H(x), rel=1e-15)
+
+
+def test_root_region_boundary_rounding_to_half():
+    # for x = 1e-300 the boundary 1/2 - sqrt(x(1-x)) rounds to 1/2, so y = 1/2
+    # lies at it: each evaluator takes the outer branch or its seam value
+    x = 1e-300
+    assert bv.root_region_boundary(x) == 0.5
+    assert bv.tau(x, 0.5) == pytest.approx(H(x) / 2.0, abs=1e-12)
+    assert bv.pi_fn(x, 0.5) == 0.0
+    assert bv.exponent_I(x, 0.5) == pytest.approx(-1.0 - H(x) / 2.0, abs=1e-12)
+    # at a boundary that does not round, the seam value matches the closed
+    # form just inside it
+    for x in [0.1, 0.25]:
+        yb = bv.root_region_boundary(x)
+        assert bv.tau(x, yb) == pytest.approx(bv.tau(x, yb - 1e-12), abs=1e-8)
+        assert bv.exponent_I(x, yb) == pytest.approx(bv.exponent_I(x, yb - 1e-12), abs=1e-8)
+
+
 # ---------------------------------------------------------------- pi
 
 

@@ -14,7 +14,6 @@ from krawbound.cube import (
     CubeFunction,
     CubeSubset,
     SymmetricProfile,
-    _walsh_hadamard,
     apply_noise,
     distance_distribution,
     inner_product,
@@ -30,6 +29,7 @@ from krawbound.cube import (
     to_fourier,
     to_points,
     undetected_error_probability,
+    walsh_hadamard,
     weight_table,
     wht,
 )
@@ -95,7 +95,7 @@ def test_walsh_hadamard_against_dense_matrix():
             for x, w in zip(inputs, want):
                 w[..., c0 : c0 + 256] = x @ block
         for x, w in zip(inputs, want):
-            got = _walsh_hadamard(x)
+            got = walsh_hadamard(x)
             assert got.shape == x.shape
             assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
 
@@ -106,10 +106,10 @@ def test_walsh_hadamard_exact_on_integers(n):
     # and the batch rows must match the 1-d transform bit for bit
     rng = np.random.default_rng(n)
     x = rng.integers(-8, 9, size=(2, 1 << n)).astype(np.float64)
-    once = _walsh_hadamard(x)
-    assert np.array_equal(_walsh_hadamard(once), x * (1 << n))
+    once = walsh_hadamard(x)
+    assert np.array_equal(walsh_hadamard(once), x * (1 << n))
     for row, out in zip(x, once):
-        assert np.array_equal(_walsh_hadamard(row), out)
+        assert np.array_equal(walsh_hadamard(row), out)
 
 
 def test_wht_size_cap():

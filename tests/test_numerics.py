@@ -12,16 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawbound import numerics
+from krawbound import bivariate, numerics
 from krawbound.krawchouk import kraw_log_row
 from krawbound.numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
     InternalError,
     _binomial_row,
-    _bisect,
     _log2_binomial_row,
     _minimize_1d,
+    _solve,
     binary_entropy,
     exact_binomial,
     inverse_entropy,
@@ -73,10 +73,99 @@ def test_inverse_entropy_roundtrip(t):
 
 
 def test_bisect_runs_to_float_resolution():
-    root = _bisect(lambda t: t * t < 2.0, 1.0, 2.0)
+    root = _solve(lambda t: t * t - 2.0, 1.0, 2.0)
     assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
-    # a predicate false everywhere shrinks the bracket onto its left end
-    assert _bisect(lambda t: False, 0.0, 0.5) == 0.0
+    # a residual nonnegative everywhere shrinks the bracket onto its left end
+    assert _solve(lambda t: 1.0, 0.0, 0.5) == 0.0
+
+
+def _bisection(g, lo, hi):
+    """Plain bisection on the sign of g to float resolution, the reference
+    the solver is held to: (result, evaluations)."""
+    count = 0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        count += 1
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid, count
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every solve the library makes, as (evaluations, bisection's
+    evaluations on the same residual)."""
+    rows = []
+
+    def paired(g, lo, hi):
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return g(t)
+
+        out = _solve(counted, lo, hi)
+        rows.append((calls[0], _bisection(g, lo, hi)[1]))
+        return out
+
+    monkeypatch.setattr(numerics, "_solve", paired)
+    monkeypatch.setattr(bivariate, "_solve", paired)
+    return rows
+
+
+_MONOTONE = [
+    (lambda t: t * t - 2.0, 1.0, 2.0),
+    (lambda t: t * t * t - 1e-3, 0.0, 0.5),
+    (lambda t: math.sqrt(t) - 1e-150, 0.0, 0.5),
+    (lambda t: t - 1e-300, 0.0, 0.5),
+    (lambda t: t + 3.3, -5.0, -1.0),
+    (lambda t: 1.0, 0.0, 0.5),
+    (lambda t: -1.0, 0.0, 0.5),
+    (lambda t: t * t - 2.0 if t < 1.4 else 7.0, 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("g, lo, hi", _MONOTONE)
+def test_solve_never_evaluates_the_ends(g, lo, hi):
+    # cap_F's stationarity residual is complex at its left end
+    def guarded(t):
+        assert lo < t < hi, f"evaluated at {t!r}, an end of [{lo!r}, {hi!r}]"
+        return g(t)
+
+    _solve(guarded, lo, hi)
+
+
+@pytest.mark.parametrize("g, lo, hi", _MONOTONE)
+def test_solve_matches_bisection_on_monotone_residuals(g, lo, hi):
+    # where g < 0 is monotone, the final bracket is the one bisection reaches
+    calls = []
+    out = _solve(lambda t: calls.append(t) or g(t), lo, hi)
+    want, count = _bisection(g, lo, hi)
+    assert out == want
+    assert len(calls) <= count + 1
+
+
+def test_solve_corner_inputs_within_two_of_bisection(solves):
+    for p in (2.0 + 1e-9, 2.5, 50.0, 100.0):
+        for x in (1e-300, 1e-12, 1e-6, 0.25, 0.5 - 1e-12):
+            bivariate.solve_h_inverse(p, 1.0 - 2.0 * x)
+            bivariate.solve_a_inverse(p, x)
+    for y in np.logspace(-300.0, 0.0, 300, endpoint=False):
+        inverse_entropy(float(y))
+    assert len(solves) > 300
+    for calls, count in solves:
+        assert calls <= count + 2
+
+
+def test_solve_mean_evaluations_on_criterion_02_grid(solves):
+    for p in np.linspace(2.1, 10.0, 101):
+        for x in np.linspace(0.01, 0.49, 101):
+            bivariate.psi(float(p), float(x))
+    assert len(solves) == 2 * 101 * 101
+    assert sum(calls for calls, _ in solves) <= 25 * len(solves)
 
 
 @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-12])
