@@ -8,7 +8,7 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - exponent_I(x,y) = -1 + integral_0^y log2 r(x,z) dz (closed form);
 - tau(x,y): log2 K_s(i)/n profile, piecewise across the root-region boundary
   y = 1/2 - sqrt(x(1-x));
-- h, g, a: the auxiliary one-parameter families;
+- h, a: the auxiliary one-parameter families;
 - psi(p,x): the lp/l2 moment-ratio exponent, two representations;
 - pi(x,y): spectral-projection exponent, symmetric and nonpositive;
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
@@ -173,18 +173,6 @@ def _h(p: float, x: float) -> float:
         return 0.0
     u, v = 1.0 / p, (p - 1.0) / p
     return x ** u * (1.0 - x) ** v + x ** v * (1.0 - x) ** u
-
-
-def little_g(p: float, x: float) -> float:
-    """g(p,x) = x^{1/p}(1-x)^{(p-1)/p} - x^{(p-1)/p}(1-x)^{1/p} >= 0;
-    h^2 - g^2 = 4x(1-x)."""
-    if p < 2:
-        raise InputError(f"little_g: need p >= 2, got p={p}")
-    x = _gate("little_g", "x", x)
-    if x <= 0.0:
-        return 0.0
-    u, v = 1.0 / p, (p - 1.0) / p
-    return x ** u * (1.0 - x) ** v - x ** v * (1.0 - x) ** u
 
 
 def solve_h_inverse(p: float, target: float) -> float:

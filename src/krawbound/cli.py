@@ -299,7 +299,7 @@ def induction(n, s, p, fmt, out):
 @main.command()
 @click.option("--suite", required=True, help=f"one of: {', '.join(all_suite_tags())}")
 @click.option("--grid", "grid_specs", multiple=True, help="axis=lo:hi:count, repeatable")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None, help="seeded searches only (default 0)")
 @click.option("--budget", type=int, default=None, help="restarts / instances per cell")
 @click.option("--tol", type=float, default=None, help="residual tolerance override")
 @_FMT

@@ -66,10 +66,6 @@ class CubeFunction:
     def from_points(cls, n: int, values: Sequence[float]) -> "CubeFunction":
         return cls(n, POINT, np.asarray(values, dtype=np.float64))
 
-    @classmethod
-    def from_fourier(cls, n: int, coeffs: Sequence[float]) -> "CubeFunction":
-        return cls(n, FOURIER, np.asarray(coeffs, dtype=np.float64))
-
 
 @lru_cache(maxsize=None)
 def _sylvester(k: int) -> np.ndarray:
@@ -375,29 +371,6 @@ class SymmetricProfile:
             [float(s) * 2.0 ** float(l) if s != 0 else 0.0 for s, l in zip(self.signs, self.logs)]
         )
         return CubeFunction(self.n, POINT, vals[w])
-
-
-# ----------------------------------------------------------- serialization
-
-
-def subset_from_bitstrings(n: int, text: str) -> CubeSubset:
-    """Newline-separated bitstrings of length n, leftmost bit = coordinate 0."""
-    members = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if len(line) != n or set(line) - {"0", "1"}:
-            raise InputError(f"subset_from_bitstrings: bad line {line!r}")
-        members.append(sum(1 << i for i, c in enumerate(line) if c == "1"))
-    return CubeSubset.from_indices(n, members)
-
-
-def subset_to_bitstrings(A: CubeSubset) -> str:
-    lines = []
-    for x in np.nonzero(A.membership)[0]:
-        lines.append("".join("1" if (int(x) >> i) & 1 else "0" for i in range(A.n)))
-    return "\n".join(lines)
 
 
 def sphere_union_distance_distribution(n: int, s: int) -> list:

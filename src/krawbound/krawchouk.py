@@ -1,8 +1,10 @@
 """Krawchouk polynomial engine.
 
 K_s(x) = sum_{k=0}^s (-1)^k C(x,k) C(n-x,s-k) on the cube of dimension n.
-Exact integer tables are the source of truth (explicit sum); a weight
-recurrence and a degree recurrence serve as cross-checks and as fast paths.
+The weight recurrence in i is the one exact engine: it gives every exact row,
+table and integer value. The explicit sum and the exact degree recurrence in
+s are independent oracles kept with the tests; here the degree recurrence
+only evaluates K_s at real x in floats and gives the Jacobi matrix of roots.
 Under the binomial measure mu(i) = C(n,i)/2^n the squared norm of K_s is
 C(n,s), and its lp moments concentrate near the solution i0 of
 h(p, i0/n) = 1 - 2s/n.
@@ -49,16 +51,6 @@ class RootList:
     s: int
     roots: tuple[float, ...]
 
-    @property
-    def first_root(self) -> float:
-        return self.roots[0]
-
-    @property
-    def min_spacing(self) -> float:
-        if len(self.roots) < 2:
-            return math.inf
-        return min(b - a for a, b in zip(self.roots, self.roots[1:]))
-
 
 @dataclass(frozen=True)
 class MomentRecord:
@@ -95,55 +87,11 @@ class ConcentrationRecord:
     outside_proposition_range: bool = False
 
 
-def _kraw_sum(n: int, s: int, i: int) -> int:
-    """K_s(i) by the explicit alternating sum over k of C(i,k) C(n-i,s-k)."""
-    comb = math.comb
-    acc = 0
-    for k in range(s + 1):
-        term = comb(i, k) * comb(n - i, s - k)
-        acc = acc - term if (k & 1) else acc + term
-    return acc
-
-
-def kraw_table(n: int, s: int) -> KrawTable:
-    """Exact K_s table via the explicit alternating binomial sum."""
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_table: need 0 <= s <= n, got n={n}, s={s}")
-    if n > KRAW_TABLE_CAP:
-        raise InputError(f"kraw_table: n={n} exceeds cap {KRAW_TABLE_CAP}")
-    return KrawTable(n, s, tuple(_kraw_sum(n, s, i) for i in range(n + 1)))
-
-
-def kraw_table_recurrence(n: int, s: int) -> KrawTable:
-    """Cross-check table via the degree recurrence
-    (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i), seeded by
-    K_0 = 1, K_1(i) = n - 2i."""
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_table_recurrence: need 0 <= s <= n, got n={n}, s={s}")
-    if n > KRAW_TABLE_CAP:
-        raise InputError(f"kraw_table_recurrence: n={n} exceeds cap {KRAW_TABLE_CAP}")
-    prev = [1] * (n + 1)
-    if s == 0:
-        return KrawTable(n, s, tuple(prev))
-    cur = [n - 2 * i for i in range(n + 1)]
-    for j in range(1, s):
-        nxt = []
-        for i in range(n + 1):
-            num = (n - 2 * i) * cur[i] - (n - j + 1) * prev[i]
-            q, r = divmod(num, j + 1)
-            if r:
-                raise InternalError("kraw_table_recurrence: non-integer step")
-            nxt.append(q)
-        prev, cur = cur, nxt
-    return KrawTable(n, s, tuple(cur))
-
-
 def _kraw_row_weight_recurrence(n: int, s: int) -> list[int]:
     """Exact row via the weight recurrence
     (n-i) K_s(i+1) = (n-2s) K_s(i) - i K_s(i-1), mirrored across n/2.
 
-    Exact integer division at every step; used as the fast exact path for
-    moments and profiles at large n.
+    Exact integer division at every step, O(n) big-integer operations.
     """
     if not (0 <= s <= n):
         raise InputError(f"need 0 <= s <= n, got n={n}, s={s}")
@@ -163,6 +111,15 @@ def _kraw_row_weight_recurrence(n: int, s: int) -> list[int]:
     for i in range(mid + 1):
         row[n - i] = sign * row[i]
     return row
+
+
+def kraw_table(n: int, s: int) -> KrawTable:
+    """Exact K_s table, i = 0..n, by the weight recurrence."""
+    if not (0 <= s <= n):
+        raise InputError(f"kraw_table: need 0 <= s <= n, got n={n}, s={s}")
+    if n > KRAW_TABLE_CAP:
+        raise InputError(f"kraw_table: n={n} exceeds cap {KRAW_TABLE_CAP}")
+    return KrawTable(n, s, tuple(_kraw_row_weight_recurrence(n, s)))
 
 
 def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +212,7 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     if not (0 <= s <= n):
         raise InputError(f"kraw_eval_real: need 0 <= s <= n, got n={n}, s={s}")
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
-        return float(_kraw_sum(n, s, int(round(x))))
+        return float(_kraw_row_weight_recurrence(n, s)[int(round(x))])
     m, e = _kraw_eval_scaled(n, s, x)
     return math.ldexp(m, e) if abs(e) < 16000 else (math.inf if m > 0 else -math.inf)
 

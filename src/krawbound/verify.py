@@ -14,7 +14,6 @@ outside the payload.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
@@ -89,14 +88,6 @@ class SuiteReport:
             "pass": self.passed,
         }
 
-    def to_dict(self) -> dict:
-        out = self.payload()
-        out["wall_time"] = self.wall_time
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True)
-
 
 def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
     if not cases:
@@ -131,9 +122,6 @@ class SearchRecord:
     bound_log2: float
     converged_starts: int
     counterexample: dict | None
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "best_fourier_coeffs": list(self.best_fourier_coeffs)}
 
 
 def search_extremal_ratio(
@@ -591,21 +579,21 @@ def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
 def run_suite(
     name: str,
     grid: dict | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     budget: dict | None = None,
     tol: float | None = None,
 ) -> SuiteReport:
     """Run the suite `name` of the table. `tol` overrides an identity's
-    residual tolerance; `seed` and `budget` reach only the seeded searches,
-    and a budget given to any other suite is an InputError."""
+    residual tolerance; `seed` (default 0) and `budget` reach only the seeded
+    searches, and either given to any other suite is an InputError."""
     t0 = time.time()
     if name not in _SUITES:
         raise InputError(f"run_suite: unknown suite {name!r}")
     row = _SUITES[name]
     if tol is not None and row.tol is None:
         raise InputError(f"{name}: has no residual tolerance to override, got tol={tol}")
-    if budget is not None and row.budget is None:
-        raise InputError(f"{name}: is no seeded search to give a budget, got budget={budget}")
+    if (seed is not None or budget is not None) and row.budget is None:
+        raise InputError(f"{name}: is no seeded search, got seed={seed}, budget={budget}")
     grid = grid or {}
     axes = _axis_values(name, row.axes, grid)
     if row.tol is not None:
@@ -614,6 +602,7 @@ def run_suite(
     elif row.budget is not None:
         key, default = row.budget
         spent = {key: int((budget or {}).get(key, default))}
+        seed = seed or 0
         extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, seed=seed, budget=spent)
     else:
         extra, config = {}, SuiteConfig(name, grid)

@@ -39,6 +39,7 @@ from krawbound.verify import (
     search_extremal_ratio,
     tightness_sweep,
 )
+from oracles import kraw_table_sum
 
 
 def _line(num, name, ok, detail):
@@ -49,9 +50,14 @@ def _line(num, name, ok, detail):
 def test_criterion_01_exact_krawchouk_identity_suite():
     t0 = time.time()
     count = 0
+    oracle = 0
     prev = None
     for n in range(0, 65):
         tables = [kraw_table(n, s).values for s in range(n + 1)]
+        for s in range(n + 1):
+            # the independent oracle: the explicit alternating sum
+            assert tables[s] == kraw_table_sum(n, s)
+            oracle += 1
         binom = [math.comb(n, i) for i in range(n + 1)]
         pow2 = 1 << n
         for s in range(n + 1):
@@ -71,7 +77,12 @@ def test_criterion_01_exact_krawchouk_identity_suite():
                     count += 1
         prev = tables
     elapsed = time.time() - t0
-    _line(1, "exact identity suite n<=64", elapsed < 60.0, f"{count} identities in {elapsed:.1f}s")
+    _line(
+        1,
+        "exact identity suite n<=64",
+        elapsed < 60.0,
+        f"{count} identities and {oracle} tables equal to the explicit sum in {elapsed:.1f}s",
+    )
 
 
 def test_criterion_02_psi_reconciliation_grid():
@@ -291,8 +302,8 @@ def test_criterion_10_replay_determinism():
         ("extremal-search", {"grid": {"n": (8,), "p": (4.0,)}, "seed": 9, "budget": {"restarts": 30}}),
         ("degree-at-most", {"grid": {"n": (8,), "s": (2,), "p": (4.0,)}, "seed": 9, "budget": {"instances": 50}}),
     ]:
-        a = run_suite(name, **kwargs).to_json()
-        b = run_suite(name, **kwargs).to_json()
+        a = json.dumps(run_suite(name, **kwargs).payload(), sort_keys=True)
+        b = json.dumps(run_suite(name, **kwargs).payload(), sort_keys=True)
         same = a == b
         ok &= same
         details.append(f"{name} {'=' if same else '!='}")

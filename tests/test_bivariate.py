@@ -197,22 +197,9 @@ def test_little_h4_value():
     assert bv.little_h(4.0, 0.1) == pytest.approx(float(ref), rel=1e-14)
 
 
-@given(
-    p=st.floats(2.0, 12.0),
-    x=st.floats(0.0, 0.5),
-)
-def test_little_g_nonneg_and_identity(p, x):
-    h = bv.little_h(p, x)
-    g = bv.little_g(p, x)
-    assert g >= -1e-15
-    assert h * h - g * g == pytest.approx(4.0 * x * (1.0 - x), abs=1e-12)
-
-
 def test_h_g_domain_errors():
     with pytest.raises(InputError):
         bv.little_h(1.5, 0.2)
-    with pytest.raises(InputError):
-        bv.little_g(3.0, 0.7)
 
 
 # ---------------------------------------------------------------- solvers
@@ -587,7 +574,6 @@ _GATED = {
     "tau.x": lambda t: bv.tau(t, 0.1),
     "tau.y": lambda t: bv.tau(0.1, t),
     "little_h.x": lambda t: bv.little_h(3.0, t),
-    "little_g.x": lambda t: bv.little_g(3.0, t),
     "a_fn.delta": lambda t: bv.a_fn(3.0, t),
     "psi.x": lambda t: bv.psi(3.0, t),
     "pi_fn.x": lambda t: bv.pi_fn(t, 0.1),

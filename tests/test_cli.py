@@ -63,6 +63,14 @@ def test_kraw_csv_example():
     assert [int(r[1]) for r in rows[1:]] == [6, 0, -2, 0, 6]
 
 
+def test_kraw_csv_at_cap():
+    res = run("kraw", "--n", "4096", "--s", "2048", "--format", "csv")
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert len(lines) == 4098
+    assert lines[1] == f"0,{math.comb(4096, 2048)}"
+
+
 def test_kraw_json_with_moment():
     doc = run_json("kraw", "--n", "8", "--s", "3", "--p", "4")
     payload = doc["payload"]
@@ -217,6 +225,8 @@ def test_input_error_exits_2():
     assert run("verify", "--suite", "tau-symmetry", "--grid", "q=1:2:2").exit_code == 2
     assert run("verify", "--suite", "edge-iso-sphere", "--tol", "1e-300").exit_code == 2
     assert run("verify", "--suite", "edge-iso-sphere", "--budget", "5").exit_code == 2
+    # a seed on a suite that is no seeded search
+    assert run("verify", "--suite", "tau-symmetry", "--seed", "7").exit_code == 2
     # eps outside [0, 1/2] on either object of eval
     assert run("eval", "--n", "10", "--s", "3", "--eps", "0.7").exit_code == 2
     assert run("eval", "--n", "30", "--s", "5", "--eps", "0.7").exit_code == 2
@@ -248,8 +258,8 @@ def test_counterexample_exits_3(monkeypatch):
 
 
 def test_verify_replay_payload_identical():
-    a = run("verify", "--suite", "tau-symmetry", "--seed", "7")
-    b = run("verify", "--suite", "tau-symmetry", "--seed", "7")
+    a = run("verify", "--suite", "tau-symmetry")
+    b = run("verify", "--suite", "tau-symmetry")
     assert a.exit_code == 0 and b.exit_code == 0
     pa = json.dumps(json.loads(a.output)["payload"], sort_keys=True)
     pb = json.dumps(json.loads(b.output)["payload"], sort_keys=True)

@@ -23,8 +23,6 @@ from krawbound.cube import (
     sphere_indicator,
     sphere_union_distance_distribution,
     sphere_union_ue_log2,
-    subset_from_bitstrings,
-    subset_to_bitstrings,
     tensor_power,
     to_fourier,
     to_points,
@@ -181,7 +179,7 @@ def test_project_single_character():
     alpha = 0b101001
     coeffs = np.zeros(64)
     coeffs[alpha] = 1.0
-    f = to_points(CubeFunction.from_fourier(n, coeffs))
+    f = to_points(CubeFunction(n, FOURIER, coeffs))
     keep = spectral_project(f, 3)
     assert np.max(np.abs(keep.data - f.data)) < 1e-12
     for k in (0, 1, 2, 4, 5, 6):
@@ -575,17 +573,3 @@ def test_union_ue_matches_dense():
 def test_union_ue_large_n_runs():
     val = sphere_union_ue_log2(199, 60, 0.11)
     assert -200.0 < val < 0.0
-
-
-# ----------------------------------------------------------- serialization
-
-
-def test_bitstring_round_trip():
-    A = CubeSubset.from_indices(6, [0, 5, 17, 63])
-    B = subset_from_bitstrings(6, subset_to_bitstrings(A))
-    assert np.array_equal(A.membership, B.membership)
-
-
-def test_bitstring_validation():
-    with pytest.raises(InputError):
-        subset_from_bitstrings(4, "0101\n012")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import krawbound.krawchouk as kw
 from krawbound.bivariate import exponent_I, tau
 from krawbound.numerics import InputError, exact_binomial, log2_bigint, log2_binomial
+from oracles import kraw_sum, kraw_table_recurrence, kraw_table_sum
 
 
 # ---------------------------------------------------------------- tables
@@ -39,9 +40,27 @@ def test_table_invariants_small():
 
 
 def test_table_vs_recurrence():
+    # the weight recurrence against both independent oracles
     for n in range(1, 25):
         for s in range(n + 1):
-            assert kw.kraw_table(n, s).values == kw.kraw_table_recurrence(n, s).values
+            v = kw.kraw_table(n, s).values
+            assert v == kraw_table_recurrence(n, s)
+            assert v == kraw_table_sum(n, s)
+
+
+@pytest.mark.parametrize("s", [1, 1024, 2048])
+def test_table_at_cap(s):
+    n = kw.KRAW_TABLE_CAP
+    v = kw.kraw_table(n, s).values
+    binom = [1]
+    for i in range(n):
+        binom.append(binom[-1] * (n - i) // (i + 1))
+    assert v[0] == binom[s]
+    assert all(v[n - i] == (-1) ** s * v[i] for i in range(n + 1))
+    assert sum(c * k * k for c, k in zip(binom, v)) == 2**n * binom[s]
+    # entries near either end keep the explicit sum short
+    for i in (1, 2, 37, n - 37, n - 1):
+        assert v[i] == kraw_sum(n, s, i)
 
 
 def test_dimension_recursion():
@@ -143,9 +162,9 @@ def test_roots_invariants_sample():
         assert len(rl.roots) == s
         c, w = n / 2.0, math.sqrt(s * (n - s))
         assert all(c - w - 1e-9 <= r <= c + w + 1e-9 for r in rl.roots)
-        assert rl.first_root >= 1.0 - 2e-11
+        assert rl.roots[0] >= 1.0 - 2e-11
         if s >= 2:
-            assert rl.min_spacing >= 2.0 - 1e-9
+            assert min(b - a for a, b in zip(rl.roots, rl.roots[1:])) >= 2.0 - 1e-9
         assert all(a < b for a, b in zip(rl.roots, rl.roots[1:]))
 
 
@@ -157,7 +176,7 @@ def test_roots_window_property(ns):
     assert len(rl.roots) == s
     c, w = n / 2.0, math.sqrt(s * (n - s))
     assert all(c - w - 1e-9 <= r <= c + w + 1e-9 for r in rl.roots)
-    assert rl.first_root >= 1.0 - 2e-11
+    assert rl.roots[0] >= 1.0 - 2e-11
 
 
 def test_first_root_upper_bound():
@@ -167,7 +186,7 @@ def test_first_root_upper_bound():
         for s in range(1, n // 2 + 1, max(1, n // 16)):
             rl = kw.kraw_roots(n, s)
             base = n / 2.0 - math.sqrt(s * (n - s))
-            worst = max(worst, (rl.first_root - base) / n ** (2.0 / 3.0))
+            worst = max(worst, (rl.roots[0] - base) / n ** (2.0 / 3.0))
     assert worst <= 0.6
     print(f"\n  measured first-root constant: {worst:.4f}")
 
@@ -368,7 +387,7 @@ def test_ratio_estimate_at_512():
     n = 512
     for s in [8, 32, 128]:
         row = kw._kraw_row_weight_recurrence(n, s)
-        xs = kw.kraw_roots(n, s).first_root
+        xs = kw.kraw_roots(n, s).roots[0]
         # the algebraic form is real only below n/2 - sqrt(s(n-s))
         imax = min(int(xs) - 3, int(n / 2 - math.sqrt(s * (n - s))) - 1)
         for i in range(0, imax + 1):

@@ -1,6 +1,7 @@
 """Suite orchestration: counterexample search, identity and tightness
 sweeps, replay determinism, and registry coverage."""
 
+import json
 import math
 
 import pytest
@@ -79,6 +80,9 @@ def test_run_suite_budgets():
     # a suite that is no seeded search refuses a budget instead of dropping it
     with pytest.raises(InputError, match="budget"):
         run_suite("edge-iso-sphere", budget={"restarts": 5})
+    # and a seed likewise
+    with pytest.raises(InputError, match="seed=7"):
+        run_suite("tau-symmetry", seed=7)
     # a zero budget means the Krawchouk start alone, not the default
     rep = run_suite("extremal-search", grid=grid, budget={"restarts": 0})
     assert rep.config.budget == {"restarts": 0}
@@ -95,7 +99,7 @@ def test_run_suite_empty_grid_is_input_error():
 def test_search_replay_bit_identical():
     a = search_extremal_ratio(8, 2, 4, budget=20, seed=11)
     b = search_extremal_ratio(8, 2, 4, budget=20, seed=11)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 # --------------------------------------------------------------- mixtures
@@ -279,14 +283,13 @@ def test_run_suite_rejects_several_values_on_a_single_value_axis():
 def test_payload_excludes_wall_time():
     rep = identity_sweep("u-star")
     assert "wall_time" not in rep.payload()
-    assert "wall_time" in rep.to_dict()
-    assert rep.to_dict()["pass"] is True
+    assert rep.payload()["pass"] is True
 
 
 def test_replay_payloads_byte_identical():
     a = run_suite("extremal-search", grid={"n": (8,), "p": (4,)}, seed=11, budget={"restarts": 20})
     b = run_suite("extremal-search", grid={"n": (8,), "p": (4,)}, seed=11, budget={"restarts": 20})
-    assert a.to_json() == b.to_json()
+    assert json.dumps(a.payload(), sort_keys=True) == json.dumps(b.payload(), sort_keys=True)
     assert a.wall_time != 0.0
 
 
