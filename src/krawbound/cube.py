@@ -13,6 +13,7 @@ divides by 2^n, the inverse does not; ||f||_p averages over the cube.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -36,11 +37,14 @@ POINT = "point-values"
 FOURIER = "fourier-coefficients"
 
 
+@lru_cache(maxsize=None)
 def weight_table(n: int) -> np.ndarray:
-    """Hamming weights of 0..2^n-1 (uint8), built by doubling."""
+    """Hamming weights of 0..2^n-1 (uint8), built by doubling; read-only
+    because every caller shares the cached array."""
     w = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         w[1 << b : 2 << b] = w[: 1 << b] + 1
+    w.flags.writeable = False
     return w
 
 
@@ -121,18 +125,20 @@ def to_fourier(f: CubeFunction) -> CubeFunction:
 
 
 def apply_noise(f: CubeFunction, eps: float) -> CubeFunction:
-    """T_eps as the Fourier multiplier (1-2 eps)^{|alpha|}; returns the same
-    domain the input came in."""
+    """T_eps as the Fourier multiplier (1-2 eps)^{|alpha|}, gathered from its
+    n+1 distinct powers; returns the same domain the input came in."""
     if not (0.0 <= eps <= 0.5):
         raise InputError(f"apply_noise: eps={eps} outside [0, 1/2]")
     g = to_fourier(f)
-    mult = (1.0 - 2.0 * eps) ** weight_table(f.n).astype(np.float64)
+    mult = ((1.0 - 2.0 * eps) ** np.arange(f.n + 1, dtype=np.float64))[weight_table(f.n)]
     noisy = CubeFunction(f.n, FOURIER, g.data * mult)
     return to_points(noisy) if f.domain_tag == POINT else noisy
 
 
 def spectral_project(f: CubeFunction, k: int) -> CubeFunction:
     """Pi_k: keep only weight-k Fourier coefficients."""
+    if not isinstance(k, numbers.Integral):
+        raise InputError(f"spectral_project: k={k!r} is not an integer")
     if not (0 <= k <= f.n):
         raise InputError(f"spectral_project: k={k} outside [0, {f.n}]")
     g = to_fourier(f)
@@ -148,14 +154,17 @@ def lp_norm(f: CubeFunction, p: float) -> float:
         return float(np.max(np.abs(g.data)))
     if p < 1:
         raise InputError(f"lp_norm: need p >= 1 or inf, got p={p}")
-    return float(np.mean(np.abs(g.data) ** p) ** (1.0 / p))
+    x = np.abs(g.data) ** p
+    # np.mean's own reduction, without its Python wrapper
+    return float((x.sum() / x.size) ** (1.0 / p))
 
 
 def inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """<f, g> = (1/2^n) sum f(x) g(x)."""
     if f.n != g.n:
         raise InputError("inner_product: dimension mismatch")
-    return float(np.mean(to_points(f).data * to_points(g).data))
+    x = to_points(f).data * to_points(g).data
+    return float(x.sum() / x.size)
 
 
 def random_homogeneous(n: int, s: int, seed: int) -> CubeFunction:
@@ -203,9 +212,13 @@ class CubeSubset:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "CubeSubset":
+        idx = np.asarray(list(indices))
+        if idx.size and (
+            idx.dtype.kind not in "iu" or idx.ndim != 1 or idx.min() < 0 or idx.max() >= 1 << n
+        ):
+            raise InputError(f"CubeSubset.from_indices: need integer indices in [0, 2^{n})")
         m = np.zeros(1 << n, dtype=bool)
-        for i in indices:
-            m[i] = True
+        m[idx.astype(np.intp)] = True
         return cls(n, m)
 
     def indicator(self) -> CubeFunction:

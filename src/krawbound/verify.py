@@ -239,7 +239,7 @@ def degree_at_most_check(
     if budget < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {budget}")
     m = 1 << n
-    w = weight_table(n)
+    levels = [np.flatnonzero(weight_table(n) == r) for r in range(s + 1)]
     bound = moment_bound(n, s, p)
     cases = []
     for inst in range(budget):
@@ -247,16 +247,14 @@ def degree_at_most_check(
         coeffs = np.zeros(m)
         if inst == 0:
             # pure top level: the homogeneous case
-            coeffs[w == s] = rng.standard_normal(int((w == s).sum()))
+            coeffs[levels[s]] = rng.standard_normal(len(levels[s]))
         elif inst == 1:
-            # concentrated strictly below the top level
-            r = max(0, s - 1)
-            coeffs[w == r] = rng.standard_normal(int((w == r).sum()))
+            # concentrated strictly below the top level (s >= 1)
+            coeffs[levels[s - 1]] = rng.standard_normal(len(levels[s - 1]))
         else:
             scales = rng.standard_normal(s + 1)
-            for r in range(s + 1):
-                sel = w == r
-                coeffs[sel] = scales[r] * rng.standard_normal(int(sel.sum()))
+            for r, idx in enumerate(levels):
+                coeffs[idx] = scales[r] * rng.standard_normal(len(idx))
         f = to_points(CubeFunction(n, "fourier-coefficients", coeffs))
         lhs = p * math.log2(lp_norm(f, p)) - p * math.log2(lp_norm(f, 2))
         cases.append(

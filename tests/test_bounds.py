@@ -9,7 +9,6 @@ import pytest
 
 from krawbound.bivariate import alpha_value, root_region_boundary, tau
 from krawbound.bounds import (
-    BoundReport,
     edge_iso_bound,
     hypercontractive_bound,
     make_report,

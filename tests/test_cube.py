@@ -171,6 +171,27 @@ def test_noise_preserves_domain_tag():
     assert apply_noise(g, 0.2).domain_tag == POINT
 
 
+@pytest.mark.parametrize("domain", [POINT, FOURIER])
+def test_noise_multiplier_bit_identical_to_pointwise_power(domain):
+    # the n+1 gathered powers are the same pow(rho, k) as one power per point
+    for n in range(15):
+        for eps in (0.0, 0.1, 0.25, 0.5):
+            f = random_function(n, 200 + n, domain=domain)
+            mult = (1.0 - 2.0 * eps) ** weight_table(n).astype(np.float64)
+            want = CubeFunction(n, FOURIER, to_fourier(f).data * mult)
+            if domain == POINT:
+                want = to_points(want)
+            assert np.array_equal(apply_noise(f, eps).data, want.data)
+
+
+def test_weight_table_cached_and_read_only():
+    w = weight_table(10)
+    assert weight_table(10) is w
+    assert np.array_equal(w, [bin(x).count("1") for x in range(1 << 10)])
+    with pytest.raises(ValueError):
+        w[3] = 0
+
+
 # ------------------------------------------------------ spectral_project
 
 
@@ -223,6 +244,14 @@ def test_project_k_range():
         spectral_project(f, 4)
 
 
+def test_project_k_must_be_integer():
+    f = random_function(4, 8)
+    # 1.5 lies inside [0, n] but names no level
+    with pytest.raises(InputError):
+        spectral_project(f, 1.5)
+    assert np.array_equal(spectral_project(f, np.int64(2)).data, spectral_project(f, 2).data)
+
+
 # --------------------------------------------------------------- lp_norm
 
 
@@ -261,6 +290,44 @@ def test_lp_p_validation():
     f = random_function(3, 11)
     with pytest.raises(InputError):
         lp_norm(f, 0.5)
+
+
+def test_lp_and_inner_product_bit_identical_to_np_mean():
+    for n in range(0, 15, 2):
+        f, g = random_function(n, 300 + n), random_function(n, 400 + n)
+        for p in (1, 1.3, 2, 3.7, 6):
+            assert lp_norm(f, p) == float(np.mean(np.abs(f.data) ** p) ** (1.0 / p))
+        assert inner_product(f, g) == float(np.mean(f.data * g.data))
+
+
+# ------------------------------------------------------------- subsets
+
+
+def _membership_by_loop(n, indices):
+    m = np.zeros(1 << n, dtype=bool)
+    for i in indices:
+        m[i] = True
+    return m
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_from_indices_matches_loop(n):
+    rng = np.random.default_rng(n)
+    lists = [
+        [],
+        [int(v) for v in rng.choice(1 << n, size=(1 << n) // 2 + 1, replace=False)],
+        [int(v) for v in rng.integers(0, 1 << n, size=20)],  # with duplicates
+        list(rng.integers(0, 1 << n, size=5)),  # numpy ints
+    ]
+    for indices in lists:
+        A = CubeSubset.from_indices(n, indices)
+        assert np.array_equal(A.membership, _membership_by_loop(n, indices))
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 16], [2.0], [1.5], ["3"], [True]])
+def test_from_indices_rejects_index_outside_cube_or_non_integer(bad):
+    with pytest.raises(InputError):
+        CubeSubset.from_indices(4, bad)
 
 
 # -------------------------------------------------- distance distribution

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a krawbound module imports is read in that
-module, or re-exported through its `__all__`."""
+"""Source hygiene: every name a module of `src/krawbound` or `tests` imports
+is read in that module, or re-exported through its `__all__`."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "krawbound"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unread_imports(path: Path) -> list:
@@ -35,6 +36,11 @@ def _unread_imports(path: Path) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
+    assert _unread_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_every_test_module_import_is_read(path):
     assert _unread_imports(path) == []
 
 

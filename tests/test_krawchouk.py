@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import krawbound.krawchouk as kw
 from krawbound.bivariate import exponent_I, tau
-from krawbound.numerics import InputError, exact_binomial, log2_bigint, log2_binomial
+from krawbound.numerics import InputError, exact_binomial, log2_bigint
 from oracles import kraw_sum, kraw_table_recurrence, kraw_table_sum
 
 
