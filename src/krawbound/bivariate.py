@@ -15,8 +15,8 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
 Implicit equations are solved on monotone maps only, by the one
-root-bracketing solver (Illinois steps inside a bisection-bounded bracket,
-run to float resolution). The few removable singularities (y = 0 rows,
+root-bracketing solver (ITP steps inside a bisection-bounded bracket, run
+to float resolution). The few removable singularities (y = 0 rows,
 sigma or eps in {0, 1/2}) are evaluated by their analytic limits, noted
 inline.
 """
@@ -106,18 +106,20 @@ def ratio_r(x: float, y: float) -> float:
 def _I_closed(u: float, v: float) -> float:
     """Closed-form antiderivative, u = point ratio, v = degree ratio > 0.
 
-    With a = 1-2v and b = sqrt(a^2 - 4u(1-u)):
-    log2(1-u) + (a/2) log2(1-2u-b) + u log2((a+b)/(2(1-u)))
-    - (1/2) log2(2(1-u) - a^2 - ab).
-    Requires u(1-u) + v(1-v) <= 1/4 with v > 0 (so 1-2u-b > 0).
+    With a = 1-2v, b = sqrt(a^2 - 4u(1-u)) and w = v(1-v), for v > 0 and
+    u(1-u) + w <= 1/4: log2(1-u) + (a/2) log2(1-2u-b)
+    + u log2((a+b)/(2(1-u))) - (1/2) log2(2(1-u) - a^2 - ab).
+    As 1 - a^2 = 4w and 1 - 4u(1-u) = (1-2u)^2, the differences that cancel
+    as v -> 0 or u -> 1/2 are taken exactly: b^2 = (1-2u)^2 - 4w,
+    1-2u-b = 4w/(1-2u+b) and 2(1-u) - a^2 - ab = 16(1-u)^2 w/(1-2u + 4w + ab).
     """
     a = 1.0 - 2.0 * v
-    disc = a * a - 4.0 * u * (1.0 - u)
-    b = math.sqrt(max(disc, 0.0))
+    w = v * (1.0 - v)
+    b = math.sqrt(max((1.0 - 2.0 * u) ** 2 - 4.0 * w, 0.0))
     t1 = math.log2(1.0 - u)
-    t2 = 0.5 * a * math.log2(1.0 - 2.0 * u - b)
+    t2 = 0.5 * a * math.log2(4.0 * w / (1.0 - 2.0 * u + b))
     t3 = u * math.log2((a + b) / (2.0 * (1.0 - u))) if u > 0.0 else 0.0
-    t4 = -0.5 * math.log2(2.0 * (1.0 - u) - a * a - a * b)
+    t4 = -0.5 * math.log2(16.0 * (1.0 - u) ** 2 * w / (1.0 - 2.0 * u + 4.0 * w + a * b))
     return t1 + t2 + t3 + t4
 
 

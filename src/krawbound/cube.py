@@ -129,10 +129,12 @@ def apply_noise(f: CubeFunction, eps: float) -> CubeFunction:
     n+1 distinct powers; returns the same domain the input came in."""
     if not (0.0 <= eps <= 0.5):
         raise InputError(f"apply_noise: eps={eps} outside [0, 1/2]")
-    g = to_fourier(f)
-    mult = ((1.0 - 2.0 * eps) ** np.arange(f.n + 1, dtype=np.float64))[weight_table(f.n)]
-    noisy = CubeFunction(f.n, FOURIER, g.data * mult)
-    return to_points(noisy) if f.domain_tag == POINT else noisy
+    powers = (1.0 - 2.0 * eps) ** np.arange(f.n + 1, dtype=np.float64)
+    if f.domain_tag == FOURIER:
+        return CubeFunction(f.n, FOURIER, f.data * powers[weight_table(f.n)])
+    coeffs = walsh_hadamard(f.data)  # the exact 1/2^n rides on the n+1 powers
+    coeffs *= (powers / (1 << f.n))[weight_table(f.n)]
+    return CubeFunction(f.n, POINT, walsh_hadamard(coeffs))
 
 
 def spectral_project(f: CubeFunction, k: int) -> CubeFunction:
@@ -154,8 +156,8 @@ def lp_norm(f: CubeFunction, p: float) -> float:
         return float(np.max(np.abs(g.data)))
     if p < 1:
         raise InputError(f"lp_norm: need p >= 1 or inf, got p={p}")
-    x = np.abs(g.data) ** p
-    # np.mean's own reduction, without its Python wrapper
+    x = np.abs(g.data.astype(np.float64, copy=False))
+    x **= p  # in place; then np.mean's own reduction, without its wrapper
     return float((x.sum() / x.size) ** (1.0 / p))
 
 

@@ -46,22 +46,25 @@ def _solve(g: Callable[[float], float], lo: float, hi: float) -> float:
     between the two ends; returns the midpoint of the final bracket. The
     ends are never evaluated.
 
-    Each step is the Illinois regula falsi point (Dowell & Jarratt 1971), or
-    the midpoint while an end is unevaluated, kept a float spacing or two
-    inside the bracket so that the far end moves too once the near end has
-    converged. As in ITP (Oliveira & Takahashi 2021) it is projected onto a
-    radius around the midpoint, [hi - reach, lo + reach], where `reach`
-    halves at every step: after k steps the bracket is at most twice
-    bisection's, so a solve takes at most about one evaluation beyond
-    bisection's count. Where `g < 0` is monotone, the final bracket, and so
-    the result, is bisection's.
+    Each step is ITP's (Oliveira & Takahashi 2021), or the midpoint while an
+    end is unevaluated: the regula falsi point moved toward the midpoint by
+    delta = k1 w^2, with w = hi - lo and k1 = 0.2 / (initial width), or the
+    midpoint where delta reaches it; kept a float spacing or two inside the
+    bracket, so that the far end moves once the near end has converged; and
+    projected onto [hi - reach, lo + reach], where `reach` starts at the
+    initial width and halves at every step (ITP's n0 = 1). After k steps the
+    bracket is at most twice bisection's, so a solve takes at most about one
+    evaluation beyond bisection's; where `g < 0` is monotone, the final
+    bracket, and so the result, is bisection's.
     """
     glo = ghi = math.nan  # residuals at the ends; nan until evaluated
-    reach = hi - lo
-    side = 0  # -1 or 1: the end the previous step replaced
+    width0 = reach = hi - lo
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        t = lo + (hi - lo) * (glo / (glo - ghi))
+        w = hi - lo
+        t = lo + w * (glo / (glo - ghi))
+        delta = 0.2 * w * (w / width0)
+        t = t + math.copysign(delta, mid - t) if delta <= abs(mid - t) else mid
         nudge = abs(t) * 2.0**-52
         if t < lo + nudge:
             t = lo + nudge
@@ -71,20 +74,13 @@ def _solve(g: Callable[[float], float], lo: float, hi: float) -> float:
             t = lo + reach
         elif t < hi - reach:
             t = hi - reach
-        if not lo < t < hi:
-            # an end not evaluated yet (t is nan), or a step rounded onto an end
+        if not lo < t < hi:  # a step rounded onto an end
             t = mid
         v = g(t)
         if v < 0.0:
             lo, glo = t, v
-            if side < 0:
-                ghi *= 0.5
-            side = -1
         else:
             hi, ghi = t, v
-            if side > 0:
-                glo *= 0.5
-            side = 1
         reach *= 0.5
         mid = 0.5 * (lo + hi)
     return mid

@@ -170,25 +170,26 @@ def test_criterion_05_brute_force_bound_margins():
 
         # classic two-norm contraction
         q = 1 + (1 - 2 * eps) ** 2
-        m = math.log2(lp_norm(f, q)) - math.log2(lp_norm(apply_noise(f, eps), 2))
+        log_noisy = math.log2(lp_norm(apply_noise(f, eps), 2))
+        m = math.log2(lp_norm(f, q)) - log_noisy
         worst["classic-hc"] = min(worst["classic-hc"], m)
 
         # refined contraction through the norm-concentration ratio
         p = float(rng.uniform(q, 6.0))
-        r_p = (math.log2(lp_norm(f, p)) - math.log2(lp_norm(f, 1))) / n
-        r_p = min(r_p, (p - 1) / p)
+        log_p, log_1 = math.log2(lp_norm(f, p)), math.log2(lp_norm(f, 1))
+        r_p = min((log_p - log_1) / n, (p - 1) / p)
         bnd = hypercontractive_bound(r_p, eps, p)
-        m = bnd * n + math.log2(lp_norm(f, p)) - math.log2(lp_norm(apply_noise(f, eps), 2))
+        m = bnd * n + log_p - log_noisy
         worst["refined-hc"] = min(worst["refined-hc"], m)
 
         # spectral projection of an arbitrary function
         p2 = float(rng.uniform(2.0, 6.0))
-        r2 = (math.log2(lp_norm(f, p2)) - math.log2(lp_norm(f, 1))) / n
-        r2 = min(r2, (p2 - 1) / p2)
+        log_p2 = math.log2(lp_norm(f, p2))
+        r2 = min((log_p2 - log_1) / n, (p2 - 1) / p2)
         k = int(rng.integers(0, n + 1))
         lhs = lp_norm(spectral_project(f, k), 2)
         if lhs > 0:
-            m = projection_bound(n, k, p2, r2) * n + math.log2(lp_norm(f, p2)) - math.log2(lhs)
+            m = projection_bound(n, k, p2, r2) * n + log_p2 - math.log2(lhs)
             worst["projection"] = min(worst["projection"], m)
 
         # noise stability of a small set

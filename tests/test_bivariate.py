@@ -102,6 +102,40 @@ def test_exponent_i_boundary_limit():
         assert math.isfinite(at)
 
 
+def _exponent_i_mp(x, y):
+    """exponent_I(x, y) = I(y, x) - I(0, x) - 1 with I the closed form exactly
+    as written, 1-2u-b and 2(1-u) - a^2 - ab by subtraction, in mpmath with
+    50 digits beyond the ~-log10(x) + 20 that those differences cancel."""
+    import mpmath
+
+    with mpmath.workdps(70 - int(math.log10(x))):
+        v = mpmath.mpf(x)
+        a = 1 - 2 * v
+
+        def closed(u):
+            b = mpmath.sqrt(a * a - 4 * u * (1 - u))
+            t3 = u * mpmath.log((a + b) / (2 * (1 - u)), 2) if u > 0 else 0
+            return (
+                mpmath.log(1 - u, 2) + a / 2 * mpmath.log(1 - 2 * u - b, 2) + t3
+                - mpmath.log(2 * (1 - u) - a * a - a * b, 2) / 2
+            )
+
+        return closed(mpmath.mpf(y)) - closed(mpmath.mpf(0)) - 1
+
+
+@pytest.mark.parametrize("y", [1e-300, 0.01, 0.25, 0.4, 0.4999999])
+@pytest.mark.parametrize("x", [1e-17, 1e-20, 1e-300])
+def test_tiny_degree_ratio_against_mpmath(x, y):
+    # a = 1 - 2x rounds to 1, where 1-2u-b and 2(1-u) - a^2 - ab taken by
+    # subtraction cancel to 0 or below and log2 raised a bare ValueError
+    ref = _exponent_i_mp(x, y)
+    assert y < bv.root_region_boundary(x)
+    assert bv.exponent_I(x, y) == pytest.approx(float(ref), abs=1e-12)
+    assert bv.tau(x, y) == pytest.approx(float(H(x) + ref + 1), abs=1e-12)
+    pi_ref = ref + 1 + (H(x) + H(y) - 1) / 2
+    assert bv.pi_fn(x, y) == pytest.approx(float(pi_ref), abs=1e-12)
+
+
 def test_exponent_i_domain_error():
     with pytest.raises(InputError):
         bv.exponent_I(0.2, 0.4)
@@ -335,6 +369,15 @@ def test_psi_tiny_x(x):
     assert ev.y_aux == 0.5 and ev.delta_aux == 0.5
     assert abs(ev.value - ev.second_value) <= 1e-9
     assert ev.second_value == pytest.approx(-1.5 * H(x), rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-14, 1e-16])
+def test_psi_representations_agree_at_tiny_x(x):
+    # x is tiny and y_aux nears 1/2, where 1 - a^2 and 2(1-u) - a^2 cancel
+    # unless the closed form takes them as 4x(1-x) and 1-2u + 4x(1-x)
+    for p in [2.5, 3.0, 10.0]:
+        ev = bv.psi(p, x)
+        assert abs(ev.value - ev.second_value) <= 1e-9
 
 
 def test_root_region_boundary_rounding_to_half():

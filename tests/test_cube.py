@@ -300,6 +300,15 @@ def test_lp_and_inner_product_bit_identical_to_np_mean():
         assert inner_product(f, g) == float(np.mean(f.data * g.data))
 
 
+def test_integer_point_values_taken_as_floats():
+    # lp_norm powers its |f| in place, so integer data must not stay integer
+    ints = CubeFunction(3, "point-values", np.arange(-4, 4))
+    floats = CubeFunction(3, "point-values", np.arange(-4.0, 4.0))
+    for p in (1, 2.5, math.inf):
+        assert lp_norm(ints, p) == lp_norm(floats, p)
+    assert np.array_equal(apply_noise(ints, 0.1).data, apply_noise(floats, 0.1).data)
+
+
 # ------------------------------------------------------------- subsets
 
 

@@ -165,7 +165,25 @@ def test_solve_mean_evaluations_on_criterion_02_grid(solves):
         for x in np.linspace(0.01, 0.49, 101):
             bivariate.psi(float(p), float(x))
     assert len(solves) == 2 * 101 * 101
-    assert sum(calls for calls, _ in solves) <= 25 * len(solves)
+    assert sum(calls for calls, _ in solves) <= 12 * len(solves)
+
+
+def test_inverse_entropy_mean_evaluations(solves):
+    # a tiny y bisects until the unevaluated left end 0 moves: about
+    # log2(log2(1/y)) midpoints before the first interpolated step
+    for y in np.logspace(-300.0, 0.0):
+        inverse_entropy(float(y))
+    assert len(solves) == 49
+    assert sum(calls for calls, _ in solves) <= 15 * len(solves)
+
+
+def test_solve_zero_width_bracket():
+    # 5e-324 / 2 rounds to 0, so inverse_entropy brackets t in [0, 0]
+    calls = []
+    assert _solve(lambda t: calls.append(t) or 1.0, 0.0, 0.0) == 0.0
+    assert _solve(lambda t: calls.append(t) or 1.0, 1.0, math.nextafter(1.0, 2.0)) == 1.0
+    assert calls == []
+    assert inverse_entropy(5e-324) == 0.0
 
 
 @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-12])
