@@ -9,7 +9,8 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - tau(x,y): log2 K_s(i)/n profile, piecewise across the root-region boundary
   y = 1/2 - sqrt(x(1-x));
 - h, a: the auxiliary one-parameter families;
-- psi(p,x): the lp/l2 moment-ratio exponent, two representations;
+- psi(p,x): the lp/l2 moment-ratio exponent, two representations from one
+  solve of a(p, delta) = x, with y = delta^p / (delta^p + (1-delta)^p);
 - pi(x,y): spectral-projection exponent, symmetric and nonpositive;
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
@@ -84,8 +85,9 @@ def _sigma_row(f, grid_rows, sigma: float) -> np.ndarray:
 
 
 def root_region_boundary(x: float) -> float:
-    """The point-ratio boundary y = 1/2 - sqrt(x(1-x)) of the root region."""
-    return 0.5 - math.sqrt(x * (1.0 - x))
+    """The point-ratio boundary y = 1/2 - sqrt(x(1-x)) of the root region, as
+    (1/2 - x)^2 / (1/2 + sqrt(x(1-x))), which does not cancel as x -> 1/2."""
+    return (0.5 - x) ** 2 / (0.5 + math.sqrt(x * (1.0 - x)))
 
 
 def ratio_r(x: float, y: float) -> float:
@@ -98,8 +100,11 @@ def ratio_r(x: float, y: float) -> float:
     if y < -_SLACK or y > root_region_boundary(x) + 1e-9:
         raise InputError(f"ratio_r: y={y} outside [0, 1/2 - sqrt(x(1-x))] for x={x}")
     a = 1.0 - 2.0 * x
-    disc = a * a - 4.0 * y * (1.0 - y)
-    b = math.sqrt(max(disc, 0.0))
+    # (1-2x)^2 - 4y(1-y) = (1-2y)^2 - 4x(1-x), taken as (big - c)(big + c)
+    # with the smaller ratio under the root, so that neither square cancels
+    small, big = (x, 1.0 - 2.0 * y) if x <= y else (y, a)
+    c = 2.0 * math.sqrt(small * (1.0 - small))
+    b = math.sqrt(max((big - c) * (big + c), 0.0))
     return (a + b) / (2.0 * (1.0 - y))
 
 
@@ -237,17 +242,18 @@ class PsiEval:
     x: float
     value: float  # first representation H(y) - 1 + p tau(x,y) - (p/2) H(x)
     second_value: float  # (p-1) + log2((1-d)^p + d^p) - (p/2)H(x) - px log2(1-2d)
-    y_aux: float  # h(p, y) = 1 - 2x
+    y_aux: float  # h(p, y) = 1 - 2x, taken from delta as d^p / (d^p + (1-d)^p)
     delta_aux: float  # a(p, delta) = x
 
 
 def psi(p: float, x: float) -> PsiEval:
     """The moment-ratio exponent psi(p, x).
 
-    First representation: H(y) - 1 + p tau(x,y) - (p/2) H(x) with
-    h(p,y) = 1-2x. Second: (p-1) + log2((1-d)^p + d^p) - (p/2) H(x)
-    - p x log2(1-2d) with a(p,d) = x. Both are computed and reconciled;
-    disagreement beyond 1e-6 raises InternalError.
+    Second representation: (p-1) + log2((1-d)^p + d^p) - (p/2) H(x)
+    - p x log2(1-2d) with a(p,d) = x, the one root solve. First:
+    H(y) - 1 + p tau(x,y) - (p/2) H(x) with h(p,y) = 1-2x, where
+    y = d^p / (d^p + (1-d)^p) by the identity that links the two. Both are
+    computed and reconciled; disagreement beyond 1e-6 raises InternalError.
     """
     if p < 2:
         raise InputError(f"psi: need p >= 2, got p={p}")
@@ -259,13 +265,14 @@ def psi(p: float, x: float) -> PsiEval:
         # h(2,y) = 1-2x lands y on the root-region boundary and both
         # representations vanish identically
         return PsiEval(p, x, 0.0, 0.0, root_region_boundary(x), solve_a_inverse(2.0, x))
-    y = solve_h_inverse(p, 1.0 - 2.0 * x)
+    d = solve_a_inverse(p, x)
+    dp, ep = d ** p, (1.0 - d) ** p
+    y = dp / (dp + ep)
     hx = binary_entropy(x)
     rep1 = binary_entropy(y) - 1.0 + p * tau(x, y) - 0.5 * p * hx
-    d = solve_a_inverse(p, x)
     # x log2(1 - 2d) -> 0 as x -> 0, where d rounds to 1/2
     tail = p * x * math.log2(1.0 - 2.0 * d) if d < 0.5 else 0.0
-    rep2 = (p - 1.0) + math.log2((1.0 - d) ** p + d ** p) - 0.5 * p * hx - tail
+    rep2 = (p - 1.0) + math.log2(ep + dp) - 0.5 * p * hx - tail
     if abs(rep1 - rep2) > 1e-6:
         raise InternalError(
             f"psi: representations disagree by {abs(rep1 - rep2):.3e} at p={p}, x={x}"

@@ -5,9 +5,9 @@ polynomial tables), bound (closed-form bound evaluators), induction
 (dimension-step parameters), verify (suite runner), ue (undetected-error
 exponents), iso (edge-isoperimetric exponents).
 
-Exit codes: 0 success, 2 input error, 3 a verification suite produced a
-counterexample artifact. Data goes to stdout, diagnostics to stderr. All
-exponent outputs are log2-per-n unless --raw.
+Exit codes: 0 success, 2 input error, 3 a verification suite failed a case
+or produced a counterexample artifact. Data goes to stdout, diagnostics to
+stderr. All exponent outputs are log2-per-n unless --raw.
 """
 
 from __future__ import annotations
@@ -307,8 +307,8 @@ def induction(n, s, p, fmt, out):
 @click.pass_context
 @_guard
 def verify(ctx, suite, grid_specs, seed, budget, tol, fmt, out):
-    """Run one verification suite; exits 3 when a counterexample artifact is
-    produced, with the artifact embedded in the report."""
+    """Run one verification suite; exits 3 when the report does not pass (a
+    failed case or a counterexample artifact, embedded in the report)."""
     grid = _parse_grid(grid_specs)
     budgets = {"restarts": budget, "instances": budget} if budget is not None else None
     report = run_suite(suite, grid=grid or None, seed=seed, budget=budgets, tol=tol)
@@ -328,6 +328,7 @@ def verify(ctx, suite, grid_specs, seed, budget, tol, fmt, out):
     _emit("verify", report.payload(), (header, rows), fmt, out)
     if report.counterexamples:
         click.echo(f"{len(report.counterexamples)} counterexample artifact(s)", err=True)
+    if not report.passed:
         ctx.exit(3)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -39,6 +39,36 @@ def test_ratio_r_value():
     a = 1 - 2 * x
     ref = (a + mpmath.sqrt(a**2 - 4 * y * (1 - y))) / (2 * (1 - y))
     assert bv.ratio_r(0.1, 0.2) == pytest.approx(float(ref), rel=1e-14)
+
+
+def _ratio_r_mp(x, y):
+    """r(x, y) by its defining formula in 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        a = 1 - 2 * x
+        return (a + mpmath.sqrt(a * a - 4 * y * (1 - y))) / (2 * (1 - y))
+
+
+def test_ratio_r_tiny_degree_near_half_against_mpmath():
+    # 1 - 2x rounds to 1, so (1-2x)^2 - 4y(1-y) taken by subtraction loses x
+    x, y = 1e-17, 0.4999999
+    assert bv.ratio_r(x, y) == pytest.approx(float(_ratio_r_mp(x, y)), rel=1e-15, abs=0.0)
+
+
+def test_ratio_r_near_boundary_against_mpmath():
+    # 2,000 root-region points: t log-uniform in [1e-17, 1/2], u within a
+    # relative 1e-9..1 below the boundary, taken as (t, u) and as (u, t)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(1000):
+        t = float(10.0 ** rng.uniform(-17.0, math.log10(0.5)))
+        u = bv.root_region_boundary(t) * (1.0 - float(10.0 ** rng.uniform(-9.0, 0.0)))
+        for x, y in ((t, u), (u, t)):
+            ref = _ratio_r_mp(x, y)
+            worst = max(worst, float(abs(bv.ratio_r(x, y) - ref) / ref))
+    assert worst <= 1e-10
 
 
 def test_ratio_r_decreasing_in_y():
@@ -341,16 +371,60 @@ def test_psi_concave_increasing_in_x():
 
 
 def test_psi_bridge_identities():
-    # the delta parametrization: y = d^p / ((1-d)^p + d^p) and
-    # r(x, y) = d/(1-d); both link the two representations
+    # the delta parametrization links the two representations: psi takes
+    # y = d^p / ((1-d)^p + d^p), and r(x, y) = d/(1-d)
     for p, x in [(2.5, 0.1), (3.5, 0.22), (4.0, 0.3), (6.0, 0.45)]:
         ev = bv.psi(p, x)
         d = ev.delta_aux
-        y_pred = d**p / ((1.0 - d) ** p + d**p)
-        assert ev.y_aux == pytest.approx(y_pred, abs=1e-9)
         assert bv.ratio_r(x, ev.y_aux) == pytest.approx(d / (1.0 - d), abs=1e-9)
         p_back = math.log2(ev.y_aux / (1.0 - ev.y_aux)) / math.log2(d / (1.0 - d))
         assert p_back == pytest.approx(p, abs=1e-7)
+
+
+@given(p=st.floats(2.0, 10.0), x=st.floats(0.0, 0.5))
+@example(p=2.0, x=0.499999999)
+@example(p=2.0, x=0.5 - 1e-12)
+@example(p=2.0 + 1e-9, x=1e-16)
+@example(p=2.0 + 1e-9, x=0.5 - 1e-12)
+@example(p=3.0, x=1e-300)
+@example(p=10.0, x=1e-16)
+@example(p=10.0, x=0.5 - 1e-12)
+def test_psi_y_aux_solves_h(p, x):
+    # y comes from delta in closed form, so check to first order that it
+    # solves its own equation h(p, y) = 1 - 2x
+    ev = bv.psi(p, x)
+    assert abs(bv.little_h(p, ev.y_aux) - (1.0 - 2.0 * x)) <= 1e-12
+
+
+def _psi_mp(p, x):
+    """psi(p, x) by the second representation in 50-digit mpmath, with
+    a(p, delta) = x solved by 200 halvings of [0, 1/2]."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p, x = mpmath.mpf(p), mpmath.mpf(x)
+
+        def a(d):
+            return (0.5 - d) * ((1 - d) ** (p - 1) - d ** (p - 1)) / ((1 - d) ** p + d**p)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(0.5)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if a(mid) > x else (lo, mid)
+        d = (lo + hi) / 2
+        hx = -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+        return (p - 1) + mpmath.log((1 - d) ** p + d**p, 2) - p / 2 * hx - p * x * mpmath.log(1 - 2 * d, 2)
+
+
+@pytest.mark.parametrize("p", [2.0 + 1e-9, 2.1, 2.5, 3.0, 10.0, 50.0, 100.0])
+def test_psi_both_representations_against_mpmath(p):
+    xs = [1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.49, 0.5 - 1e-6, 0.5 - 1e-12]
+    for x in xs:
+        ref = float(_psi_mp(p, x))
+        ev = bv.psi(p, x)
+        tol = 1e-12 * max(1.0, abs(ref))
+        assert abs(ev.value - ref) <= tol, (x, ev.value, ref)
+        assert abs(ev.second_value - ref) <= tol, (x, ev.second_value, ref)
 
 
 def test_psi_domain_errors():
@@ -378,6 +452,16 @@ def test_psi_representations_agree_at_tiny_x(x):
     for p in [2.5, 3.0, 10.0]:
         ev = bv.psi(p, x)
         assert abs(ev.value - ev.second_value) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.25, 0.5 - 1e-6, 0.5 - 1e-9, 0.5 - 1e-12, 0.5 - 2.0**-54])
+def test_root_region_boundary_against_mpmath(x):
+    # 1/2 - sqrt(x(1-x)) by subtraction has relative error 1 at x = 0.5 - 1e-9
+    import mpmath
+
+    with mpmath.workdps(50):
+        ref = 0.5 - mpmath.sqrt(mpmath.mpf(x) * (1 - mpmath.mpf(x)))
+    assert bv.root_region_boundary(x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def test_root_region_boundary_rounding_to_half():

@@ -254,6 +254,19 @@ def test_counterexample_exits_3(monkeypatch):
     assert doc["payload"]["counterexamples"] == [artifact]
 
 
+def test_failed_case_exits_3():
+    # psi's two representations differ by rounding only; a tolerance below
+    # that nonzero residual fails the case, and the report is still printed
+    grid = ("--grid", "p=3:3:1", "--grid", "x=0.1:0.1:1")
+    assert run("verify", "--suite", "psi-two-reps", *grid).exit_code == 0
+    res = run("verify", "--suite", "psi-two-reps", *grid, "--tol", "1e-17")
+    assert res.exit_code == 3
+    payload = json.loads(res.stdout)["payload"]
+    (case,) = payload["cases"]
+    assert case["lhs_log2n"] > 1e-17 and not case["pass"]
+    assert payload["pass"] is False and payload["counterexamples"] == []
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -164,7 +164,8 @@ def test_solve_mean_evaluations_on_criterion_02_grid(solves):
     for p in np.linspace(2.1, 10.0, 101):
         for x in np.linspace(0.01, 0.49, 101):
             bivariate.psi(float(p), float(x))
-    assert len(solves) == 2 * 101 * 101
+    # one solve per psi: y comes from delta in closed form
+    assert len(solves) == 101 * 101
     assert sum(calls for calls, _ in solves) <= 12 * len(solves)
 
 
