@@ -15,6 +15,10 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
+The minimization oracles scan cached per-sigma rows of _alpha_max and tau
+from array kernels that match the scalar evaluators bit for bit: + - * / and
+sqrt round alike in numpy, so only logs and squares go entry-wise via math.
+
 Implicit equations are solved on monotone maps only, by the one
 root-bracketing solver (ITP steps inside a bisection-bounded bracket, run
 to float resolution). The few removable singularities (y = 0 rows,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,19 +60,18 @@ def _gate(name: str, label: str, t: float) -> float:
     raise InputError(f"{name}: {label}={t} outside [0, 1/2]")
 
 
-def _split_entropy(sigma: float, t: float) -> float:
+def _split_entropy(sigma: float, t, entropy=binary_entropy, cap=min):
     """sigma H(t/sigma) + (1-sigma) H(t/(1-sigma)) for t >= 0, each ratio
-    capped at 1; 0 at sigma = 0."""
+    capped at 1; 0 at sigma = 0. On a row t with _entropy_row and np.minimum."""
     if sigma <= 0.0:
         return 0.0
-    return sigma * binary_entropy(min(t / sigma, 1.0)) + (1.0 - sigma) * binary_entropy(
-        min(t / (1.0 - sigma), 1.0)
+    return sigma * entropy(cap(t / sigma, 1.0)) + (1.0 - sigma) * entropy(
+        cap(t / (1.0 - sigma), 1.0)
     )
 
 
-def _linear_grid(lo: float, hi: float) -> list[float]:
-    step = (hi - lo) / (_GRID_POINTS - 1)
-    return [lo + k * step for k in range(_GRID_POINTS)]
+def _linear_grid(lo: float, hi: float) -> np.ndarray:
+    return lo + np.arange(_GRID_POINTS) * ((hi - lo) / (_GRID_POINTS - 1))
 
 
 def _frozen(values) -> np.ndarray:
@@ -79,9 +82,26 @@ def _frozen(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=_SIGMA_ROWS)
-def _sigma_row(f, grid_rows, sigma: float) -> np.ndarray:
-    """f(sigma, g) at each point g of the grid that grid_rows() returns first."""
-    return _frozen([f(sigma, g) for g in grid_rows()[0].tolist()])
+def _sigma_row(kernel, grid_rows, sigma: float) -> np.ndarray:
+    """kernel(sigma, grid, *rows): a row at sigma from the first three of grid_rows()."""
+    return _frozen(kernel(sigma, *grid_rows()[:3]))
+
+
+def _each(f, row: np.ndarray) -> np.ndarray:
+    """f entry by entry: numpy's log2 and t ** 2 miss math.log2 and pow by an ulp at times."""
+    return np.fromiter(map(f, row.tolist()), float, row.size)
+
+
+_square = partial(pow, exp=2)
+
+
+def _entropy_row(t: np.ndarray) -> np.ndarray:
+    """binary_entropy at each entry of a row in [0, 1], bit for bit."""
+    out = np.zeros(t.shape)
+    live = (0.0 < t) & (t < 1.0)
+    s = t[live]
+    out[live] = -s * _each(math.log2, s) - (1.0 - s) * _each(math.log2, 1.0 - s)
+    return out
 
 
 def root_region_boundary(x: float) -> float:
@@ -128,6 +148,18 @@ def _I_closed(u: float, v: float) -> float:
     return t1 + t2 + t3 + t4
 
 
+def _I_closed_row(u: np.ndarray, v: float) -> np.ndarray:
+    """_I_closed at each point ratio u > 0 of a row, bit for bit."""
+    a = 1.0 - 2.0 * v
+    w = v * (1.0 - v)
+    b = np.sqrt(np.maximum(_each(_square, 1.0 - 2.0 * u) - 4.0 * w, 0.0))
+    t1 = _each(math.log2, 1.0 - u)
+    t2 = 0.5 * a * _each(math.log2, 4.0 * w / (1.0 - 2.0 * u + b))
+    t3 = u * _each(math.log2, (a + b) / (2.0 * (1.0 - u)))
+    q = 16.0 * _each(_square, 1.0 - u) * w / (1.0 - 2.0 * u + 4.0 * w + a * b)
+    return t1 + t2 + t3 - 0.5 * _each(math.log2, q)
+
+
 def exponent_I(x_deg: float, y_pt: float) -> float:
     """The anchored antiderivative of log2 r along the point ratio:
 
@@ -141,9 +173,7 @@ def exponent_I(x_deg: float, y_pt: float) -> float:
     x_deg = _gate("exponent_I", "x_deg", x_deg)
     boundary = root_region_boundary(x_deg)
     if y_pt < -_SLACK or y_pt > boundary + 1e-9:
-        raise InputError(
-            f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}"
-        )
+        raise InputError(f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}")
     if y_pt <= 0.0 or x_deg <= 0.0:
         return -1.0
     if y_pt >= boundary:
@@ -164,6 +194,19 @@ def tau(x: float, y: float) -> float:
     if y < root_region_boundary(x):
         return binary_entropy(x) + exponent_I(x, y) + 1.0
     return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
+
+
+def _tau_row(x: float, y: np.ndarray, h_y: np.ndarray) -> np.ndarray:
+    """tau(x, .) at each point of a row y in [0, 1/2], bit for bit, given
+    H on it: _I_closed inside the root region, the seam formula outside."""
+    x = _gate("tau", "x", x)
+    hx = binary_entropy(x)
+    inner = y < root_region_boundary(x)
+    e = np.full(y.shape, -1.0)  # exponent_I, -1 at x = 0 or y = 0
+    if x > 0.0:
+        live = inner & (y > 0.0)
+        e[live] = _I_closed_row(y[live], x) - _I_closed(0.0, x) - 1.0
+    return np.where(inner, hx + e + 1.0, 0.5 * (1.0 + hx - h_y))
 
 
 def little_h(p: float, x: float) -> float:
@@ -242,7 +285,7 @@ class PsiEval:
     x: float
     value: float  # first representation H(y) - 1 + p tau(x,y) - (p/2) H(x)
     second_value: float  # (p-1) + log2((1-d)^p + d^p) - (p/2)H(x) - px log2(1-2d)
-    y_aux: float  # h(p, y) = 1 - 2x, taken from delta as d^p / (d^p + (1-d)^p)
+    y_aux: float  # h(p, y) = 1 - 2x, as d^p / (d^p + (1-d)^p); 0 once d^p underflows
     delta_aux: float  # a(p, delta) = x
 
 
@@ -254,6 +297,8 @@ def psi(p: float, x: float) -> PsiEval:
     H(y) - 1 + p tau(x,y) - (p/2) H(x) with h(p,y) = 1-2x, where
     y = d^p / (d^p + (1-d)^p) by the identity that links the two. Both are
     computed and reconciled; disagreement beyond 1e-6 raises InternalError.
+    Where d^p underflows (p >~ 50, x near 1/2) y_aux reads 0, no float being
+    the true y (~1e-570); both values stay finite and agree to about 1e-14.
     """
     if p < 2:
         raise InputError(f"psi: need p >= 2, got p={p}")
@@ -326,15 +371,31 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
 
 
 @lru_cache(maxsize=None)
-def _delta_rows() -> tuple[np.ndarray, np.ndarray]:
-    """pi-min's grid of delta, and log2(1 - 2 delta) on it."""
+def _delta_rows() -> tuple[np.ndarray, ...]:
+    """pi-min's grid of d, and log2(1 - d), log2(d) and log2(1 - 2d) on it."""
     grid = _linear_grid(1e-12, 0.5 - 1e-12)
-    return _frozen(grid), _frozen([math.log2(1.0 - 2.0 * d) for d in grid])
+    logs = (_each(math.log2, t) for t in (1.0 - grid, grid, 1.0 - 2.0 * grid))
+    return tuple(_frozen(r) for r in (grid, *logs))
 
 
 def _alpha_max(sigma: float, d: float) -> float:
     """max_x alpha_{sigma,d}(x), attained at x = x_star(sigma, d)."""
     return alpha_value(sigma, d, x_star(sigma, d))
+
+
+def _alpha_max_row(sigma: float, eps: np.ndarray, log2_1me, log2_e) -> np.ndarray:
+    """_alpha_max(sigma, .) at each point of a row eps in (0, 1/2], bit for
+    bit, given log2(1 - eps) and log2(eps) on it."""
+    sigma = _gate("alpha_value", "sigma", sigma)
+    q = sigma * (1.0 - sigma)
+    x = np.full(eps.shape, q)  # x_star; the clamp below zeroes it at sigma = 0
+    inner = eps < 0.5 - 1e-14
+    e = eps[inner]
+    x[inner] = (-e * e + e * np.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q)) / (2.0 * (1.0 - 2.0 * e))
+    x = np.minimum(np.maximum(x, 0.0), sigma)
+    acc = _split_entropy(sigma, x, _entropy_row, np.minimum)
+    acc = np.where(x > 0.0, acc + 2.0 * x * log2_e, acc)
+    return acc + (1.0 - 2.0 * x) * log2_1me
 
 
 def _pi_objective(alpha, kappa: float, log2_1m2d):
@@ -344,12 +405,12 @@ def _pi_objective(alpha, kappa: float, log2_1m2d):
 
 def _pi_min_problem(sigma: float, kappa: float) -> tuple:
     """pi-min's objective, its grid and its values there, for _minimize_1d."""
-    grid, log2_1m2d = _delta_rows()
+    grid, _, _, log2_1m2d = _delta_rows()
 
     def objective(d: float) -> float:
         return _pi_objective(_alpha_max(sigma, d), kappa, math.log2(1.0 - 2.0 * d))
 
-    alpha_row = _sigma_row(_alpha_max, _delta_rows, sigma)
+    alpha_row = _sigma_row(_alpha_max_row, _delta_rows, sigma)
     return objective, grid, _pi_objective(alpha_row, kappa, log2_1m2d)
 
 
@@ -390,9 +451,7 @@ def x_star(sigma: float, eps: float) -> float:
 def phi(sigma: float, eps: float) -> float:
     """phi(sigma, eps) = H(sigma) - 1 + max_x alpha_{sigma,eps}(x)."""
     sigma, eps = _gate("phi", "sigma", sigma), _gate("phi", "eps", eps)
-    if eps == 0.0:
-        return binary_entropy(sigma) - 1.0
-    return binary_entropy(sigma) - 1.0 + alpha_value(sigma, eps, x_star(sigma, eps))
+    return binary_entropy(sigma) - 1.0 + _alpha_max(sigma, eps)
 
 
 def tilde_phi(y: float, eps: float) -> float:
@@ -440,7 +499,7 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
 def _y_rows() -> tuple[np.ndarray, np.ndarray]:
     """phi-transform's grid of y, and H(y) on it."""
     grid = _linear_grid(0.0, 0.5)
-    return _frozen(grid), _frozen([binary_entropy(y) for y in grid])
+    return _frozen(grid), _frozen(_entropy_row(grid))
 
 
 def _neg_transform(y, c: float, h_y, tau_y):
@@ -458,7 +517,7 @@ def _phi_transform_problem(sigma: float, eps: float) -> tuple:
     def objective(y: float) -> float:
         return _neg_transform(y, c, binary_entropy(y), tau(sigma, y))
 
-    return objective, grid, _neg_transform(grid, c, h_row, _sigma_row(tau, _y_rows, sigma))
+    return objective, grid, _neg_transform(grid, c, h_row, _sigma_row(_tau_row, _y_rows, sigma))
 
 
 def eta_p(p: float, x: float, eps: float) -> float:
@@ -521,12 +580,8 @@ def _eps_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """edge-iso-min's grid of eps, log-spaced toward eps -> 0 where the
     y = 0 infimum lives, and log2(1 - eps) and log2(eps) on it."""
     lo, hi = 1e-9, 0.5
-    grid = [lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)]
-    return (
-        _frozen(grid),
-        _frozen([math.log2(1.0 - e) for e in grid]),
-        _frozen([math.log2(e) for e in grid]),
-    )
+    grid = np.array([lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)])
+    return tuple(_frozen(r) for r in (grid, _each(math.log2, 1.0 - grid), _each(math.log2, grid)))
 
 
 def _edge_objective(phi_e, base: float, y: float, log2_1me, log2_e):
@@ -547,5 +602,6 @@ def _edge_iso_problem(sigma: float, y: float) -> tuple:
     def objective(e: float) -> float:
         return _edge_objective(phi(sigma, e), base, y, math.log2(1.0 - e), math.log2(e))
 
-    phi_row = _sigma_row(phi, _eps_rows, sigma)
+    # phi's row: H(sigma) - 1 plus the alpha row, as phi adds them
+    phi_row = binary_entropy(sigma) - 1.0 + _sigma_row(_alpha_max_row, _eps_rows, sigma)
     return objective, grid, _edge_objective(phi_row, base, y, log2_1me, log2_e)

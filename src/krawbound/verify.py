@@ -23,6 +23,8 @@ from itertools import product
 import numpy as np
 
 from .bivariate import (
+    _entropy_row,
+    _tau_row,
     edge_iso_min_check,
     phi,
     phi_transform_check,
@@ -92,15 +94,8 @@ class SuiteReport:
 def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
     if not cases:
         raise InputError(f"{config.suite}: grid selects no cases")
-    worst = min(c.margin for c in cases)
-    return SuiteReport(
-        config,
-        tuple(cases),
-        worst,
-        constants,
-        tuple(counterexamples),
-        time.time() - t0,
-    )
+    worst, spent = min(c.margin for c in cases), time.time() - t0
+    return SuiteReport(config, tuple(cases), worst, constants, tuple(counterexamples), spent)
 
 
 # ------------------------------------------------------- extremal search
@@ -323,26 +318,30 @@ def _u_star(n, s, p):
 # Each returns (cases, measured constants, counterexample artifacts).
 
 
+def _disc_phi(nv: int, sigma: float, eps: list) -> list:
+    """phi's maximum over the n-point grid y = k/n, k <= n/2, at each eps:
+    max_k { y log2(1 - 2 eps) + H(y) + 2 tau(sigma, y) } - 2, from one tau row."""
+    y = np.arange(nv // 2 + 1) / nv
+    h_y = _entropy_row(y)
+    tau_y = _tau_row(sigma, y, h_y)
+    return [float(np.max(y * math.log2(1.0 - 2.0 * ep) + h_y + 2.0 * tau_y - 2.0)) for ep in eps]
+
+
 def _disc_cont(n, sigma, eps, tol):
     # The continuous maximum defining phi exceeds its n-point grid version
     # by at most O(1/n); the measured constant is reported.
     cases = []
     worst_c = 0.0
-    for nv, sg, ep in product(map(int, n), map(float, sigma), map(float, eps)):
-        cont = phi(sg, ep)
-        c = math.log2(1.0 - 2.0 * ep)
-        disc = max(
-            k / nv * c + binary_entropy(k / nv) + 2.0 * tau(sg, k / nv) - 2.0
-            for k in range(nv // 2 + 1)
-        )
-        gap = cont - disc
-        worst_c = max(worst_c, gap * nv)
-        # grid max may never exceed the continuous max, and must be within
-        # tol/n below it
-        ok_resid = max(-gap, gap - tol / nv)
-        cases.append(
-            make_report("disc-cont", {"n": nv, "sigma": sg, "eps": ep}, ok_resid, 0.0, tol=1e-12)
-        )
+    eps = [float(ep) for ep in eps]
+    for nv, sg in product(map(int, n), map(float, sigma)):
+        for ep, disc in zip(eps, _disc_phi(nv, sg, eps)):
+            gap = phi(sg, ep) - disc
+            worst_c = max(worst_c, gap * nv)
+            # grid max may never exceed the continuous max, and must be within
+            # tol/n below it
+            ok_resid = max(-gap, gap - tol / nv)
+            cell = {"n": nv, "sigma": sg, "eps": ep}
+            cases.append(make_report("disc-cont", cell, ok_resid, 0.0, tol=1e-12))
     return cases, {"disc_cont_n_times_gap": worst_c}, ()
 
 

@@ -1,5 +1,6 @@
 """Bivariate exponent family: closed forms against quadrature and grid oracles."""
 
+import importlib.util
 import math
 import os
 import pathlib
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from krawbound import bivariate as bv
+from krawbound import verify
 from krawbound.numerics import InputError, binary_entropy, inverse_entropy
 
 H = binary_entropy
@@ -427,6 +429,16 @@ def test_psi_both_representations_against_mpmath(p):
         assert abs(ev.second_value - ref) <= tol, (x, ev.second_value, ref)
 
 
+@pytest.mark.parametrize("p", [50.0, 100.0])
+@pytest.mark.parametrize("x", [0.499999, 0.499999999])
+def test_psi_finite_where_y_aux_underflows(p, x):
+    # delta^p underflows, so y_aux reads 0 where the true y (about 1e-570 at
+    # p = 100, x = 0.499999) is no float; psi's two values stay finite and agree
+    ev = bv.psi(p, x)
+    assert math.isfinite(ev.value) and math.isfinite(ev.second_value)
+    assert abs(ev.value - ev.second_value) <= 1e-9
+
+
 def test_psi_domain_errors():
     with pytest.raises(InputError):
         bv.psi(1.5, 0.2)
@@ -745,32 +757,63 @@ def test_domain_gate_clamps_to_half():
 
 # ------------------------------------------------------------ oracle rows
 
-# each oracle's problem, the scalar evaluator and grid of its sigma row, and
-# cells at the domain corners: sigma in {0, 1/2}, kappa = 0, y = 0, eps near 1/2
+def _perfbench_sweep_grids():
+    """perfbench's sweep grids, denser than the suite defaults, as its
+    workloads module defines them."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.SWEEP_GRIDS
+
+
+_SWEEP_GRIDS = _perfbench_sweep_grids()
+
+
+def _sweep_sigmas(tag):
+    """The sigmas of a suite's default grid and of its perfbench sweep grid."""
+    grids = (verify._SUITES[tag].axes, _SWEEP_GRIDS[tag])
+    return sorted({float(sg) for grid in grids for sg in grid["sigma"]})
+
+
+# each oracle's problem, the row kernel and grid of its sigma row, cells at
+# the domain corners (sigma in {0, 1/2}, kappa = 0, y = 0, eps near 1/2), and
+# its cell at each sigma of its default and perfbench grids
 _ORACLE_ROWS = {
     "pi-min": (
         bv._pi_min_problem,
-        (bv._alpha_max, bv._delta_rows),
+        (bv._alpha_max_row, bv._delta_rows),
         [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
+        lambda sg: (sg, sg * (1.0 - sg)),
     ),
     "phi-transform": (
         bv._phi_transform_problem,
-        (bv.tau, bv._y_rows),
+        (bv._tau_row, bv._y_rows),
         [(0.0, 0.01), (0.5, 0.0), (0.5, 0.5 - 1e-13), (0.3, 0.2)],
+        lambda sg: (sg, 0.2),
     ),
     "edge-iso-min": (
         bv._edge_iso_problem,
-        (bv.phi, bv._eps_rows),
+        (bv._alpha_max_row, bv._eps_rows),
         [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
+        lambda sg: (sg, sg * (1.0 - sg)),
     ),
 }
+_CORNERS = [(name, cell) for name, (_, _, cells, _) in _ORACLE_ROWS.items() for cell in cells]
 
 
 @pytest.mark.parametrize(
-    "oracle, cell", [(name, cell) for name, (_, _, cells) in _ORACLE_ROWS.items() for cell in cells]
+    "oracle, cell",
+    [pytest.param(name, cell, id=f"{name}-cell{i}") for i, (name, cell) in enumerate(_CORNERS)]
+    + [
+        pytest.param(name, cell_at(sg), id=f"{name}-sigma{sg!r}")
+        for name, (*_, cell_at) in _ORACLE_ROWS.items()
+        for sg in _sweep_sigmas(name)
+    ],
 )
 def test_oracle_scan_is_the_objective_on_the_grid(oracle, cell):
-    problem, (evaluator, grid_rows), _ = _ORACLE_ROWS[oracle]
+    problem, (evaluator, grid_rows), _, _ = _ORACLE_ROWS[oracle]
     objective, grid, values = problem(*cell)
     # the array expression is the scalar objective, bit for bit
     assert np.array_equal(values, [objective(g) for g in grid.tolist()])

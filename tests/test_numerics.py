@@ -244,6 +244,18 @@ def test_log2_binomial_row_above_cap_against_mpmath():
             assert abs(row[i] - float(want)) <= 1e-10 * max(abs(float(want)), 1e-300)
 
 
+@pytest.mark.parametrize("n", [10, 4096, 4097, 10 ** 5, 10 ** 6])
+def test_log2_binomial_against_mpmath(n):
+    # the documented 1e-10 relative, on both sides of the exact-row cap
+    row = _log2_binomial_row(n)
+    with mpmath.workdps(50):
+        for k in sorted({*range(min(n, 64) + 1), n // 2, n - 1}):
+            want = float(mpmath.log(mpmath.binomial(n, k), 2))
+            tol = 1e-10 * abs(want)
+            assert abs(log2_binomial(n, k) - want) <= tol, (n, k)
+            assert abs(log2_binomial(n, k) - row[k]) <= tol, (n, k)
+
+
 def test_minimize_1d_relative_stop():
     # on [0, 1e15] an absolute width of 1e-12 is below the float spacing
     def far(t):

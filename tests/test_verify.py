@@ -6,10 +6,12 @@ import math
 
 import pytest
 
+from krawbound.bivariate import tau
 from krawbound.krawchouk import kraw_moments
-from krawbound.numerics import InputError
+from krawbound.numerics import InputError, binary_entropy
 from krawbound.verify import (
     SuiteConfig,
+    _disc_phi,
     all_suite_tags,
     degree_at_most_check,
     identity_sweep,
@@ -160,6 +162,20 @@ def test_disc_cont_gap_within_one_over_n():
     rep = identity_sweep("disc-cont")
     assert rep.passed
     assert 0.0 < rep.measured_constants["disc_cont_n_times_gap"] <= 1.0
+
+
+@pytest.mark.parametrize("nv", [64, 1024])
+@pytest.mark.parametrize("sigma", [0.1, 0.4])
+def test_disc_phi_is_the_scalar_maximum(nv, sigma):
+    # one tau row per (n, sigma) gives the maximum of the scalar loop, bit for bit
+    eps = [0.05, 0.45]
+    for ep, disc in zip(eps, _disc_phi(nv, sigma, eps)):
+        c = math.log2(1.0 - 2.0 * ep)
+        want = max(
+            k / nv * c + binary_entropy(k / nv) + 2.0 * tau(sigma, k / nv) - 2.0
+            for k in range(nv // 2 + 1)
+        )
+        assert disc.hex() == want.hex()
 
 
 # --------------------------------------------------------- tightness sweeps
