@@ -95,70 +95,3 @@ from .verify import (
     search_extremal_ratio,
     tightness_sweep,
 )
-
-__all__ = [
-    "BoundReport",
-    "CubeFunction",
-    "CubeSubset",
-    "InductionParams",
-    "InputError",
-    "InternalError",
-    "PsiEval",
-    "SuiteConfig",
-    "SuiteReport",
-    "SymmetricProfile",
-    "__version__",
-    "all_suite_tags",
-    "apply_noise",
-    "big_P",
-    "binary_entropy",
-    "cap_F",
-    "degree_at_most_check",
-    "distance_distribution",
-    "edge_iso_bound",
-    "eta",
-    "eta_p",
-    "exact_binomial",
-    "exponent_I",
-    "hanner_gap_kraw",
-    "hypercontractive_bound",
-    "identity_sweep",
-    "induction_params",
-    "inner_product",
-    "inverse_entropy",
-    "kraw_eval_real",
-    "kraw_moments",
-    "kraw_roots",
-    "kraw_table",
-    "l2_between_roots",
-    "log2_binomial",
-    "log_sum_exp2",
-    "lp_concentration",
-    "lp_norm",
-    "moment_bound",
-    "moment_gap",
-    "phi",
-    "pi_fn",
-    "projection_bound",
-    "psi",
-    "random_homogeneous",
-    "ratio_r",
-    "recursion_residual",
-    "run_suite",
-    "search_extremal_ratio",
-    "set_noise_bound",
-    "spectral_project",
-    "sphere_indicator",
-    "support_projection_bound",
-    "tail_bound",
-    "tau",
-    "tensor_power",
-    "tightness_sweep",
-    "tilde_phi",
-    "to_fourier",
-    "to_points",
-    "ue_exponent",
-    "undetected_error_probability",
-    "walsh_hadamard",
-    "wht",
-]

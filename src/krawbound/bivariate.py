@@ -15,9 +15,9 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
-The minimization oracles scan cached per-sigma rows of _alpha_max and tau
-from array kernels that match the scalar evaluators bit for bit: + - * / and
-sqrt round alike in numpy, so only logs and squares go entry-wise via math.
+Each closed form has one body: the scalar evaluators run it on floats and
+the minimization oracles' cached per-sigma rows on numpy rows, bit for bit
+alike, because rows take their logs and squares entry by entry via _each.
 
 Implicit equations are solved on monotone maps only, by the one
 root-bracketing solver (ITP steps inside a bisection-bounded bracket, run
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +49,8 @@ _SLACK = 1e-12
 _GRID_POINTS = 2001
 # sigma rows kept over the three oracles, whose grids use at most 12 sigmas each
 _SIGMA_ROWS = 64
+# largest p of a, psi and their solve: (1-d)^p >= 2^-p stays a normal float for d <= 1/2
+_P_MAX = 1022
 
 
 def _gate(name: str, label: str, t: float) -> float:
@@ -60,13 +63,40 @@ def _gate(name: str, label: str, t: float) -> float:
     raise InputError(f"{name}: {label}={t} outside [0, 1/2]")
 
 
-def _split_entropy(sigma: float, t, entropy=binary_entropy, cap=min):
+def _each(f, row: np.ndarray) -> np.ndarray:
+    """f at each entry of a row. numpy's log2 and t ** 2 miss math.log2 and
+    pow by an ulp at times, so _ROWS takes those through here: each formula
+    body below, given its operations m, then serves floats (m = _FLOATS, the
+    default) and rows (m = _ROWS) bit for bit alike; the rest round alike."""
+    return np.fromiter(map(f, row.tolist()), float, row.size)
+
+
+def _square(t: float) -> float:
+    return t ** 2
+
+
+def _entropy_row(t: np.ndarray) -> np.ndarray:
+    """binary_entropy at each entry of a row in [0, 1], bit for bit."""
+    out = np.zeros(t.shape)
+    live = (0.0 < t) & (t < 1.0)
+    s = t[live]
+    out[live] = -s * _each(math.log2, s) - (1.0 - s) * _each(math.log2, 1.0 - s)
+    return out
+
+
+_FLOATS = SimpleNamespace(log2=math.log2, square=_square, sqrt=math.sqrt, maximum=max, minimum=min,
+                          entropy=binary_entropy)
+_ROWS = SimpleNamespace(log2=partial(_each, math.log2), square=partial(_each, _square), sqrt=np.sqrt,
+                        maximum=np.maximum, minimum=np.minimum, entropy=_entropy_row)
+
+
+def _split_entropy(sigma: float, t, m=_FLOATS):
     """sigma H(t/sigma) + (1-sigma) H(t/(1-sigma)) for t >= 0, each ratio
-    capped at 1; 0 at sigma = 0. On a row t with _entropy_row and np.minimum."""
+    capped at 1; 0 at sigma = 0."""
     if sigma <= 0.0:
         return 0.0
-    return sigma * entropy(cap(t / sigma, 1.0)) + (1.0 - sigma) * entropy(
-        cap(t / (1.0 - sigma), 1.0)
+    return sigma * m.entropy(m.minimum(t / sigma, 1.0)) + (1.0 - sigma) * m.entropy(
+        m.minimum(t / (1.0 - sigma), 1.0)
     )
 
 
@@ -85,23 +115,6 @@ def _frozen(values) -> np.ndarray:
 def _sigma_row(kernel, grid_rows, sigma: float) -> np.ndarray:
     """kernel(sigma, grid, *rows): a row at sigma from the first three of grid_rows()."""
     return _frozen(kernel(sigma, *grid_rows()[:3]))
-
-
-def _each(f, row: np.ndarray) -> np.ndarray:
-    """f entry by entry: numpy's log2 and t ** 2 miss math.log2 and pow by an ulp at times."""
-    return np.fromiter(map(f, row.tolist()), float, row.size)
-
-
-_square = partial(pow, exp=2)
-
-
-def _entropy_row(t: np.ndarray) -> np.ndarray:
-    """binary_entropy at each entry of a row in [0, 1], bit for bit."""
-    out = np.zeros(t.shape)
-    live = (0.0 < t) & (t < 1.0)
-    s = t[live]
-    out[live] = -s * _each(math.log2, s) - (1.0 - s) * _each(math.log2, 1.0 - s)
-    return out
 
 
 def root_region_boundary(x: float) -> float:
@@ -128,7 +141,7 @@ def ratio_r(x: float, y: float) -> float:
     return (a + b) / (2.0 * (1.0 - y))
 
 
-def _I_closed(u: float, v: float) -> float:
+def _I_closed(u, v: float, m=_FLOATS):
     """Closed-form antiderivative, u = point ratio, v = degree ratio > 0.
 
     With a = 1-2v, b = sqrt(a^2 - 4u(1-u)) and w = v(1-v), for v > 0 and
@@ -138,26 +151,23 @@ def _I_closed(u: float, v: float) -> float:
     as v -> 0 or u -> 1/2 are taken exactly: b^2 = (1-2u)^2 - 4w,
     1-2u-b = 4w/(1-2u+b) and 2(1-u) - a^2 - ab = 16(1-u)^2 w/(1-2u + 4w + ab).
     """
+    log2, square = m.log2, m.square
     a = 1.0 - 2.0 * v
     w = v * (1.0 - v)
-    b = math.sqrt(max((1.0 - 2.0 * u) ** 2 - 4.0 * w, 0.0))
-    t1 = math.log2(1.0 - u)
-    t2 = 0.5 * a * math.log2(4.0 * w / (1.0 - 2.0 * u + b))
-    t3 = u * math.log2((a + b) / (2.0 * (1.0 - u))) if u > 0.0 else 0.0
-    t4 = -0.5 * math.log2(16.0 * (1.0 - u) ** 2 * w / (1.0 - 2.0 * u + 4.0 * w + a * b))
-    return t1 + t2 + t3 + t4
+    b = m.sqrt(m.maximum(square(1.0 - 2.0 * u) - 4.0 * w, 0.0))
+    t1 = log2(1.0 - u)
+    t2 = 0.5 * a * log2(4.0 * w / (1.0 - 2.0 * u + b))
+    t3 = u * log2((a + b) / (2.0 * (1.0 - u)))
+    q = 16.0 * square(1.0 - u) * w / (1.0 - 2.0 * u + 4.0 * w + a * b)
+    return t1 + t2 + t3 - 0.5 * log2(q)
 
 
-def _I_closed_row(u: np.ndarray, v: float) -> np.ndarray:
-    """_I_closed at each point ratio u > 0 of a row, bit for bit."""
-    a = 1.0 - 2.0 * v
-    w = v * (1.0 - v)
-    b = np.sqrt(np.maximum(_each(_square, 1.0 - 2.0 * u) - 4.0 * w, 0.0))
-    t1 = _each(math.log2, 1.0 - u)
-    t2 = 0.5 * a * _each(math.log2, 4.0 * w / (1.0 - 2.0 * u + b))
-    t3 = u * _each(math.log2, (a + b) / (2.0 * (1.0 - u)))
-    q = 16.0 * _each(_square, 1.0 - u) * w / (1.0 - 2.0 * u + 4.0 * w + a * b)
-    return t1 + t2 + t3 - 0.5 * _each(math.log2, q)
+def _inner_I(x: float, y, m=_FLOATS):
+    """exponent_I at y in [0, 1/2] below the root-region boundary: the closed
+    form anchored at y = 0 (-1 there); -1 at x = 0, and at x = 1/2, which has no such y."""
+    if not 0.0 < x < 0.5:
+        return -1.0
+    return _I_closed(y, x, m) - _I_closed(0.0, x) - 1.0
 
 
 def exponent_I(x_deg: float, y_pt: float) -> float:
@@ -174,13 +184,11 @@ def exponent_I(x_deg: float, y_pt: float) -> float:
     boundary = root_region_boundary(x_deg)
     if y_pt < -_SLACK or y_pt > boundary + 1e-9:
         raise InputError(f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}")
-    if y_pt <= 0.0 or x_deg <= 0.0:
-        return -1.0
     if y_pt >= boundary:
         # also where the boundary rounds to 1/2 for tiny x and the closed
-        # form would take log2(0)
+        # form would take log2(0); at x = 0 (boundary 1/2) the seam is -1
         return -0.5 * (1.0 + binary_entropy(x_deg) + binary_entropy(y_pt))
-    return _I_closed(y_pt, x_deg) - _I_closed(0.0, x_deg) - 1.0
+    return _inner_I(x_deg, max(y_pt, 0.0))
 
 
 def tau(x: float, y: float) -> float:
@@ -192,20 +200,18 @@ def tau(x: float, y: float) -> float:
     """
     x, y = _gate("tau", "x", x), _gate("tau", "y", y)
     if y < root_region_boundary(x):
-        return binary_entropy(x) + exponent_I(x, y) + 1.0
+        return binary_entropy(x) + _inner_I(x, y) + 1.0
     return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
 
 
 def _tau_row(x: float, y: np.ndarray, h_y: np.ndarray) -> np.ndarray:
-    """tau(x, .) at each point of a row y in [0, 1/2], bit for bit, given
-    H on it: _I_closed inside the root region, the seam formula outside."""
+    """tau(x, .) at each point of a row y in [0, 1/2], given H on it, by
+    tau's two branches."""
     x = _gate("tau", "x", x)
     hx = binary_entropy(x)
     inner = y < root_region_boundary(x)
-    e = np.full(y.shape, -1.0)  # exponent_I, -1 at x = 0 or y = 0
-    if x > 0.0:
-        live = inner & (y > 0.0)
-        e[live] = _I_closed_row(y[live], x) - _I_closed(0.0, x) - 1.0
+    e = np.zeros(y.shape)
+    e[inner] = _inner_I(x, y[inner], _ROWS)
     return np.where(inner, hx + e + 1.0, 0.5 * (1.0 + hx - h_y))
 
 
@@ -247,10 +253,10 @@ def solve_h_inverse(p: float, target: float) -> float:
 
 
 def a_fn(p: float, delta: float) -> float:
-    """a(p,delta) = (1/2 - delta) ((1-d)^{p-1} - d^{p-1}) / ((1-d)^p + d^p);
-    decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
-    if p < 2:
-        raise InputError(f"a_fn: need p >= 2, got p={p}")
+    """a(p,delta) = (1/2 - delta) ((1-d)^{p-1} - d^{p-1}) / ((1-d)^p + d^p)
+    for 2 <= p <= 1022; decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
+    if not 2 <= p <= _P_MAX:
+        raise InputError(f"a_fn: need 2 <= p <= {_P_MAX}, got p={p}")
     return _a(p, _gate("a_fn", "delta", delta))
 
 
@@ -262,11 +268,11 @@ def _a(p: float, d: float) -> float:
 
 
 def solve_a_inverse(p: float, x: float) -> float:
-    """delta in [0, 1/2] with a(p, delta) = x; solved on the decreasing a.
-    For x below ~1e-32 the root lies within a float spacing of 1/2 and
-    rounds to it."""
-    if p < 2:
-        raise InputError(f"solve_a_inverse: need p >= 2, got p={p}")
+    """delta in [0, 1/2] with a(p, delta) = x, 2 <= p <= 1022; solved on the
+    decreasing a. For x below ~1e-32 the root lies within a float spacing of
+    1/2 and rounds to it."""
+    if not 2 <= p <= _P_MAX:
+        raise InputError(f"solve_a_inverse: need 2 <= p <= {_P_MAX}, got p={p}")
     if not (0.0 <= x <= 0.5):
         raise InputError(f"solve_a_inverse: x={x} outside [0, 1/2]")
     if x == 0.5:
@@ -290,7 +296,7 @@ class PsiEval:
 
 
 def psi(p: float, x: float) -> PsiEval:
-    """The moment-ratio exponent psi(p, x).
+    """The moment-ratio exponent psi(p, x), for 2 <= p <= 1022.
 
     Second representation: (p-1) + log2((1-d)^p + d^p) - (p/2) H(x)
     - p x log2(1-2d) with a(p,d) = x, the one root solve. First:
@@ -299,9 +305,10 @@ def psi(p: float, x: float) -> PsiEval:
     computed and reconciled; disagreement beyond 1e-6 raises InternalError.
     Where d^p underflows (p >~ 50, x near 1/2) y_aux reads 0, no float being
     the true y (~1e-570); both values stay finite and agree to about 1e-14.
+    Above p = 1022, (1-d)^p leaves the normal floats and InputError is raised.
     """
-    if p < 2:
-        raise InputError(f"psi: need p >= 2, got p={p}")
+    if not 2 <= p <= _P_MAX:
+        raise InputError(f"psi: need 2 <= p <= {_P_MAX}, got p={p}")
     x = _gate("psi", "x", x)
     if x == 0.0:
         # y = 1/2, delta = 1/2; both representations collapse to 0 in the limit
@@ -333,7 +340,7 @@ def pi_fn(x: float, y: float) -> float:
     x, y = _gate("pi_fn", "x", x), _gate("pi_fn", "y", y)
     if y >= root_region_boundary(x):
         return 0.0
-    return exponent_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
+    return _inner_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -384,18 +391,14 @@ def _alpha_max(sigma: float, d: float) -> float:
 
 
 def _alpha_max_row(sigma: float, eps: np.ndarray, log2_1me, log2_e) -> np.ndarray:
-    """_alpha_max(sigma, .) at each point of a row eps in (0, 1/2], bit for
-    bit, given log2(1 - eps) and log2(eps) on it."""
+    """_alpha_max(sigma, .) at each point of a row eps in (0, 1/2], given
+    log2(1 - eps) and log2(eps) on it, by x_star's and alpha_value's bodies."""
     sigma = _gate("alpha_value", "sigma", sigma)
     q = sigma * (1.0 - sigma)
     x = np.full(eps.shape, q)  # x_star; the clamp below zeroes it at sigma = 0
     inner = eps < 0.5 - 1e-14
-    e = eps[inner]
-    x[inner] = (-e * e + e * np.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q)) / (2.0 * (1.0 - 2.0 * e))
-    x = np.minimum(np.maximum(x, 0.0), sigma)
-    acc = _split_entropy(sigma, x, _entropy_row, np.minimum)
-    acc = np.where(x > 0.0, acc + 2.0 * x * log2_e, acc)
-    return acc + (1.0 - 2.0 * x) * log2_1me
+    x[inner] = _x_star(q, eps[inner], _ROWS)
+    return _alpha(sigma, np.minimum(np.maximum(x, 0.0), sigma), log2_e, log2_1me, _ROWS)
 
 
 def _pi_objective(alpha, kappa: float, log2_1m2d):
@@ -425,12 +428,15 @@ def alpha_value(sigma: float, eps: float, x: float) -> float:
     if x < -_SLACK or x > sigma + _SLACK:
         raise InputError(f"alpha_value: x={x} outside [0, sigma={sigma}]")
     x = min(max(x, 0.0), sigma)
-    acc = _split_entropy(sigma, x)
-    if x > 0.0:
-        if eps == 0.0:
-            return -math.inf
-        acc += 2.0 * x * math.log2(eps)
-    return acc + (1.0 - 2.0 * x) * math.log2(1.0 - eps)
+    if x > 0.0 and eps == 0.0:
+        return -math.inf
+    return _alpha(sigma, x, math.log2(eps) if x > 0.0 else 0.0, math.log2(1.0 - eps))
+
+
+def _alpha(sigma: float, x, log2_e, log2_1me, m=_FLOATS):
+    """alpha_{sigma,eps}(x) for x in [0, sigma], given log2(eps), finite
+    where x > 0, and log2(1 - eps)."""
+    return _split_entropy(sigma, x, m) + 2.0 * x * log2_e + (1.0 - 2.0 * x) * log2_1me
 
 
 def x_star(sigma: float, eps: float) -> float:
@@ -440,12 +446,13 @@ def x_star(sigma: float, eps: float) -> float:
     sigma, eps = _gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps)
     if eps <= 0.0 or sigma <= 0.0:
         return 0.0
-    if eps >= 0.5 - 1e-14:
-        return sigma * (1.0 - sigma)
     q = sigma * (1.0 - sigma)
-    return (-eps * eps + eps * math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q)) / (
-        2.0 * (1.0 - 2.0 * eps)
-    )
+    return q if eps >= 0.5 - 1e-14 else _x_star(q, eps)
+
+
+def _x_star(q: float, e, m=_FLOATS):
+    """x_star at eps = e below 1/2 - 1e-14, with q = sigma(1-sigma)."""
+    return (-e * e + e * m.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q)) / (2.0 * (1.0 - 2.0 * e))
 
 
 def phi(sigma: float, eps: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bivariate import _split_entropy, alpha_value, eta_p, phi, pi_fn, psi, tau, x_star
+from .bivariate import _alpha_max, _split_entropy, eta_p, phi, pi_fn, psi, tau
 from .krawchouk import kraw_moments
 from .numerics import InputError, binary_entropy, inverse_entropy
 
@@ -159,4 +159,4 @@ def ue_exponent(R: float, eps: float) -> float:
     if not (0.0 < eps <= 0.5):
         raise InputError(f"ue_exponent: need 0 < eps <= 1/2, got {eps}")
     sigma = inverse_entropy(R)
-    return alpha_value(sigma, eps, x_star(sigma, eps))
+    return _alpha_max(sigma, eps)

@@ -100,6 +100,8 @@ def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
 
 # ------------------------------------------------------- extremal search
 
+_SEARCH_ITERATIONS = 500  # power-method steps per row at most
+
 
 @dataclass(frozen=True)
 class SearchRecord:
@@ -125,7 +127,6 @@ def search_extremal_ratio(
     p: float,
     budget: int = 200,
     seed: int = 0,
-    iterations: int = 500,
 ) -> SearchRecord:
     """Maximize E|f|^p / (E f^2)^{p/2} over homogeneous degree-s f by the
     power method for l_p norms (D. W. Boyd, Linear Algebra Appl. 9, 1974;
@@ -135,10 +136,11 @@ def search_extremal_ratio(
     On the unit coefficient sphere c -> E|WHT c|^p is convex, so the
     normalized weight-s projection of its gradient WHT(f |f|^{p-2}) never
     lowers it and needs no step size. A row takes each step whose value does
-    not fall, and is transformed only while it rises by more than 1e-14.
-    The reported coefficients are those of the lowest-index row within 1e-12
-    relative of the best ratio. A best ratio above the proven exponent is
-    returned as a serializable counterexample artifact, not raised.
+    not fall, and is transformed only while it rises by more than 1e-14, for
+    at most _SEARCH_ITERATIONS = 500 steps. The reported coefficients are
+    those of the lowest-index row within 1e-12 relative of the best ratio. A
+    best ratio above the proven exponent is returned as a serializable
+    counterexample artifact, not raised.
     """
     if n > 14:
         raise InputError(f"search_extremal_ratio: n={n} exceeds search cap 14")
@@ -172,7 +174,7 @@ def search_extremal_ratio(
 
     g, best = values(coeffs)
     active = np.arange(rows)
-    for _ in range(iterations):
+    for _ in range(_SEARCH_ITERATIONS):
         if active.size == 0:
             break
         # d/dc mean|f|^p is proportional to WHT(g); <WHT(g), c> = sum |f|^p

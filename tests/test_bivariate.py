@@ -439,6 +439,16 @@ def test_psi_finite_where_y_aux_underflows(p, x):
     assert abs(ev.value - ev.second_value) <= 1e-9
 
 
+@pytest.mark.parametrize("p", [1050.0, 1070.0, 2000.0])
+@pytest.mark.parametrize("x", [1e-6, 0.01, 0.3, 0.49])
+def test_psi_refuses_p_above_the_cap(p, x):
+    # past p = 1022, (1-d)^p + d^p can leave the normal floats, where psi's
+    # two representations part and its solve divides by zero
+    for f in (bv.psi, bv.a_fn, bv.solve_a_inverse):
+        with pytest.raises(InputError, match="1022"):
+            f(p, x)
+
+
 def test_psi_domain_errors():
     with pytest.raises(InputError):
         bv.psi(1.5, 0.2)
@@ -835,3 +845,56 @@ def test_import_builds_no_row():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["4", "0"]
 
+
+_HALF = st.floats(0.0, 0.5)
+_CORNERS_OF_HALF = [0.0, 1e-300, 0.5 - 1e-13, 0.5]
+
+
+def _row(lo, hi):
+    """Every corner of [0, 1/2], then 256 points from lo to hi: enough for a
+    log2 or square taken by numpy, which misses math's on ~1 in 1,000
+    inputs, to show."""
+    return np.concatenate([_CORNERS_OF_HALF, np.linspace(lo, hi, 256)])
+
+
+def _at_corner_sigmas(test):
+    for c in _CORNERS_OF_HALF:
+        test = example(sigma=c, lo=0.0, hi=0.5)(test)
+    return test
+
+
+def _at_corner_pairs(test):
+    for x in _CORNERS_OF_HALF:
+        for y in _CORNERS_OF_HALF:
+            test = example(x=x, y=y)(test)
+    return test
+
+
+@_at_corner_sigmas
+@given(sigma=_HALF, lo=_HALF, hi=_HALF)
+def test_tau_row_is_tau_bit_for_bit(sigma, lo, hi):
+    y = _row(lo, hi)
+    row = bv._tau_row(sigma, y, bv._entropy_row(y))
+    assert row.tobytes() == np.array([bv.tau(sigma, t) for t in y.tolist()]).tobytes()
+
+
+@_at_corner_sigmas
+@given(sigma=_HALF, lo=_HALF, hi=_HALF)
+def test_alpha_max_row_is_alpha_max_bit_for_bit(sigma, lo, hi):
+    eps = _row(lo, hi)
+    eps = eps[eps > 0.0]  # the oracles' eps rows are positive
+    row = bv._alpha_max_row(sigma, eps, bv._each(math.log2, 1.0 - eps), bv._each(math.log2, eps))
+    assert row.tobytes() == np.array([bv._alpha_max(sigma, t) for t in eps.tolist()]).tobytes()
+
+
+@_at_corner_pairs
+@given(x=_HALF, y=_HALF)
+def test_tau_and_pi_are_their_forms_through_exponent_I(x, y):
+    hx, hy = binary_entropy(x), binary_entropy(y)
+    if y < bv.root_region_boundary(x):
+        e = bv.exponent_I(x, y)
+        tau, pi = hx + e + 1.0, e + 1.0 + 0.5 * (hx + hy - 1.0)
+    else:
+        tau, pi = 0.5 * (1.0 + hx - hy), 0.0
+    assert bv.tau(x, y).hex() == tau.hex()
+    assert bv.pi_fn(x, y).hex() == pi.hex()
