@@ -394,10 +394,7 @@ def _alpha_max_row(sigma: float, eps: np.ndarray, log2_1me, log2_e) -> np.ndarra
     """_alpha_max(sigma, .) at each point of a row eps in (0, 1/2], given
     log2(1 - eps) and log2(eps) on it, by x_star's and alpha_value's bodies."""
     sigma = _gate("alpha_value", "sigma", sigma)
-    q = sigma * (1.0 - sigma)
-    x = np.full(eps.shape, q)  # x_star; the clamp below zeroes it at sigma = 0
-    inner = eps < 0.5 - 1e-14
-    x[inner] = _x_star(q, eps[inner], _ROWS)
+    x = _x_star(sigma * (1.0 - sigma), eps, _ROWS)
     return _alpha(sigma, np.minimum(np.maximum(x, 0.0), sigma), log2_e, log2_1me, _ROWS)
 
 
@@ -446,13 +443,14 @@ def x_star(sigma: float, eps: float) -> float:
     sigma, eps = _gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps)
     if eps <= 0.0 or sigma <= 0.0:
         return 0.0
-    q = sigma * (1.0 - sigma)
-    return q if eps >= 0.5 - 1e-14 else _x_star(q, eps)
+    return _x_star(sigma * (1.0 - sigma), eps)
 
 
 def _x_star(q: float, e, m=_FLOATS):
-    """x_star at eps = e below 1/2 - 1e-14, with q = sigma(1-sigma)."""
-    return (-e * e + e * m.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q)) / (2.0 * (1.0 - 2.0 * e))
+    """x_star at eps = e > 0 with q = sigma(1-sigma), as the closed form times
+    its conjugate, 2 e q / (sqrt(e^2 + 4(1-2e) q) + e): no cancellation as e
+    nears 1/2, where it gives the limit q."""
+    return 2.0 * e * q / (m.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q) + e)
 
 
 def phi(sigma: float, eps: float) -> float:

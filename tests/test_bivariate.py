@@ -561,6 +561,21 @@ def test_x_star_range_and_stationarity():
             assert math.log2(num / den) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_x_star_against_mpmath():
+    # the closed form's numerator cancels as eps nears 1/2, which at small
+    # sigma can put x* outside [0, sigma] and make phi raise
+    import mpmath
+
+    with mpmath.workdps(60):
+        for s in (2.0**-14, 1e-6, 1e-3, 0.1, 0.3, 0.5):
+            for e in (1e-300, 1e-8, 0.01, 0.2, 0.45, 0.5 - 1e-6, 0.5 - 1e-10, 0.5 - 1e-13):
+                sm, em = mpmath.mpf(s), mpmath.mpf(e)
+                root = mpmath.sqrt(em * em + 4 * (1 - 2 * em) * sm * (1 - sm))
+                want = (-em * em + em * root) / (2 * (1 - 2 * em))
+                assert abs(bv.x_star(s, e) - want) <= 1e-15 * want, (s, e)
+                assert math.isfinite(bv.phi(s, e)), (s, e)
+
+
 def test_alpha_grid_argmax():
     s, e = 0.25, 0.1
     xs = bv.x_star(s, e)

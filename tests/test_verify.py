@@ -48,7 +48,16 @@ def test_search_larger_cell_no_violation():
     rec = search_extremal_ratio(10, 3, 3, budget=40, seed=3)
     assert rec.best_log2_ratio <= rec.bound_log2 + 1e-9
     assert rec.counterexample is None
-    assert 0 <= rec.converged_starts <= rec.budget + 1
+    assert rec.converged_starts == rec.budget + 1
+
+
+@pytest.mark.parametrize("seed", [0, 206, 207, 210])
+def test_search_converges_at_slow_p_2_5_optimum(seed):
+    # the power method nears the optimum 0.75 of (6, 3, 2.5) slowly; at these
+    # seeds Boyd's step alone leaves starts still rising at the 500-step cap
+    rec = search_extremal_ratio(6, 3, 2.5, budget=200, seed=seed)
+    assert rec.converged_starts == rec.budget + 1
+    assert abs(rec.best_log2_ratio - 0.75) <= 1e-13
 
 
 def test_search_reports_lowest_tied_row():
@@ -71,6 +80,16 @@ def test_search_rejects_out_of_range():
         search_extremal_ratio(8, 2, 1.5)
     with pytest.raises(InputError):
         search_extremal_ratio(6, 1, 3, budget=-1)
+
+
+@pytest.mark.parametrize(
+    "args, budget", [((6, 1.5, 3), 3), ((6.0, 1, 3), 3), ((6, 1, 3), 2.5), ((6, "1", 3), 3)]
+)
+def test_search_and_mixtures_reject_non_integers(args, budget):
+    with pytest.raises(InputError, match="need integers"):
+        search_extremal_ratio(*args, budget=budget)
+    with pytest.raises(InputError, match="need integers"):
+        degree_at_most_check(*args, budget=budget)
 
 
 def test_run_suite_budgets():
