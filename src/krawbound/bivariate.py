@@ -218,7 +218,7 @@ def _tau_row(x: float, y: np.ndarray, h_y: np.ndarray) -> np.ndarray:
 def little_h(p: float, x: float) -> float:
     """h(p,x) = x^{1/p}(1-x)^{(p-1)/p} + x^{(p-1)/p}(1-x)^{1/p};
     increases from 0 to 1 on x in [0, 1/2]."""
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"little_h: need p >= 2, got p={p}")
     return _h(p, _gate("little_h", "x", x))
 
@@ -237,7 +237,7 @@ def solve_h_inverse(p: float, target: float) -> float:
     Solves in log2(y): near 0 the solution is y ~ target^p, far below any
     absolute grid on [0, 1/2], while h(2^z) stays monotone in z.
     """
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"solve_h_inverse: need p >= 2, got p={p}")
     if not (0.0 <= target <= 1.0):
         raise InputError(f"solve_h_inverse: target={target} outside [0, 1]")
@@ -528,7 +528,7 @@ def _phi_transform_problem(sigma: float, eps: float) -> tuple:
 def eta_p(p: float, x: float, eps: float) -> float:
     """eta_p(x, eps) = (1/2) tilde_phi(1 - (p/(p-1)) x, 2 eps (1-eps))
     + x/(p-1), for 0 <= x <= (p-1)/p and p >= 1 + (1-2eps)^2."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise InputError(f"eta_p: need p > 1, got p={p}")
     eps = _gate("eta_p", "eps", eps)
     if x < -_SLACK or x > (p - 1.0) / p + 1e-9:

@@ -128,7 +128,7 @@ def set_noise_bound(sigma: float, eps: float) -> float:
 def projection_bound(n: int, k: int, p: float, r_p: float) -> float:
     """Per-n exponent bounding ||f_k||_2 / ||f||_p given
     r_p = (1/n) log2(||f||_p / ||f||_1)."""
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"projection_bound: need p >= 2, got {p}")
     if n < 1 or not (0 <= k <= n):
         raise InputError(f"projection_bound: need n >= 1 and 0 <= k <= n, got n={n}, k={k}")

@@ -154,7 +154,7 @@ def lp_norm(f: CubeFunction, p: float) -> float:
     g = to_points(f)
     if p == math.inf:
         return float(np.max(np.abs(g.data)))
-    if p < 1:
+    if not p >= 1:
         raise InputError(f"lp_norm: need p >= 1 or inf, got p={p}")
     x = np.abs(g.data.astype(np.float64, copy=False))
     x **= p  # in place; then np.mean's own reduction, without its wrapper
@@ -233,27 +233,14 @@ class DistanceDistribution:
     a: tuple  # n+1 nonnegative ints, ordered pairs
 
 
-def distance_distribution(A: CubeSubset, force_scan: bool = False) -> DistanceDistribution:
-    """a_i = #{(x,y) in A x A : |x - y| = i}, ordered pairs.
-
-    Pair scan is the oracle for small sets; larger sets go through the
-    spectral identity a = 2^n . IWHT((WHT 1_A)^2) bucketed by weight.
-    """
+def distance_distribution(A: CubeSubset) -> DistanceDistribution:
+    """a_i = #{(x,y) in A x A : |x - y| = i}, ordered pairs, by the spectral
+    identity a = 2^n . IWHT((WHT 1_A)^2) bucketed by weight."""
     n = A.n
-    size = A.size
-    w = weight_table(n)
-    if force_scan or size <= 1 << 9:
-        idx = np.nonzero(A.membership)[0]
-        a = [0] * (n + 1)
-        for x in idx:
-            d = w[np.bitwise_xor(idx, x)]
-            for i in d:
-                a[i] += 1
-        return DistanceDistribution(n, tuple(a))
     f = to_fourier(A.indicator())
     conv = walsh_hadamard(f.data**2) * (1 << n)
     # float sums of rounded counts are exact: the total |A|^2 <= 2^48 < 2^53
-    a = np.bincount(w, weights=np.rint(conv), minlength=n + 1)
+    a = np.bincount(weight_table(n), weights=np.rint(conv), minlength=n + 1)
     return DistanceDistribution(n, tuple(int(v) for v in a))
 
 
@@ -342,7 +329,7 @@ class SymmetricProfile:
         """log2 ||f||_p under the uniform cube measure."""
         if p == math.inf:
             return float(self.logs.max())
-        if p < 1:
+        if not p >= 1:
             raise InputError(f"lp_norm_log2: need p >= 1 or inf, got p={p}")
         lc = np.asarray(_log2_binomial_row(self.n))
         return log_sum_exp2(lc + p * self.logs - self.n) / p
@@ -390,30 +377,21 @@ class SymmetricProfile:
 
 def sphere_union_distance_distribution(n: int, s: int) -> list:
     """Exact ordered-pair distance distribution of S_{s-1} union S_s in
-    {0,1}^n, via hypergeometric cross-section counts.
+    {0,1}^n, by one overlap sum.
 
-    Within radius a at even distance 2j: |S_a| C(a,j) C(n-a,j) pairs; across
-    the two radii at odd distance i with overlap w = (s-1+s-i)/2:
-    2 |S_{s-1}| C(s-1,w) C(n-s+1, s-w) pairs.
+    A point x of weight a and a point y of weight b that share w ones are
+    at distance a + b - 2w, and there are C(n,a) C(a,w) C(n-a,b-w) such
+    ordered pairs; sum over a, b in {s-1, s} and max(0, a+b-n) <= w <= min(a, b).
     """
     if not (1 <= s <= n):
-        raise InputError(f"sphere_union_distance_distribution: need 1 <= s <= n")
+        raise InputError(f"sphere_union_distance_distribution: need 1 <= s <= n, got n={n}, s={s}")
     a = [0] * (n + 1)
-    for rad in (s - 1, s):
-        size = exact_binomial(n, rad)
-        for j in range(0, n // 2 + 1):
-            cnt = exact_binomial(rad, j) * exact_binomial(n - rad, j)
-            if cnt and 2 * j <= n:
-                a[2 * j] += size * cnt
-    size_lo = exact_binomial(n, s - 1)
-    for i in range(1, n + 1, 2):
-        w2 = 2 * s - 1 - i
-        if w2 < 0 or w2 % 2 != 0:
-            continue
-        w = w2 // 2
-        cnt = exact_binomial(s - 1, w) * exact_binomial(n - s + 1, s - w)
-        if cnt:
-            a[i] += 2 * size_lo * cnt
+    for ra in (s - 1, s):
+        for rb in (s - 1, s):
+            for w in range(max(0, ra + rb - n), min(ra, rb) + 1):
+                a[ra + rb - 2 * w] += (
+                    exact_binomial(n, ra) * exact_binomial(ra, w) * exact_binomial(n - ra, rb - w)
+                )
     return a
 
 

@@ -22,7 +22,7 @@ def big_P(z: float, p: float) -> float:
     """P(z) = ((sqrt(z)+1)^p + |sqrt(z)-1|^p) / 2, increasing from P(0) = 1."""
     if z < 0:
         raise InputError(f"big_P: need z >= 0, got {z}")
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"big_P: need p >= 2, got {p}")
     r = math.sqrt(z)
     return ((r + 1.0) ** p + abs(r - 1.0) ** p) / 2.0
@@ -57,7 +57,7 @@ def cap_F(x: float, y: float, p: float) -> float:
     """
     if x < 0 or y < 0:
         raise InputError(f"cap_F: need x, y >= 0, got x={x}, y={y}")
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"cap_F: need p >= 2, got {p}")
     if y == 0.0:
         return x
@@ -136,7 +136,7 @@ def induction_params(n: int, s: int, p: float) -> InductionParams:
     """
     if not (0 < s < n / 2):
         raise InputError(f"induction_params: need 0 < s < n/2, got s={s}, n={n}")
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"induction_params: need p >= 2, got {p}")
     i0 = solve_i0(n, s, p)
     if i0 == 0.0:
@@ -189,7 +189,7 @@ def hanner_gap_kraw(n: int, s: int, p: float) -> HannerRecord:
     All norms in log domain via weight profiles; n up to 10^4."""
     if not (1 <= s <= n / 2):
         raise InputError(f"hanner_gap_kraw: need 1 <= s <= n/2, got s={s}, n={n}")
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"hanner_gap_kraw: need p >= 2, got {p}")
     g0 = SymmetricProfile.kraw(n, s)
     g1 = SymmetricProfile.kraw(n, s - 1)

@@ -22,7 +22,6 @@ from .numerics import (
     EXACT_BINOMIAL_CAP,
     InputError,
     InternalError,
-    _binomial_row,
     _log2_binomial_row,
     log2_bigint,
     log2_binomial,
@@ -61,7 +60,7 @@ class MomentRecord:
     p: float
     log2_moment: float
     log2_ratio: float
-    mode: str  # 'exact' | 'log'
+    mode: str  # 'exact' (s = 0 or n) | 'exact-assisted' (n <= 4096) | 'log'
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Row of (sign, log2|K_s(i)|) pairs, i = 0..n.
 
     Exact-assisted for n <= 4096; beyond that the weight recurrence runs in
-    log magnitude + sign with mirroring across n/2. Zeros carry sign 0.
+    scaled floats with mirroring across n/2. Zeros carry sign 0.
     """
     if not (0 <= s <= n):
         raise InputError(f"kraw_log_row: need 0 <= s <= n, got n={n}, s={s}")
@@ -145,30 +144,20 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
                 logs[i] = log2_bigint(-v)
         return signs, logs
     mid = n // 2
-    # scaled-float weight recurrence: track K as mantissa * 2^e
-    m_prev, e_prev = 0.0, 0
-    m_cur, e_cur = 1.0, 0
+    # scaled-float weight recurrence: the pair (K(i-1), K(i)) is (a, b) * 2^e
+    # with one exponent, so an exact zero never carries a stale one
+    a, b, e = 0.0, 1.0, 0
     base = log2_binomial(n, s)
     signs[0] = 1
     logs[0] = base
-    c = n - 2 * s
     for i in range(0, mid):
-        # align exponents of the two terms
-        t1_m, t1_e = c * m_cur, e_cur
-        t2_m, t2_e = (i * m_prev, e_prev) if i > 0 else (0.0, e_cur)
-        e = max(t1_e, t2_e)
-        num = t1_m * 2.0 ** (t1_e - e) - t2_m * 2.0 ** (t2_e - e)
-        m_new, e_new = num / (n - i), e
-        if m_new != 0.0:
-            adj = math.frexp(m_new)[1]
-            if abs(adj) > 500:
-                m_new = math.ldexp(m_new, -adj)
-                e_new += adj
-        m_prev, e_prev = m_cur, e_cur
-        m_cur, e_cur = m_new, e_new
-        if m_cur != 0.0:
-            signs[i + 1] = 1 if m_cur > 0 else -1
-            logs[i + 1] = base + math.log2(abs(m_cur)) + e_cur
+        a, b = b, ((n - 2 * s) * b - i * a) / (n - i)
+        k = math.frexp(max(abs(a), abs(b)))[1]
+        if abs(k) > 500:
+            a, b, e = math.ldexp(a, -k), math.ldexp(b, -k), e + k
+        if b != 0.0:
+            signs[i + 1] = 1 if b > 0 else -1
+            logs[i + 1] = base + math.log2(abs(b)) + e
     sgn = -1 if (s & 1) else 1
     if n % 2 == 0 and s % 2 == 1:
         # K_s(n/2) = -K_s(n/2) forces an exact zero the float recurrence
@@ -250,28 +239,17 @@ def kraw_roots(n: int, s: int) -> RootList:
 
 def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
     """log2 E|K_s|^p = log2[(1/2^n) sum_i C(n,i)|K_s(i)|^p] and the
-    normalized exponent log2 r(n,s,p) = log2 E|K_s|^p - (p/2) log2 C(n,s)."""
+    normalized exponent log2 r(n,s,p) = log2 E|K_s|^p - (p/2) log2 C(n,s),
+    summed in log2 over kraw_log_row for every finite p."""
     if not (0 <= s <= n):
         raise InputError(f"kraw_moments: need 0 <= s <= n, got n={n}, s={s}")
-    if p < 1:
-        raise InputError(f"kraw_moments: need p >= 1, got p={p}")
+    if not 1 <= p < math.inf:
+        raise InputError(f"kraw_moments: need finite p >= 1, got p={p}")
     if n > KRAW_MOMENT_CAP:
         raise InputError(f"kraw_moments: n={n} exceeds cap {KRAW_MOMENT_CAP}")
     if s == 0 or s == n:
         # |K_0| = 1, |K_n(i)| = 1
         return MomentRecord(n, s, p, 0.0, 0.0, "exact")
-    if n <= KRAW_TABLE_CAP and float(p).is_integer() and p <= 8:
-        # exact big-integer sum
-        row = _kraw_row_weight_recurrence(n, s)
-        binom = _binomial_row(n)
-        ip = int(p)
-        total = 0
-        for c, v in zip(binom, row):
-            if v:
-                total += c * abs(v) ** ip
-        log2_moment = log2_bigint(total) - n
-        log2_ratio = log2_moment - (p / 2.0) * log2_bigint(binom[s])
-        return MomentRecord(n, s, p, log2_moment, log2_ratio, "exact")
     _, logs = kraw_log_row(n, s)
     lc = _log2_binomial_row(n)
     mode = "exact-assisted" if n <= KRAW_TABLE_CAP else "log"
@@ -286,7 +264,7 @@ def solve_i0(n: float, s: float, p: float) -> float:
     s = 0 gives i0 = n/2. Solved in log2(i0/n) by solve_h_inverse: near
     s = n/2 with large p, i0/n falls far below any absolute grid on [0, 1/2].
     """
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"solve_i0: need p >= 2, got p={p}")
     if not (0 <= s <= n / 2):
         raise InputError(f"solve_i0: need 0 <= s <= n/2, got n={n}, s={s}")
@@ -298,8 +276,8 @@ def lp_concentration(
 ) -> ConcentrationRecord:
     """Fraction of sum_i C(n,i)|K_s(i)|^p carried by the weights within
     window*sqrt(n ln n) of i0 and of n - i0."""
-    if p <= 2:
-        raise InputError(f"lp_concentration: need p > 2, got p={p}")
+    if not 2 < p < math.inf:
+        raise InputError(f"lp_concentration: need finite p > 2, got p={p}")
     if not (0 <= s <= n):
         raise InputError(f"lp_concentration: need 0 <= s <= n, got n={n}, s={s}")
     s_eff = min(s, n - s)

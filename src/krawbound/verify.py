@@ -153,7 +153,7 @@ def search_extremal_ratio(
         raise InputError(f"search_extremal_ratio: n={n} exceeds search cap 14")
     if not (0 <= s <= n / 2):
         raise InputError(f"search_extremal_ratio: need 0 <= s <= n/2")
-    if p < 2:
+    if not p >= 2:
         raise InputError(f"search_extremal_ratio: need p >= 2, got {p}")
     if budget < 0:
         raise InputError(f"search_extremal_ratio: need budget >= 0 restarts, got {budget}")
@@ -263,7 +263,7 @@ def degree_at_most_check(
         seed=seed,
         budget={"instances": budget},
     )
-    if n > 14 or not (1 <= s <= n / 2) or p < 2:
+    if n > 14 or not (1 <= s <= n / 2) or not p >= 2:
         raise InputError("degree_at_most_check: need n <= 14, 1 <= s <= n/2, p >= 2")
     if budget < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {budget}")

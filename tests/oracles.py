@@ -1,12 +1,18 @@
-"""Independent exact Krawchouk oracles.
+"""Independent exact oracles for the tests.
 
 `krawbound` computes every exact Krawchouk value by the weight recurrence in
-i. These two definitions share nothing with it, so the tests compare against
-them: the explicit alternating sum, and the three-term recurrence in the
-degree s.
+i. Two definitions here share nothing with it: the explicit alternating sum,
+and the three-term recurrence in the degree s. The exact moment sums the
+exact row in big integers, where `krawbound` sums its log row in floats, and
+the distance distribution is counted pair by pair, where `krawbound` uses
+the spectral identity.
 """
 
 import math
+
+import numpy as np
+
+from krawbound.krawchouk import kraw_table
 
 
 def kraw_sum(n, s, i):
@@ -40,3 +46,20 @@ def kraw_table_recurrence(n, s):
             nxt.append(q)
         prev, cur = cur, nxt
     return tuple(cur)
+
+
+def kraw_moment_exact(n, s, p):
+    """log2 E|K_s|^p for integer p, from the big-integer sum
+    sum_i C(n,i) |K_s(i)|^p over the exact row (n <= 4096)."""
+    total = sum(math.comb(n, i) * abs(v) ** p for i, v in enumerate(kraw_table(n, s).values))
+    return math.log2(total) - n
+
+
+def distance_distribution_scan(A):
+    """a_i = #{(x,y) in A x A : |x - y| = i}: a bincount of the popcounts of
+    x XOR y over every ordered pair, one row of pairs at a time."""
+    idx = np.flatnonzero(A.membership)
+    a = np.zeros(A.n + 1, dtype=np.int64)
+    for x in idx:
+        a += np.bincount(np.bitwise_count(idx ^ x), minlength=A.n + 1)
+    return tuple(int(v) for v in a)

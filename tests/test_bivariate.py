@@ -266,6 +266,11 @@ def test_little_h4_value():
 def test_h_g_domain_errors():
     with pytest.raises(InputError):
         bv.little_h(1.5, 0.2)
+    # a NaN p fails every comparison, so each gate must be written to refuse it
+    with pytest.raises(InputError):
+        bv.little_h(math.nan, 0.2)
+    with pytest.raises(InputError):
+        bv.solve_h_inverse(math.nan, 0.5)
 
 
 # ---------------------------------------------------------------- solvers
@@ -700,6 +705,8 @@ def test_eta_p_concave_decreasing():
 def test_eta_domain_errors():
     with pytest.raises(InputError):
         bv.eta_p(2.0, 0.51, 0.1)
+    with pytest.raises(InputError, match="need p > 1"):
+        bv.eta_p(math.nan, 0.1, 0.1)
     with pytest.raises(InputError):
         bv.eta(0.2, 0.5)
     assert bv.eta(0.0, 0.5) == 0.0

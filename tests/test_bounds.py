@@ -295,6 +295,8 @@ def test_projection_domain():
     with pytest.raises(InputError):
         projection_bound(10, 3, 1.5, 0.1)
     with pytest.raises(InputError):
+        projection_bound(10, 3, math.nan, 0.1)
+    with pytest.raises(InputError):
         projection_bound(10, 3, 2, 0.6)
 
 

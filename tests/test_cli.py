@@ -75,7 +75,7 @@ def test_kraw_json_with_moment():
     doc = run_json("kraw", "--n", "8", "--s", "3", "--p", "4")
     payload = doc["payload"]
     assert payload["table"][0] == [0, math.comb(8, 3)]
-    assert payload["moment"]["mode"] == "exact"
+    assert payload["moment"]["mode"] == "exact-assisted"
 
 
 def test_bound_moment_p2_is_zero():

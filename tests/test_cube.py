@@ -33,6 +33,7 @@ from krawbound.cube import (
 )
 from krawbound.krawchouk import kraw_moments, kraw_table
 from krawbound.numerics import InputError
+from oracles import distance_distribution_scan
 
 
 def random_function(n, seed, domain=POINT):
@@ -290,6 +291,10 @@ def test_lp_p_validation():
     f = random_function(3, 11)
     with pytest.raises(InputError):
         lp_norm(f, 0.5)
+    with pytest.raises(InputError):
+        lp_norm(f, math.nan)
+    with pytest.raises(InputError):
+        SymmetricProfile.kraw(10, 3).lp_norm_log2(math.nan)
 
 
 def test_lp_and_inner_product_bit_identical_to_np_mean():
@@ -345,15 +350,24 @@ def test_from_indices_rejects_index_outside_cube_or_non_integer(bad):
 def test_distance_full_cube():
     A = CubeSubset(2, np.ones(4, dtype=bool))
     assert distance_distribution(A).a == (4, 8, 4)
+    for n in (0, 1, 7):
+        A = CubeSubset(n, np.ones(1 << n, dtype=bool))
+        assert distance_distribution(A).a == tuple(2**n * math.comb(n, i) for i in range(n + 1))
 
 
 def test_distance_single_point():
     A = CubeSubset.from_indices(5, [19])
     assert distance_distribution(A).a == (1, 0, 0, 0, 0, 0)
+    assert distance_distribution(CubeSubset.from_indices(0, [0])).a == (1,)
+
+
+def test_distance_empty_set():
+    for n in (0, 3, 10):
+        A = CubeSubset.from_indices(n, [])
+        assert distance_distribution(A).a == (0,) * (n + 1) == distance_distribution_scan(A)
 
 
 def test_distance_sphere_formula():
-    # |S_3| = 120 takes the pair scan, |S_5| = 2002 the spectral path
     for n, s in ((10, 3), (14, 5)):
         sub, _ = sphere_indicator(n, s)
         dist = distance_distribution(sub)
@@ -371,11 +385,10 @@ def test_distance_sphere_formula():
 def test_distance_fast_path_matches_scan(n):
     rng = np.random.default_rng(n)
     A = CubeSubset(n, rng.random(1 << n) < 0.6)
-    slow = distance_distribution(A, force_scan=True)
-    fast = distance_distribution(A)
-    assert slow.a == fast.a
-    assert sum(slow.a) == A.size**2
-    assert all(v % 2 == 0 for v in slow.a[1:])
+    slow = distance_distribution_scan(A)
+    assert distance_distribution(A).a == slow
+    assert sum(slow) == A.size**2
+    assert all(v % 2 == 0 for v in slow[1:])
 
 
 # ------------------------------------------- undetected error probability
@@ -625,13 +638,12 @@ def test_profile_weight_values_length():
 # ------------------------------------------------- adjacent sphere unions
 
 
-@pytest.mark.parametrize("n,s", [(9, 3), (11, 4), (12, 1)])
+@pytest.mark.parametrize("n,s", [(9, 3), (11, 4), (12, 1), (1, 1), (5, 5), (10, 10)])
 def test_union_distance_distribution_matches_scan(n, s):
     a = sphere_union_distance_distribution(n, s)
     w = weight_table(n)
     sub = CubeSubset(n, (w == s - 1) | (w == s))
-    ref = distance_distribution(sub, force_scan=True)
-    assert tuple(a) == ref.a
+    assert tuple(a) == distance_distribution_scan(sub)
     assert sum(a) == sub.size**2
     assert all(v % 2 == 0 for v in a[1:])
 

@@ -45,6 +45,8 @@ def test_big_p_domain():
         big_P(-0.1, 3)
     with pytest.raises(InputError):
         big_P(1.0, 1.5)
+    with pytest.raises(InputError):
+        big_P(1.0, math.nan)
 
 
 # --------------------------------------------------------------------- F
@@ -111,6 +113,8 @@ def test_cap_f_domain():
         cap_F(-1.0, 1.0, 4)
     with pytest.raises(InputError):
         cap_F(1.0, 1.0, 1.2)
+    with pytest.raises(InputError):
+        cap_F(1.0, 1.0, math.nan)
 
 
 # -------------------------------------------------------- induction params
@@ -173,6 +177,10 @@ def test_params_domain():
         induction_params(64, 0, 4)
     with pytest.raises(InputError):
         induction_params(64, 32, 4)
+    with pytest.raises(InputError):
+        induction_params(64, 16, math.nan)
+    with pytest.raises(InputError):
+        hanner_gap_kraw(64, 16, math.nan)
     # i0/n underflows to 0 in the first two, Phi overflows in the third
     for n, s, p in [(512, 255, 200), (10, 3, 1e6), (1000, 1, 300)]:
         with pytest.raises(InputError, match="float range"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import krawbound.krawchouk as kw
 from krawbound.bivariate import exponent_I, tau
 from krawbound.numerics import InputError, exact_binomial, log2_bigint
-from oracles import kraw_sum, kraw_table_recurrence, kraw_table_sum
+from oracles import kraw_moment_exact, kraw_sum, kraw_table_recurrence, kraw_table_sum
 
 
 # ---------------------------------------------------------------- tables
@@ -113,6 +113,19 @@ def test_log_row_large_mode_consistent_with_eval():
         assert signs[i] == (1 if m > 0.0 else -1)
         ref = math.log2(abs(m)) + e
         assert logs[i] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "n,s", [(4098, 2049), (6000, 3000), (6000, 2999), (5001, 2500), (5000, 4999), (6000, 37)]
+)
+def test_log_row_above_table_cap_matches_exact_row(n, s):
+    # at s = n/2 every odd entry is an exact zero of the scaled-float
+    # recurrence, and it must not lend its scale to the entry after it
+    row = kw._kraw_row_weight_recurrence(n, s)
+    signs, logs = kw.kraw_log_row(n, s)
+    assert signs.tolist() == [(v > 0) - (v < 0) for v in row]
+    err = max(abs(logs[i] - log2_bigint(abs(v))) for i, v in enumerate(row) if v)
+    assert err <= 1e-9
 
 
 # ---------------------------------------------------------------- eval real
@@ -256,9 +269,43 @@ def test_moments_ratio_nondecreasing_in_p():
 
 
 def test_moments_modes():
-    assert kw.kraw_moments(60, 12, 4.0).mode == "exact"
+    assert kw.kraw_moments(60, 0, 4.0).mode == "exact"
+    assert kw.kraw_moments(60, 60, 4.0).mode == "exact"
+    assert kw.kraw_moments(60, 12, 4.0).mode == "exact-assisted"
     assert kw.kraw_moments(60, 12, 3.3).mode == "exact-assisted"
     assert kw.kraw_moments(6000, 17, 4.0).mode == "log"
+
+
+def _assert_matches_exact_moment(n, s, p):
+    # the summed exponents reach about n bits, so their rounding is a few
+    # ulps of n even where the moment itself is near 1
+    want = kraw_moment_exact(n, s, p)
+    got = kw.kraw_moments(n, s, p).log2_moment
+    assert abs(got - want) <= 1e-15 * max(1.0, abs(want), n), (n, s, p, got - want)
+
+
+def test_moments_match_exact_sum_small_n():
+    for n in range(2, 41):
+        for s in range(1, n):
+            for p in range(1, 9):
+                _assert_matches_exact_moment(n, s, p)
+
+
+@pytest.mark.parametrize(
+    "n,s,p", [(2048, 512, 2), (2048, 512, 4), (2048, 512, 8), (2048, 897, 7), (4096, 769, 2)]
+)
+def test_moments_match_exact_sum_large_n(n, s, p):
+    _assert_matches_exact_moment(n, s, p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_moments_refuse_non_finite_p(p):
+    with pytest.raises(InputError):
+        kw.kraw_moments(10, 3, p)
+    with pytest.raises(InputError):
+        kw.kraw_moments(6000, 3, p)
+    with pytest.raises(InputError):
+        kw.lp_concentration(10, 3, p, 1.0)
 
 
 def test_moments_vs_float_bruteforce():
@@ -270,6 +317,11 @@ def test_moments_vs_float_bruteforce():
 
 
 # ---------------------------------------------------------------- i0 solver
+
+
+def test_solve_i0_refuses_nan_p():
+    with pytest.raises(InputError):
+        kw.solve_i0(10.0, 3.0, math.nan)
 
 
 def test_solve_i0_endpoints():

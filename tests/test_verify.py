@@ -78,6 +78,8 @@ def test_search_rejects_out_of_range():
         search_extremal_ratio(8, 5, 4)
     with pytest.raises(InputError):
         search_extremal_ratio(8, 2, 1.5)
+    with pytest.raises(InputError, match="search_extremal_ratio"):
+        search_extremal_ratio(8, 2, math.nan)
     with pytest.raises(InputError):
         search_extremal_ratio(6, 1, 3, budget=-1)
 
@@ -140,6 +142,8 @@ def test_degree_mixtures_hold_bound():
 def test_degree_mixtures_domain():
     with pytest.raises(InputError):
         degree_at_most_check(20, 3, 4)
+    with pytest.raises(InputError, match="degree_at_most_check"):
+        degree_at_most_check(8, 2, math.nan)
     for instances in (0, -3):
         with pytest.raises(InputError):
             degree_at_most_check(8, 2, 4, budget=instances)
