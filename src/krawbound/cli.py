@@ -40,8 +40,8 @@ from .cube import (
     apply_noise,
     lp_norm,
     random_homogeneous,
-    spectral_project,
     sphere_union_ue_log2,
+    weight_table,
 )
 from .induction import hanner_gap_kraw, induction_params, recursion_residual
 from .krawchouk import kraw_moments, kraw_table
@@ -250,10 +250,9 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
             payload["lp_exponent"] = math.log2(lp_norm(f, p)) * scale
         if eps is not None:
             payload["noised_l2_exponent"] = math.log2(lp_norm(apply_noise(f, eps), 2)) * scale
-        for k in range(n + 1):
-            mass = lp_norm(spectral_project(f, k), 2) ** 2
-            if mass > 0.0:
-                levels.append([k, math.log2(mass) * scale])
+        # Parseval: level k's mass is the sum of its squared coefficients
+        masses = np.bincount(weight_table(n), weights=f.data**2, minlength=n + 1)
+        levels = [[k, math.log2(mass) * scale] for k, mass in enumerate(masses.tolist()) if mass > 0.0]
     else:
         prof = SymmetricProfile.sphere(n, s)
         payload["l2_exponent"] = prof.lp_norm_log2(2) * scale
@@ -394,13 +393,14 @@ def iso(n, s, sigma, i, raw, fmt, out):
     scale = float(n) if raw else 1.0
     imax = math.floor(2 * sigma * (1 - sigma) * n)
     todo = [i] if i is not None else list(range(1, imax + 1))
+    if s is not None:
+        ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
     rows = []
     for dist in todo:
         bnd = edge_iso_bound(n, sigma, dist) * scale
         actual = None
-        if s is not None and dist % 2 == 0 and dist // 2 <= s:
-            j = dist // 2
-            actual = math.log2(math.comb(s, j) * math.comb(n - s, j))
+        if s is not None and dist % 2 == 0 and dist // 2 <= min(s, n - s):
+            actual = ls[dist // 2] + lns[dist // 2]
             actual = actual if raw else actual / n
         rows.append([dist, bnd, actual])
     payload = {"n": n, "sigma": sigma, "rows": rows}

@@ -26,7 +26,6 @@ from .numerics import (
     InputError,
     _log2_binomial_row,
     exact_binomial,
-    log2_bigint,
     log_sum_exp2,
     log_sum_exp2_signed,
 )
@@ -402,6 +401,6 @@ def sphere_union_ue_log2(n: int, s: int, eps: float) -> float:
     a = sphere_union_distance_distribution(n, s)
     size = exact_binomial(n, s - 1) + exact_binomial(n, s)
     le, l1e = math.log2(eps), math.log2(1.0 - eps)
-    la = np.array([log2_bigint(v) if v else -math.inf for v in a[1:]])
+    la = np.array([math.log2(v) if v else -math.inf for v in a[1:]])
     i = np.arange(1, n + 1)
-    return log_sum_exp2(la + i * le + (n - i) * l1e) - log2_bigint(size)
+    return log_sum_exp2(la + i * le + (n - i) * l1e) - math.log2(size)

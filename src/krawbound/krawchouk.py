@@ -20,16 +20,16 @@ import numpy as np
 from .bivariate import solve_h_inverse
 from .numerics import (
     EXACT_BINOMIAL_CAP,
+    LOG2_BINOMIAL_CAP,
     InputError,
     InternalError,
     _log2_binomial_row,
-    log2_bigint,
     log2_binomial,
     log_sum_exp2,
 )
 
 KRAW_TABLE_CAP = EXACT_BINOMIAL_CAP  # 4096
-KRAW_MOMENT_CAP = 10 ** 6
+KRAW_MOMENT_CAP = LOG2_BINOMIAL_CAP
 KRAW_ROOT_CAP = 2048  # kraw_roots / l2_between_roots; tested up to s = n/2 at n = 2048
 
 
@@ -121,6 +121,16 @@ def kraw_table(n: int, s: int) -> KrawTable:
     return KrawTable(n, s, tuple(_kraw_row_weight_recurrence(n, s)))
 
 
+def _rescale(a: float, b: float, e: int) -> tuple[float, float, int]:
+    """The pair (a, b) * 2^e of a scaled-float recurrence, brought back to
+    max(|a|, |b|) in [1/2, 1) once that exponent passes +-500: a shift by a
+    power of two, so the values it stands for do not change."""
+    k = math.frexp(max(abs(a), abs(b)))[1]
+    if abs(k) > 500:
+        return math.ldexp(a, -k), math.ldexp(b, -k), e + k
+    return a, b, e
+
+
 def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Row of (sign, log2|K_s(i)|) pairs, i = 0..n.
 
@@ -134,14 +144,10 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     signs = np.zeros(n + 1, dtype=np.int8)
     logs = np.full(n + 1, -np.inf)
     if n <= KRAW_TABLE_CAP:
-        row = _kraw_row_weight_recurrence(n, s)
-        for i, v in enumerate(row):
-            if v > 0:
-                signs[i] = 1
-                logs[i] = log2_bigint(v)
-            elif v < 0:
-                signs[i] = -1
-                logs[i] = log2_bigint(-v)
+        for i, v in enumerate(_kraw_row_weight_recurrence(n, s)):
+            if v:
+                signs[i] = 1 if v > 0 else -1
+                logs[i] = math.log2(abs(v))
         return signs, logs
     mid = n // 2
     # scaled-float weight recurrence: the pair (K(i-1), K(i)) is (a, b) * 2^e
@@ -151,10 +157,7 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     signs[0] = 1
     logs[0] = base
     for i in range(0, mid):
-        a, b = b, ((n - 2 * s) * b - i * a) / (n - i)
-        k = math.frexp(max(abs(a), abs(b)))[1]
-        if abs(k) > 500:
-            a, b, e = math.ldexp(a, -k), math.ldexp(b, -k), e + k
+        a, b, e = _rescale(b, ((n - 2 * s) * b - i * a) / (n - i), e)
         if b != 0.0:
             signs[i + 1] = 1 if b > 0 else -1
             logs[i + 1] = base + math.log2(abs(b)) + e
@@ -174,20 +177,9 @@ def _kraw_eval_scaled(n: int, s: int, x: float) -> tuple[float, int]:
     """K_s(x) for real x as (mantissa, exp2) via the degree recurrence."""
     if s == 0:
         return 1.0, 0
-    a, b = 1.0, float(n) - 2.0 * x  # K_0, K_1
-    e = 0
+    a, b, e = 1.0, float(n) - 2.0 * x, 0  # K_0, K_1
     for j in range(1, s):
-        c = ((n - 2.0 * x) * b - (n - j + 1) * a) / (j + 1)
-        a, b = b, c
-        m = max(abs(a), abs(b))
-        if m > 2.0 ** 500:
-            a = math.ldexp(a, -500)
-            b = math.ldexp(b, -500)
-            e += 500
-        elif 0.0 < m < 2.0 ** -500:
-            a = math.ldexp(a, 500)
-            b = math.ldexp(b, 500)
-            e -= 500
+        a, b, e = _rescale(b, ((n - 2.0 * x) * b - (n - j + 1) * a) / (j + 1), e)
     return b, e
 
 
@@ -196,14 +188,18 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
 
     At integer x in [0, n] with n <= 4096 the exact integer value is used, so
     agreement with kraw_table is limited only by float rounding. Elsewhere the
-    degree recurrence runs in scaled floats (overflow maps to +-inf).
+    degree recurrence runs in scaled floats; a value beyond float range maps
+    to +-inf, and one below it to 0.
     """
     if not (0 <= s <= n):
         raise InputError(f"kraw_eval_real: need 0 <= s <= n, got n={n}, s={s}")
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
         return float(_kraw_row_weight_recurrence(n, s)[int(round(x))])
     m, e = _kraw_eval_scaled(n, s, x)
-    return math.ldexp(m, e) if abs(e) < 16000 else (math.inf if m > 0 else -math.inf)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 def _roots_and_counts(n: int, s: int) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -315,7 +311,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
         if v == 0:
             continue
         k = below[i]
-        fi = 2.0 ** (lc[i] + 2.0 * log2_bigint(abs(v)) - n - lc[s])
+        fi = 2.0 ** (lc[i] + 2.0 * math.log2(abs(v)) - n - lc[s])
         if best_i[k] is None or fi > best[k]:
             best_i[k], best[k] = i, fi
     bounds = [0.0, *roots.tolist(), float(n)]

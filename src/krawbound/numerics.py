@@ -162,12 +162,13 @@ def _binomial_row(n: int) -> list[int]:
 
 
 def _log2_binomial_row(n: int) -> list[float]:
-    """log2 C(n, i) for i = 0..n: from the exact integers up to
-    EXACT_BINOMIAL_CAP, from log-gamma above it (as log2_binomial)."""
+    """log2 C(n, i) for i = 0..n: math.log2 of the exact integers up to
+    EXACT_BINOMIAL_CAP (it takes a big int, rounding its top 53 bits to
+    nearest), from log-gamma above it (as log2_binomial)."""
     if n < 0 or n > LOG2_BINOMIAL_CAP:
         raise InputError(f"log2 binomial row: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
     if n <= EXACT_BINOMIAL_CAP:
-        return [log2_bigint(c) for c in _binomial_row(n)]
+        return [math.log2(c) for c in _binomial_row(n)]
     lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     return ((lg[n] - lg - lg[::-1]) / LN2).tolist()
 
@@ -182,22 +183,6 @@ def log2_binomial(n: int, k: int) -> float:
     if k < 0 or k > n:
         raise InputError(f"log2_binomial: k={k} outside [0, {n}]")
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
-
-
-def log2_bigint(v: int) -> float:
-    """log2 of a positive big integer, accurate to float rounding.
-
-    Extracts the top bits so that values far beyond float range stay exact
-    to ~1e-16 relative in the log.
-    """
-    if v <= 0:
-        raise InputError("log2_bigint: argument must be positive")
-    nbits = v.bit_length()
-    if nbits <= 53:
-        return math.log2(v)
-    shift = nbits - 53
-    top = v >> shift
-    return math.log2(top) + shift
 
 
 def log_sum_exp2(exponents: np.typing.ArrayLike) -> float | np.ndarray:

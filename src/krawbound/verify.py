@@ -52,7 +52,7 @@ from .cube import (
 )
 from .induction import cap_F, der_zer_residual, induction_params
 from .krawchouk import kraw_moments, l2_between_roots
-from .numerics import InputError, binary_entropy, inverse_entropy, log2_binomial
+from .numerics import InputError, _log2_binomial_row, binary_entropy, inverse_entropy, log2_binomial
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
 # ------------------------------------------------------- extremal search
 
 _SEARCH_ITERATIONS = 500  # power-method steps per row at most
+_SEARCH_N_CAP = 14  # largest n of the dense searches and mixtures
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,8 @@ def search_extremal_ratio(
     """
     if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
         raise InputError(f"search_extremal_ratio: need integers n={n!r}, s={s!r}, budget={budget!r}")
-    if n > 14:
-        raise InputError(f"search_extremal_ratio: n={n} exceeds search cap 14")
+    if n > _SEARCH_N_CAP:
+        raise InputError(f"search_extremal_ratio: n={n} exceeds search cap {_SEARCH_N_CAP}")
     if not (0 <= s <= n / 2):
         raise InputError(f"search_extremal_ratio: need 0 <= s <= n/2")
     if not p >= 2:
@@ -251,44 +252,12 @@ def search_extremal_ratio(
 def degree_at_most_check(
     n: int, s: int, p: float, budget: int = 1000, seed: int = 0
 ) -> SuiteReport:
-    """Random Fourier mixtures across levels 0..s against the degree-s
-    moment bound: margin >= -1e-9 on every sampled instance."""
-    t0 = time.time()
+    """The `degree-at-most` suite at the one cell (n, s, p): random Fourier
+    mixtures across levels 0..s against the degree-s moment bound, margin
+    >= -1e-9 on every one of `budget` sampled instances."""
     if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
         raise InputError(f"degree_at_most_check: need integers n={n!r}, s={s!r}, budget={budget!r}")
-    config = SuiteConfig(
-        "degree-at-most",
-        grid={"n": n, "s": s, "p": p},
-        tolerances={"margin": 1e-9},
-        seed=seed,
-        budget={"instances": budget},
-    )
-    if n > 14 or not (1 <= s <= n / 2) or not p >= 2:
-        raise InputError("degree_at_most_check: need n <= 14, 1 <= s <= n/2, p >= 2")
-    if budget < 1:
-        raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {budget}")
-    m = 1 << n
-    levels = [np.flatnonzero(weight_table(n) == r) for r in range(s + 1)]
-    bound = moment_bound(n, s, p)
-    cases = []
-    for inst in range(budget):
-        rng = np.random.Generator(np.random.Philox(key=[seed, inst]))
-        coeffs = np.zeros(m)
-        if inst == 0:
-            # pure top level: the homogeneous case
-            coeffs[levels[s]] = rng.standard_normal(len(levels[s]))
-        elif inst == 1:
-            # concentrated strictly below the top level (s >= 1)
-            coeffs[levels[s - 1]] = rng.standard_normal(len(levels[s - 1]))
-        else:
-            scales = rng.standard_normal(s + 1)
-            for r, idx in enumerate(levels):
-                coeffs[idx] = scales[r] * rng.standard_normal(len(idx))
-        f = to_points(CubeFunction(n, "fourier-coefficients", coeffs))
-        lhs = p * math.log2(lp_norm(f, p)) - p * math.log2(lp_norm(f, 2))
-        cell = {"n": n, "s": s, "p": p, "instance": inst}
-        cases.append(make_report("moment-degree-at-most", cell, lhs, bound, tol=1e-9))
-    return _finish(config, cases, {}, [], t0)
+    return run_suite("degree-at-most", {"n": (n,), "s": (s,), "p": (p,)}, seed, {"instances": budget})
 
 
 # ---------------------------------------------------------- identity cells
@@ -375,13 +344,14 @@ def _disc_cont(n, sigma, eps, tol):
 def _edge_iso_sphere(n, s):
     n, s = int(n), int(s)
     sigma = s / n
+    ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
     cases = []
     worst_c = 0.0
     for j in range(1, s + 1):
         i = 2 * j
         if i > 2 * sigma * (1 - sigma) * n:
             break
-        actual = math.log2(math.comb(s, j) * math.comb(n - s, j))
+        actual = ls[j] + lns[j]  # log2 of the C(s, j) C(n - s, j) pairs at distance i
         bound = edge_iso_bound(n, sigma, i) * n
         factor = 2.0 ** (bound - actual)
         worst_c = max(worst_c, factor / i)
@@ -489,9 +459,33 @@ def _extremal_search(n, s, p, seed, restarts):
 
 
 def _degree_at_most(n, s, p, seed, instances):
+    # random Fourier mixtures across levels 0..s against the degree-s moment
+    # bound, `instances` of them per cell
+    if instances < 1:
+        raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {instances}")
     cases = []
     for nv, sv, pv in product(map(int, n), map(int, s), map(float, p)):
-        cases.extend(degree_at_most_check(nv, sv, pv, budget=instances, seed=seed).cases)
+        if nv > _SEARCH_N_CAP or not (1 <= sv <= nv / 2) or not pv >= 2:
+            raise InputError(f"degree_at_most_check: need n <= {_SEARCH_N_CAP}, 1 <= s <= n/2, p >= 2")
+        levels = [np.flatnonzero(weight_table(nv) == r) for r in range(sv + 1)]
+        bound = moment_bound(nv, sv, pv)
+        for inst in range(instances):
+            rng = np.random.Generator(np.random.Philox(key=[seed, inst]))
+            coeffs = np.zeros(1 << nv)
+            if inst == 0:
+                # pure top level: the homogeneous case
+                coeffs[levels[sv]] = rng.standard_normal(len(levels[sv]))
+            elif inst == 1:
+                # concentrated strictly below the top level (s >= 1)
+                coeffs[levels[sv - 1]] = rng.standard_normal(len(levels[sv - 1]))
+            else:
+                scales = rng.standard_normal(sv + 1)
+                for r, idx in enumerate(levels):
+                    coeffs[idx] = scales[r] * rng.standard_normal(len(idx))
+            f = to_points(CubeFunction(nv, "fourier-coefficients", coeffs))
+            lhs = pv * math.log2(lp_norm(f, pv)) - pv * math.log2(lp_norm(f, 2))
+            cell = {"n": nv, "s": sv, "p": pv, "instance": inst}
+            cases.append(make_report("moment-degree-at-most", cell, lhs, bound, tol=1e-9))
     return cases, {}, ()
 
 
@@ -556,7 +550,7 @@ _SUITES = {
     "ue-sphere-union": _Suite({"eps": 0.1, "n": (50, 100, 200), "R": 0.5}, measure=_ue_sphere_union),
     "tails-sphere": _Suite({"n": (128, 256, 512)}, measure=_tails_sphere),
     "max-proj-roots": _Suite({"n": (32, 64, 128)}, measure=_max_proj_roots),
-    # s keeps 1 <= s <= n/2 of 1..7, every s the search's cap n <= 14 allows
+    # s keeps 1 <= s <= n/2 of 1..7, every s up to half the search's n cap
     "extremal-search": _Suite(
         {"n": (6, 8), "s": tuple(range(1, 8)), "p": (3, 4)},
         measure=_extremal_search,

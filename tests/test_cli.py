@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from krawbound import cli
-from krawbound.cube import apply_noise, lp_norm, spectral_project, sphere_indicator
+from krawbound.cube import apply_noise, lp_norm, random_homogeneous, spectral_project, sphere_indicator
 from krawbound.verify import SuiteConfig, SuiteReport
 
 SCHEMA = json.loads(
@@ -157,6 +157,13 @@ def test_eval_random_homogeneous_deterministic():
     assert ks == [2]  # homogeneous: single spectral level
 
 
+def test_eval_random_levels_match_projection():
+    # the level masses by Parseval against the projection they replaced
+    payload = run_json("eval", "--n", "10", "--s", "3", "--seed", "4")["payload"]
+    want = math.log2(lp_norm(spectral_project(random_homogeneous(10, 3, 4), 3), 2) ** 2) / 10
+    assert payload["levels"] == [[3, pytest.approx(want, rel=1e-14)]]
+
+
 def test_induction_payload():
     doc = run_json("induction", "--n", "64", "--s", "16", "--p", "4")
     payload = doc["payload"]
@@ -180,6 +187,19 @@ def test_iso_sweep_csv_rectangular():
     assert len(rows) > 3
     # even distances on the sphere get exact counts, odd ones stay blank
     assert rows[2][2] != "" and rows[1][2] == ""
+
+
+def test_iso_sphere_column_matches_exact_counts():
+    n, s = 2000, 1000
+    rows = run_json("iso", "--n", str(n), "--s", str(s), "--raw")["payload"]["rows"]
+    even = [(i, got) for i, _, got in rows if i % 2 == 0]
+    assert len(even) == 500 and all(got is not None for _, got in even)
+    for i, got in even:
+        want = math.log2(math.comb(s, i // 2) * math.comb(n - s, i // 2))
+        assert got == pytest.approx(want, rel=2.3e-16)
+    # a sphere of radius 9 in n = 10 has no pairs at distance 4: no count
+    rows = run_json("iso", "--n", "10", "--s", "9", "--sigma", "0.3")["payload"]["rows"]
+    assert [row[2] is None for row in rows] == [True, False, True, True]
 
 
 def test_out_writes_file(tmp_path):
@@ -210,6 +230,8 @@ def test_input_error_exits_2():
     # n = 0 is refused before any division by n
     assert run("eval", "--n", "0", "--s", "0").exit_code == 2
     assert run("iso", "--n", "0", "--s", "0").exit_code == 2
+    # the sphere column's row C(n - s, .) is capped like every log2 binomial row
+    assert run("iso", "--n", "1000000000", "--s", "3").exit_code == 2
     assert run("bound", "moment", "--n", "0", "--s", "0", "--p", "4").exit_code == 2
     # p past psi's cap of 1022, where (1-d)^p leaves the normal floats
     assert run("bound", "moment", "--n", "100", "--s", "1", "--p", "2000").exit_code == 2

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krawbound.krawchouk as kw
 from krawbound.bivariate import exponent_I, tau
-from krawbound.numerics import InputError, exact_binomial, log2_bigint
+from krawbound.numerics import InputError, exact_binomial
 from oracles import kraw_moment_exact, kraw_sum, kraw_table_recurrence, kraw_table_sum
 
 
@@ -124,7 +125,7 @@ def test_log_row_above_table_cap_matches_exact_row(n, s):
     row = kw._kraw_row_weight_recurrence(n, s)
     signs, logs = kw.kraw_log_row(n, s)
     assert signs.tolist() == [(v > 0) - (v < 0) for v in row]
-    err = max(abs(logs[i] - log2_bigint(abs(v))) for i, v in enumerate(row) if v)
+    err = max(abs(logs[i] - math.log2(abs(v))) for i, v in enumerate(row) if v)
     assert err <= 1e-9
 
 
@@ -149,6 +150,25 @@ def test_eval_real_matches_table():
                     assert got == 0.0
                 else:
                     assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,s,x", [(1100, 550, 0.5), (2000, 1000, 0.5), (5000, 2500, 0.5), (3000, 1500, -1.5)])
+def test_eval_real_overflow_maps_to_inf(n, s, x):
+    m, _ = kw._kraw_eval_scaled(n, s, x)
+    assert kw.kraw_eval_real(n, s, x) == math.copysign(math.inf, m)
+
+
+def test_eval_scaled_rescales_both_ways_against_mpmath():
+    # near x = n/2 the values rise to about 2^(n/2) at s = n/2 and fall
+    # back by s = n, so the pair is scaled down twice and up once
+    n, s, x = 2400, 2399, 1200.25
+    m, e = kw._kraw_eval_scaled(n, s, x)
+    assert e > 500 and abs(m) < 2.0**-400
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(1), n - 2 * mpmath.mpf(x)
+        for j in range(1, s):
+            a, b = b, ((n - 2 * mpmath.mpf(x)) * b - (n - j + 1) * a) / (j + 1)
+        assert abs(mpmath.ldexp(m, e) / b - 1) < 1e-13
 
 
 def test_eval_real_continuity():
@@ -422,11 +442,11 @@ def test_tail_sandwich_at_512():
     budget = 5.0 * math.log2(n) / n
     for s in [8, 64, 255]:
         row = kw._kraw_row_weight_recurrence(n, s)
-        lc = log2_bigint(math.comb(n, s))
+        lc = math.log2(math.comb(n, s))
         x = s / n
         imax = int(n / 2 - math.sqrt(s * (n - s)))
         for i in range(imax + 1):
-            lk = log2_bigint(row[i]) / n
+            lk = math.log2(row[i]) / n
             lower = lc / n + exponent_I(x, i / n) + 1.0
             upper = tau(x, i / n)
             assert lk >= lower - 1e-9

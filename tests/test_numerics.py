@@ -25,7 +25,6 @@ from krawbound.numerics import (
     binary_entropy,
     exact_binomial,
     inverse_entropy,
-    log2_bigint,
     log2_binomial,
     log_sum_exp2,
     log_sum_exp2_signed,
@@ -212,7 +211,7 @@ def test_exact_binomial_pascal_triangle():
 
 def test_log2_binomial_against_exact():
     for n, k in [(0, 0), (1, 0), (4, 2), (64, 30), (1000, 500), (4096, 123)]:
-        want = math.log2(math.comb(n, k)) if math.comb(n, k) < 2 ** 50 else log2_bigint(math.comb(n, k))
+        want = math.log2(math.comb(n, k))
         got = log2_binomial(n, k)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     with pytest.raises(InputError):
@@ -226,8 +225,13 @@ def test_log2_binomial_against_exact():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 1001, 2048, EXACT_BINOMIAL_CAP])
 def test_log2_binomial_row_exact_up_to_cap(n):
-    want = [log2_bigint(math.comb(n, i)) for i in range(n + 1)]
-    assert _log2_binomial_row(n) == want
+    # math.log2 of the exact integers: within an ulp of the true log at any size
+    row = _log2_binomial_row(n)
+    assert len(row) == n + 1
+    with mpmath.workdps(50):
+        for k in sorted({*range(min(n, 40) + 1), *range(0, n + 1, max(1, n // 50)), n // 2, n}):
+            want = mpmath.log(mpmath.binomial(n, k), 2)
+            assert abs(row[k] - want) <= 2.3e-16 * abs(want), (n, k)
 
 
 def test_log2_binomial_row_above_cap_against_mpmath():
@@ -307,13 +311,6 @@ def test_entropy_binomial_sandwich():
             got = log2_binomial(n, k)
             assert got <= ub + 1e-9
             assert got >= lb - 1e-9
-
-
-def test_log2_bigint():
-    assert log2_bigint(1) == 0.0
-    assert log2_bigint(2 ** 600) == 600.0
-    v = math.comb(4096, 2048)
-    assert abs(log2_bigint(v) - log2_binomial(4096, 2048)) < 1e-8
 
 
 def test_log_sum_exp2_basics():

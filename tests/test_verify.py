@@ -139,6 +139,12 @@ def test_degree_mixtures_hold_bound():
     assert rep.cases[1].params["instance"] == 1 and rep.cases[1].passed
 
 
+def test_degree_mixtures_are_the_suite_at_one_cell():
+    rep = degree_at_most_check(10, 3, 4, budget=1000, seed=5)
+    suite = run_suite("degree-at-most", {"n": (10,), "s": (3,), "p": (4,)}, 5, {"instances": 1000})
+    assert rep.cases == suite.cases
+
+
 def test_degree_mixtures_domain():
     with pytest.raises(InputError):
         degree_at_most_check(20, 3, 4)
