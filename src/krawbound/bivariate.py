@@ -10,7 +10,7 @@ objects, with x always a degree-like ratio and y a point-like ratio in
   y = 1/2 - sqrt(x(1-x));
 - h, a: the auxiliary one-parameter families;
 - psi(p,x): the lp/l2 moment-ratio exponent, two representations from one
-  solve of a(p, delta) = x, with y = delta^p / (delta^p + (1-delta)^p);
+  solve of a(p, 1/2 - t) = x, with y = r^p / (1 + r^p), r = (1-2t)/(1+2t);
 - pi(x,y): spectral-projection exponent, symmetric and nonpositive;
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
@@ -49,8 +49,6 @@ _SLACK = 1e-12
 _GRID_POINTS = 2001
 # sigma rows kept over the three oracles, whose grids use at most 12 sigmas each
 _SIGMA_ROWS = 64
-# largest p of a, psi and their solve: (1-d)^p >= 2^-p stays a normal float for d <= 1/2
-_P_MAX = 1022
 
 
 def _gate(name: str, label: str, t: float) -> float:
@@ -254,33 +252,36 @@ def solve_h_inverse(p: float, target: float) -> float:
 
 def a_fn(p: float, delta: float) -> float:
     """a(p,delta) = (1/2 - delta) ((1-d)^{p-1} - d^{p-1}) / ((1-d)^p + d^p)
-    for 2 <= p <= 1022; decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
-    if not 2 <= p <= _P_MAX:
-        raise InputError(f"a_fn: need 2 <= p <= {_P_MAX}, got p={p}")
-    return _a(p, _gate("a_fn", "delta", delta))
+    for finite p >= 2; decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
+    if not 2 <= p < math.inf:
+        raise InputError(f"a_fn: need finite p >= 2, got p={p}")
+    return _a(p, 0.5 - _gate("a_fn", "delta", delta))
 
 
-def _a(p: float, d: float) -> float:
-    """a_fn's formula, for d already in [0, 1/2]."""
-    num = (1.0 - d) ** (p - 1.0) - d ** (p - 1.0)
-    den = (1.0 - d) ** p + d ** p
-    return (0.5 - d) * num / den
+def _log_r(t: float) -> float:
+    """ln r for r = (1-2t)/(1+2t) = delta/(1-delta), t in [0, 1/2]; -inf at t = 1/2."""
+    return math.log1p(-2.0 * t) - math.log1p(2.0 * t) if t < 0.5 else -math.inf
+
+
+def _a(p: float, t: float) -> float:
+    """a at delta = 1/2 - t with both powers divided by (1-delta)^p, so that
+    no float leaves its range for any finite p: 2t/(1+2t) (1 - r^(p-1))
+    / (1 + r^p); increases from 0 at t = 0 to 1/2 at t = 1/2."""
+    ln_r = _log_r(t)
+    return 2.0 * t / (1.0 + 2.0 * t) * -math.expm1((p - 1.0) * ln_r) / (1.0 + math.exp(p * ln_r))
+
+
+def _a_root(p: float, x: float) -> float:
+    """t in [0, 1/2] with a(p, 1/2 - t) = x, solved on the increasing a; t = x at both ends."""
+    return x if x in (0.0, 0.5) else _solve(lambda t: _a(p, t) - x, 0.0, 0.5)
 
 
 def solve_a_inverse(p: float, x: float) -> float:
-    """delta in [0, 1/2] with a(p, delta) = x, 2 <= p <= 1022; solved on the
-    decreasing a. For x below ~1e-32 the root lies within a float spacing of
-    1/2 and rounds to it."""
-    if not 2 <= p <= _P_MAX:
-        raise InputError(f"solve_a_inverse: need 2 <= p <= {_P_MAX}, got p={p}")
-    if not (0.0 <= x <= 0.5):
-        raise InputError(f"solve_a_inverse: x={x} outside [0, 1/2]")
-    if x == 0.5:
-        return 0.0
-    if x == 0.0:
-        return 0.5
-    # a decreasing: a(0) = 1/2 >= x >= 0 = a(1/2); the bracket is a's domain
-    return _solve(lambda d: x - _a(p, d), 0.0, 0.5)
+    """delta in [0, 1/2] with a(p, delta) = x, for finite p >= 2, as 1/2 - t;
+    for x below ~1e-32, t is below 2^-55 and delta rounds to 1/2."""
+    if not 2 <= p < math.inf:
+        raise InputError(f"solve_a_inverse: need finite p >= 2, got p={p}")
+    return 0.5 - _a_root(p, _gate("solve_a_inverse", "x", x))
 
 
 @dataclass(frozen=True)
@@ -290,46 +291,46 @@ class PsiEval:
     p: float
     x: float
     value: float  # first representation H(y) - 1 + p tau(x,y) - (p/2) H(x)
-    second_value: float  # (p-1) + log2((1-d)^p + d^p) - (p/2)H(x) - px log2(1-2d)
-    y_aux: float  # h(p, y) = 1 - 2x, as d^p / (d^p + (1-d)^p); 0 once d^p underflows
-    delta_aux: float  # a(p, delta) = x
+    second_value: float  # -1 + p log2(1+2t) + log2(1+r^p) - (p/2)H(x) - px log2(2t)
+    y_aux: float  # h(p, y) = 1 - 2x, as r^p / (1 + r^p); 0 once r^p underflows
+    delta_aux: float  # a(p, delta) = x, as 1/2 - t
 
 
 def psi(p: float, x: float) -> PsiEval:
-    """The moment-ratio exponent psi(p, x), for 2 <= p <= 1022.
+    """The moment-ratio exponent psi(p, x), for 2 <= p <= 10^6.
 
-    Second representation: (p-1) + log2((1-d)^p + d^p) - (p/2) H(x)
-    - p x log2(1-2d) with a(p,d) = x, the one root solve. First:
-    H(y) - 1 + p tau(x,y) - (p/2) H(x) with h(p,y) = 1-2x, where
-    y = d^p / (d^p + (1-d)^p) by the identity that links the two. Both are
-    computed and reconciled; disagreement beyond 1e-6 raises InternalError.
-    Where d^p underflows (p >~ 50, x near 1/2) y_aux reads 0, no float being
-    the true y (~1e-570); both values stay finite and agree to about 1e-14.
-    Above p = 1022, (1-d)^p leaves the normal floats and InputError is raised.
+    One root solve of a(p, 1/2 - t) = x gives t and r = (1-2t)/(1+2t) =
+    delta/(1-delta). Second representation: (p-1) + log2((1-d)^p + d^p)
+    - (p/2) H(x) - p x log2(1-2d), taken as -1 + p log2(1+2t) + log2(1+r^p)
+    - (p/2) H(x) - p x log2(2t). First: H(y) - 1 + p tau(x,y) - (p/2) H(x)
+    with h(p,y) = 1-2x, where y = r^p / (1 + r^p) by the identity that links
+    the two. Both are computed and reconciled; disagreement beyond 1e-6
+    raises InternalError. Where r^p underflows (p >~ 50, x near 1/2) y_aux
+    reads 0, no float being the true y (~1e-570); both values stay finite.
     """
-    if not 2 <= p <= _P_MAX:
-        raise InputError(f"psi: need 2 <= p <= {_P_MAX}, got p={p}")
+    # psi grows like p, and so does the float error of its representations:
+    # over x from 1e-320 to 1/2 the worst |rep1 - rep2| was 7.1e-9 at p = 10^6
+    # and 7.1e-7 at 10^8, and at 10^9 the fixed 1e-6 gate failed 24 times
+    if not 2 <= p <= 1e6:
+        raise InputError(f"psi: need 2 <= p <= 1e6, got p={p}")
     x = _gate("psi", "x", x)
-    if x == 0.0:
-        # y = 1/2, delta = 1/2; both representations collapse to 0 in the limit
-        return PsiEval(p, x, 0.0, 0.0, 0.5, 0.5)
-    if p == 2.0:
-        # h(2,y) = 1-2x lands y on the root-region boundary and both
-        # representations vanish identically
-        return PsiEval(p, x, 0.0, 0.0, root_region_boundary(x), solve_a_inverse(2.0, x))
-    d = solve_a_inverse(p, x)
-    dp, ep = d ** p, (1.0 - d) ** p
-    y = dp / (dp + ep)
+    t = _a_root(p, x)
+    if x == 0.0 or p == 2.0:
+        # psi(p, 0) = psi(2, x) = 0 exactly, where the representations leave
+        # float noise or, at t = 0, take log2(0); y = 1/2 at x = 0, and h(2,y)
+        # = 1-2x lands y on the root-region boundary, which is 1/2 at x = 0
+        return PsiEval(p, x, 0.0, 0.0, root_region_boundary(x), 0.5 - t)
+    rp = math.exp(p * _log_r(t))
+    y = rp / (1.0 + rp)
     hx = binary_entropy(x)
     rep1 = binary_entropy(y) - 1.0 + p * tau(x, y) - 0.5 * p * hx
-    # x log2(1 - 2d) -> 0 as x -> 0, where d rounds to 1/2
-    tail = p * x * math.log2(1.0 - 2.0 * d) if d < 0.5 else 0.0
-    rep2 = (p - 1.0) + math.log2(ep + dp) - 0.5 * p * hx - tail
+    rep2 = (p * math.log1p(2.0 * t) + math.log1p(rp)) / math.log(2.0) - 1.0 - 0.5 * p * hx
+    rep2 -= p * x * math.log2(2.0 * t)
     if abs(rep1 - rep2) > 1e-6:
         raise InternalError(
             f"psi: representations disagree by {abs(rep1 - rep2):.3e} at p={p}, x={x}"
         )
-    return PsiEval(p, x, rep1, rep2, y, d)
+    return PsiEval(p, x, rep1, rep2, y, 0.5 - t)
 
 
 def pi_fn(x: float, y: float) -> float:

@@ -255,8 +255,6 @@ def degree_at_most_check(
     """The `degree-at-most` suite at the one cell (n, s, p): random Fourier
     mixtures across levels 0..s against the degree-s moment bound, margin
     >= -1e-9 on every one of `budget` sampled instances."""
-    if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
-        raise InputError(f"degree_at_most_check: need integers n={n!r}, s={s!r}, budget={budget!r}")
     return run_suite("degree-at-most", {"n": (n,), "s": (s,), "p": (p,)}, seed, {"instances": budget})
 
 
@@ -291,7 +289,7 @@ def _nsp_cells(n, p):
     # three s per (n, p): n/8, n/4 and 3n/8
     for nv, pv in product(n, p):
         for s in (nv // 8, nv // 4, 3 * nv // 8):
-            yield {"n": int(nv), "s": int(s), "p": float(pv)}
+            yield {"n": nv, "s": s, "p": float(pv)}
 
 
 def _psi_two_reps(p, x):
@@ -326,10 +324,9 @@ def _disc_phi(nv: int, sigma: float, eps: list) -> list:
 def _disc_cont(n, sigma, eps, tol):
     # The continuous maximum defining phi exceeds its n-point grid version
     # by at most O(1/n); the measured constant is reported.
-    cases = []
-    worst_c = 0.0
+    cases, worst_c = [], 0.0
     eps = [float(ep) for ep in eps]
-    for nv, sg in product(map(int, n), map(float, sigma)):
+    for nv, sg in product(n, map(float, sigma)):
         for ep, disc in zip(eps, _disc_phi(nv, sg, eps)):
             gap = phi(sg, ep) - disc
             worst_c = max(worst_c, gap * nv)
@@ -342,11 +339,9 @@ def _disc_cont(n, sigma, eps, tol):
 
 
 def _edge_iso_sphere(n, s):
-    n, s = int(n), int(s)
     sigma = s / n
     ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
-    cases = []
-    worst_c = 0.0
+    cases, worst_c = [], 0.0
     for j in range(1, s + 1):
         i = 2 * j
         if i > 2 * sigma * (1 - sigma) * n:
@@ -363,12 +358,9 @@ def _edge_iso_sphere(n, s):
 
 def _hc_sphere_gap(eps, s):
     eps = float(eps)
-    svals = [int(v) for v in s]
     p = 1 + (1 - 2 * eps) ** 2
-    cases = []
-    gaps = []
-    cs = []
-    for sv in svals:
+    cases, gaps, cs = [], [], []
+    for sv in s:
         n = 4 * sv
         prof = SymmetricProfile.sphere(n, sv)
         r_p = (prof.lp_norm_log2(p) - prof.lp_norm_log2(1)) / n
@@ -382,7 +374,7 @@ def _hc_sphere_gap(eps, s):
         cases.append(
             make_report("hc-sphere-gap", {"n": n, "s": sv, "eps": eps}, lhs, bound * n + p_norm, tol=1e-9)
         )
-    xs = [math.log2(sv) for sv in svals]
+    xs = [math.log2(sv) for sv in s]
     slope = float(np.polyfit(xs, gaps, 1)[0])
     constants = {"hc_gap_bits_slope_vs_log2_s": slope, "hc_gap_factor_over_s_0.75": cs}
     return cases, constants, ()
@@ -390,9 +382,8 @@ def _hc_sphere_gap(eps, s):
 
 def _ue_sphere_union(eps, n, R):
     eps, R = float(eps), float(R)
-    cases = []
-    per_log = []
-    for nv in map(int, n):
+    cases, per_log = [], []
+    for nv in n:
         s = round(inverse_entropy(R) * nv)
         r_eff = binary_entropy(s / nv)
         brute = sphere_union_ue_log2(nv - 1, s, eps)
@@ -410,9 +401,8 @@ def _ue_sphere_union(eps, n, R):
 def _tails_sphere(n):
     # every root-delimited interval must carry l2 mass; the margin is the
     # headroom in bits over an n^{-5/2} floor
-    cases = []
-    scaled = []
-    for nv in map(int, n):
+    cases, scaled = [], []
+    for nv in n:
         s = nv // 4
         records = l2_between_roots(nv, s)
         interior = [r for r in records if not r.empty]
@@ -425,9 +415,8 @@ def _tails_sphere(n):
 
 
 def _max_proj_roots(n):
-    cases = []
-    scaled = []
-    for nv in map(int, n):
+    cases, scaled = [], []
+    for nv in n:
         s = nv // 8
         sigma = inverse_entropy(log2_binomial(nv, s) / nv)
         records = l2_between_roots(nv, s)
@@ -445,10 +434,9 @@ def _max_proj_roots(n):
 
 
 def _extremal_search(n, s, p, seed, restarts):
-    cases = []
-    artifacts = []
-    for nv, pv in product(map(int, n), map(float, p)):
-        for sv in (v for v in map(int, s) if 1 <= v <= nv // 2):
+    cases, artifacts = [], []
+    for nv, pv in product(n, map(float, p)):
+        for sv in (v for v in s if 1 <= v <= nv // 2):
             rec = search_extremal_ratio(nv, sv, pv, budget=restarts, seed=seed)
             cell = {"n": nv, "s": sv, "p": pv}
             lhs, bound = rec.best_log2_ratio, rec.bound_log2
@@ -464,7 +452,7 @@ def _degree_at_most(n, s, p, seed, instances):
     if instances < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {instances}")
     cases = []
-    for nv, sv, pv in product(map(int, n), map(int, s), map(float, p)):
+    for nv, sv, pv in product(n, s, map(float, p)):
         if nv > _SEARCH_N_CAP or not (1 <= sv <= nv / 2) or not pv >= 2:
             raise InputError(f"degree_at_most_check: need n <= {_SEARCH_N_CAP}, 1 <= s <= n/2, p >= 2")
         levels = [np.flatnonzero(weight_table(nv) == r) for r in range(sv + 1)]
@@ -574,10 +562,17 @@ def tightness_tags() -> list:
     return sorted(tag for tag, row in _SUITES.items() if row.tol is None and row.budget is None)
 
 
+def _integer(tag: str, label: str, v) -> int:
+    """v as an int; any other value is an InputError rather than truncated."""
+    if not isinstance(v, numbers.Integral):
+        raise InputError(f"{tag}: need integers, got {label}={v!r}")
+    return int(v)
+
+
 def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
-    """Each axis's values from the grid, or its default. A grid axis the
-    suite does not read, or several values on an axis that takes one, is an
-    InputError rather than silently dropped."""
+    """Each axis's values from the grid, or its default; values of n and s
+    as ints. A grid axis the suite does not read, or several values on an
+    axis that takes one, is an InputError rather than silently dropped."""
     unknown = sorted(set(grid) - set(axes))
     if unknown:
         raise InputError(f"{tag}: no grid axis {', '.join(unknown)}; it reads {', '.join(axes)}")
@@ -585,6 +580,7 @@ def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
     for name, default in axes.items():
         got = grid.get(name, default)
         values = (got,) if np.isscalar(got) else tuple(got)
+        values = tuple(_integer(tag, name, v) for v in values) if name in ("n", "s") else values
         if isinstance(default, tuple):
             out[name] = values
         elif len(values) == 1:
@@ -619,8 +615,8 @@ def run_suite(
         extra, config = {"tol": tol}, SuiteConfig(name, grid, tolerances={"residual": tol})
     elif row.budget is not None:
         key, default = row.budget
-        spent = {key: int((budget or {}).get(key, default))}
-        seed = seed or 0
+        spent = {key: _integer(name, key, (budget or {}).get(key, default))}
+        seed = _integer(name, "seed", 0 if seed is None else seed)
         extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, seed=seed, budget=spent)
     else:
         extra, config = {}, SuiteConfig(name, grid)

@@ -444,14 +444,73 @@ def test_psi_finite_where_y_aux_underflows(p, x):
     assert abs(ev.value - ev.second_value) <= 1e-9
 
 
-@pytest.mark.parametrize("p", [1050.0, 1070.0, 2000.0])
-@pytest.mark.parametrize("x", [1e-6, 0.01, 0.3, 0.49])
-def test_psi_refuses_p_above_the_cap(p, x):
-    # past p = 1022, (1-d)^p + d^p can leave the normal floats, where psi's
-    # two representations part and its solve divides by zero
-    for f in (bv.psi, bv.a_fn, bv.solve_a_inverse):
-        with pytest.raises(InputError, match="1022"):
-            f(p, x)
+@pytest.mark.parametrize("p", [1050.0, 2000.0, 1e4, 1e6])
+def test_psi_large_p_against_mpmath(p):
+    # past p = 1022, (1 - delta)^p leaves the floats; the t = 1/2 - delta
+    # form divides both powers by it
+    for x in [1e-4, 0.01, 0.1, 0.4, 0.49]:
+        ref = float(_psi_mp(p, x))
+        ev = bv.psi(p, x)
+        assert ev.value == pytest.approx(ref, rel=1e-11, abs=0.0), (x, ev.value, ref)
+        assert ev.second_value == pytest.approx(ref, rel=1e-11, abs=0.0), (x, ev.second_value, ref)
+
+
+@pytest.mark.parametrize("p", [1.5e6, 1e9])
+def test_psi_refuses_p_above_the_cap(p):
+    # psi grows like p and so does its float error, which past 10^6 nears the
+    # fixed 1e-6 gate between the two representations
+    with pytest.raises(InputError, match="1e6"):
+        bv.psi(p, 0.3)
+
+
+def test_a_fn_and_solve_take_any_finite_p():
+    for p in (2000.0, 1e300):
+        for x in (1e-300, 1e-6, 0.3, 0.49):
+            d = bv.solve_a_inverse(p, x)
+            assert 0.0 <= d <= 0.5 and math.isfinite(bv.a_fn(p, d))
+    for p in (math.inf, math.nan):
+        for f in (bv.a_fn, bv.solve_a_inverse):
+            with pytest.raises(InputError, match="finite p"):
+                f(p, 0.3)
+
+
+@pytest.mark.parametrize("p", [1010.0, 1022.0])
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-315])
+def test_psi_near_the_old_cap_at_subnormal_x(p, x):
+    # a's numerator (1-d)^(p-1) - d^(p-1) fell into the subnormals here, and
+    # the two representations parted by up to 3.5e-4; psi(p, x) is about
+    # (p/2) log2(p-1) x
+    ev = bv.psi(p, x)
+    assert abs(ev.value) <= 1e-300 and abs(ev.second_value) <= 1e-300
+
+
+def _psi_examples(test):
+    # the corners of psi's domain, p in {2, 2 + 1e-12, 1022, 10^6} by x in
+    # {0, the least subnormal, the float below 1/2, 1/2}
+    for p in (2.0, 2.0 + 1e-12, 1022.0, 1e6):
+        for x in (0.0, 5e-324, 0.5 - 2.0**-54, 0.5):
+            test = example(p=p, x=x)(test)
+    return test
+
+
+@_psi_examples
+@given(p=st.floats(2.0, 1e6), x=st.floats(0.0, 0.5))
+def test_psi_finite_and_reconciled_or_input_error(p, x):
+    try:
+        ev = bv.psi(p, x)
+    except InputError:
+        return
+    assert math.isfinite(ev.value) and math.isfinite(ev.second_value)
+    assert abs(ev.value - ev.second_value) <= 1e-6
+
+
+def test_psi_total_on_a_log_grid():
+    # 15 p from 2 to 10^6 by x = 10^-e and 3 10^-e for e = 1..323: each call
+    # returns finite values that pass the gate
+    for p in np.geomspace(2.0, 1e6, 15):
+        for x in (m * 10.0**-e for e in range(1, 324) for m in (1.0, 3.0)):
+            ev = bv.psi(float(p), x)
+            assert math.isfinite(ev.value) and abs(ev.value - ev.second_value) <= 1e-6
 
 
 def test_psi_domain_errors():
@@ -463,13 +522,16 @@ def test_psi_domain_errors():
 
 @pytest.mark.parametrize("x", [1e-300, 1e-32])
 def test_psi_tiny_x(x):
-    # h(3, y) = 1 - 2x rounds y to 1/2 and a(3, delta) = x rounds delta to
-    # 1/2; the second representation's x log2(1 - 2 delta) takes its limit 0
-    assert bv.solve_a_inverse(3.0, x) == 0.5
+    # a(3, 1/2 - t) = x has t ~ sqrt(x/8): 1/2 - t rounds to 1/2 at x = 1e-300
+    # and to the float below 1/2 at x = 1e-32, and y = 1/2 - O(t) likewise
+    delta = 0.5 if x < 1e-33 else 0.5 - 2.0**-54
+    assert bv.solve_a_inverse(3.0, x) == delta
     ev = bv.psi(3.0, x)
-    assert ev.y_aux == 0.5 and ev.delta_aux == 0.5
+    assert ev.y_aux == pytest.approx(0.5, abs=2e-16) and ev.delta_aux == delta
     assert abs(ev.value - ev.second_value) <= 1e-9
-    assert ev.second_value == pytest.approx(-1.5 * H(x), rel=1e-15)
+    # psi(3, x) ~ (p/2) log2(p-1) x = 1.5 x; the second representation's
+    # terms of order 1 cancel to float resolution
+    assert abs(ev.second_value - 1.5 * x) <= 1e-15
 
 
 @pytest.mark.parametrize("x", [1e-12, 1e-14, 1e-16])

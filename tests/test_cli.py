@@ -233,8 +233,8 @@ def test_input_error_exits_2():
     # the sphere column's row C(n - s, .) is capped like every log2 binomial row
     assert run("iso", "--n", "1000000000", "--s", "3").exit_code == 2
     assert run("bound", "moment", "--n", "0", "--s", "0", "--p", "4").exit_code == 2
-    # p past psi's cap of 1022, where (1-d)^p leaves the normal floats
-    assert run("bound", "moment", "--n", "100", "--s", "1", "--p", "2000").exit_code == 2
+    # p past psi's cap of 10^6, where its float error nears its 1e-6 gate
+    assert run("bound", "moment", "--n", "100", "--s", "1", "--p", "1e7").exit_code == 2
     # Phi or i0/n outside the float range
     assert run("induction", "--n", "10", "--s", "3", "--p", "1e6").exit_code == 2
     # fewer than 0 restarts or 1 instance

@@ -112,6 +112,22 @@ def test_run_suite_budgets():
     assert len(rep.cases) == 3 and rep.passed
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("edge-iso-sphere", {"grid": {"n": 40.9, "s": 10.5}}),
+        ("tails-sphere", {"grid": {"n": (128.0,)}}),
+        ("extremal-search", {"grid": {"n": (6,), "p": (3.0,)}, "budget": {"restarts": 2.7}}),
+        ("degree-at-most", {"budget": {"instances": 3.9}}),
+        ("extremal-search", {"grid": {"n": (6,), "p": (3.0,)}, "seed": 1.5}),
+    ],
+)
+def test_run_suite_refuses_non_integers(name, kwargs):
+    # n, s, the budgets and the seed are refused, not truncated to ints
+    with pytest.raises(InputError, match="need integers"):
+        run_suite(name, **kwargs)
+
+
 def test_run_suite_empty_grid_is_input_error():
     # the s axis keeps only 1 <= s <= n/2, so s = 9 at n = 6 leaves no case
     grid = {"n": (6,), "s": (9,), "p": (3.0,)}
