@@ -105,6 +105,38 @@ _SEARCH_ITERATIONS = 500  # power-method steps per row at most
 _SEARCH_N_CAP = 14  # largest n of the dense searches and mixtures
 
 
+def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """r -> the stream of np.random.Generator(np.random.Philox(key=[seed, r])).
+
+    One generator is re-keyed in place for each r, at counter 0 with an
+    empty buffer, because each fresh Philox also draws OS entropy for a
+    seed sequence it never uses."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state
+
+    def stream(r: int) -> np.random.Generator:
+        # Philox's own conversion of a key list, which wraps a negative seed
+        state["state"]["key"] = np.asarray([seed, r]).astype(np.uint64)
+        rng.bit_generator.state = state
+        return rng
+
+    return stream
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x with each row scaled to unit l2 norm, in place; einsum takes the
+    row norms without the squared copy np.linalg.norm makes. A row whose
+    sum of squares leaves the float range (a gradient at large p) is first
+    divided by its largest entry."""
+    sq = np.einsum("ij,ij->i", x, x)
+    big = np.isinf(sq)
+    if big.any():
+        x[big] /= np.abs(x[big]).max(axis=1, keepdims=True)
+        sq[big] = np.einsum("ij,ij->i", x[big], x[big])
+    x /= np.sqrt(sq)[:, None]
+    return x
+
+
 @dataclass(frozen=True)
 class SearchRecord:
     """One extremal-search cell; `converged_starts` counts the rows that
@@ -146,7 +178,9 @@ def search_extremal_ratio(
     than 1e-14, for at most _SEARCH_ITERATIONS = 500 steps. The reported
     coefficients are those of the lowest-index row within 1e-12 relative of
     the best ratio. A best ratio above the proven exponent is returned as a
-    serializable counterexample artifact, not raised.
+    serializable counterexample artifact, not raised. A cell whose sums of
+    |f|^p could leave the float range, 2^n C(n, s)^(p/2) >= 2^1024, is
+    refused.
     """
     if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
         raise InputError(f"search_extremal_ratio: need integers n={n!r}, s={s!r}, budget={budget!r}")
@@ -164,24 +198,38 @@ def search_extremal_ratio(
     m = 1 << n
     mask = weight_table(n) == s
     live = int(mask.sum())
+    # |f| <= sqrt(C(n, s)) on unit coefficients, so no sum of |f|^p over the
+    # cube exceeds 2^n C(n, s)^(p/2)
+    reach = n + 0.5 * p * math.log2(live)
+    if reach >= 1024:
+        raise InputError(
+            f"search_extremal_ratio: sums of |f|^p may reach 2^{reach:.0f}, "
+            f"outside the float range (below 2^1024); need a smaller p"
+        )
     rows = budget + 1
     # `cur` holds the batch of rows still rising, `kept` every row's live
     # coefficients at its best value once the row leaves the batch
     cur = np.zeros((rows, m))
     cur[0, mask] = 1.0
+    stream = _philox_streams(seed)
     for r in range(1, rows):
-        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
-        cur[r, mask] = rng.standard_normal(live)
-    cur /= np.linalg.norm(cur, axis=1, keepdims=True)
-    kept = cur[:, mask]
+        cur[r, mask] = stream(r).standard_normal(live)
+    kept = _unit_rows(cur)[:, mask]
 
     def values(c):
         # g = f |f|^(p-2) is both the point-space gradient direction and,
-        # times f, the p-th moment; exponent p - 2 hits numpy's fast powers
-        # at p = 2.5, 3 and 4. In place, with the bits of np.mean.
+        # times f, the p-th moment. |f|^(p-2) is squared in place while its
+        # exponent is an even integer, several times faster than libm pow;
+        # an exponent left at 1 needs no pass, and 1/2 (p = 2.5) is a sqrt.
+        # In place, with the bits of np.mean.
         pts = walsh_hadamard(c)
         g = np.abs(pts)
-        g **= p - 2.0
+        e = p - 2.0
+        while e >= 2.0 and e % 2.0 == 0.0:
+            g *= g
+            e /= 2.0
+        if e != 1.0:
+            g **= e
         g *= pts
         pts *= g
         return g, np.log2(pts.sum(axis=1) / m)
@@ -198,8 +246,7 @@ def search_extremal_ratio(
         cand = walsh_hadamard(cur_g)
         del cur_g  # each batch is freed before the next transform
         cand *= mask
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand_g, cand_val = values(cand)
+        cand_g, cand_val = values(_unit_rows(cand))
         old = best[active]
         up = cand_val - old
         # a row never falls: if its step would, it keeps its point and stops
@@ -214,8 +261,7 @@ def search_extremal_ratio(
         ext *= omega[ext_rows, None]
         ext += cur[slow]
         del cur
-        ext /= np.linalg.norm(ext, axis=1, keepdims=True)
-        ext_g, ext_val = values(ext)
+        ext_g, ext_val = values(_unit_rows(ext))
         win = ext_val > cand_val[slow]
         omega[ext_rows] = np.where(win, 2.0 * omega[ext_rows], 2.0)
         won = slow[win]
@@ -451,14 +497,14 @@ def _degree_at_most(n, s, p, seed, instances):
     # bound, `instances` of them per cell
     if instances < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {instances}")
-    cases = []
+    cases, stream = [], _philox_streams(seed)
     for nv, sv, pv in product(n, s, map(float, p)):
         if nv > _SEARCH_N_CAP or not (1 <= sv <= nv / 2) or not pv >= 2:
             raise InputError(f"degree_at_most_check: need n <= {_SEARCH_N_CAP}, 1 <= s <= n/2, p >= 2")
         levels = [np.flatnonzero(weight_table(nv) == r) for r in range(sv + 1)]
         bound = moment_bound(nv, sv, pv)
         for inst in range(instances):
-            rng = np.random.Generator(np.random.Philox(key=[seed, inst]))
+            rng = stream(inst)
             coeffs = np.zeros(1 << nv)
             if inst == 0:
                 # pure top level: the homogeneous case

@@ -157,6 +157,11 @@ def test_eval_random_homogeneous_deterministic():
     assert ks == [2]  # homogeneous: single spectral level
 
 
+def test_eval_lp_exponent_finite_at_large_p():
+    doc = run_json("eval", "--n", "12", "--s", "3", "--p", "1000", "--eps", "0.1", "--seed", "0")
+    assert math.isfinite(doc["payload"]["lp_exponent"])
+
+
 def test_eval_random_levels_match_projection():
     # the level masses by Parseval against the projection they replaced
     payload = run_json("eval", "--n", "10", "--s", "3", "--seed", "4")["payload"]
@@ -242,6 +247,9 @@ def test_input_error_exits_2():
     assert run("verify", "--suite", "extremal-search", *grid, "--budget", "-1").exit_code == 2
     assert run("verify", "--suite", "degree-at-most", "--budget", "-3").exit_code == 2
     assert run("verify", "--suite", "degree-at-most", "--budget", "0").exit_code == 2
+    # sums of |f|^p beyond the float range are refused, not printed as NaN margins
+    big_p = ("--grid", "n=6:6:1", "--grid", "p=1000:1000:1")
+    assert run("verify", "--suite", "extremal-search", *big_p, "--budget", "5").exit_code == 2
     # a grid that selects no case is refused, not reported as a pass
     assert run("verify", "--suite", "extremal-search", *grid, "--grid", "s=9:9:1").exit_code == 2
     # an axis the suite does not read, a tolerance on a suite without one, and

@@ -111,6 +111,25 @@ def test_walsh_hadamard_exact_on_integers(n):
         assert np.array_equal(walsh_hadamard(row), out)
 
 
+def test_walsh_hadamard_factors_at_most_32(monkeypatch):
+    # every Sylvester factor the transform builds is at most 32 x 32, and the
+    # factors of one transform cover its n bits, 1-d and batched alike
+    import krawbound.cube as cube
+
+    built, sylvester = [], cube._sylvester
+
+    def recording(k):
+        built.append(k)
+        return sylvester(k)
+
+    monkeypatch.setattr(cube, "_sylvester", recording)
+    for n in range(21):
+        for shape in ((1 << n,), (2, 1 << n)):
+            built.clear()
+            walsh_hadamard(np.ones(shape))
+            assert max(built) <= 5 and sum(built) == n, (n, shape, built)
+
+
 def test_wht_size_cap():
     with pytest.raises(InputError):
         CubeFunction(25, POINT, np.zeros(2))
@@ -303,6 +322,31 @@ def test_lp_and_inner_product_bit_identical_to_np_mean():
         for p in (1, 1.3, 2, 3.7, 6):
             assert lp_norm(f, p) == float(np.mean(np.abs(f.data) ** p) ** (1.0 / p))
         assert inner_product(f, g) == float(np.mean(f.data * g.data))
+
+
+@pytest.mark.parametrize(
+    "values, p",
+    [
+        ((3.0, 0.0, 0.0, 0.0), 1000.0),  # the plain mean overflows
+        ((3.0, -1.0, 2.5, 0.5), 1e6),
+        ((1e-300, -2e-300, 0.0, 5e-301), 3.0),  # the plain mean underflows to 0
+        ((1e-200, 3e-201, -7e-201, 0.0), 2.0),
+    ],
+)
+def test_lp_outside_the_float_range_against_mpmath(values, p):
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = mpmath.power(
+            mpmath.fsum(mpmath.power(abs(mpmath.mpf(v)), p) for v in values) / len(values), 1 / mpmath.mpf(p)
+        )
+    got = lp_norm(CubeFunction.from_points(2, values), p)
+    assert abs(got - float(want)) <= 1e-14 * float(want)
+
+
+def test_lp_of_infinite_or_nan_values():
+    assert lp_norm(CubeFunction.from_points(1, (math.inf, 1.0)), 3.0) == math.inf
+    assert math.isnan(lp_norm(CubeFunction.from_points(1, (math.nan, 1.0)), 3.0))
 
 
 def test_integer_point_values_taken_as_floats():

@@ -4,6 +4,7 @@ sweeps, replay determinism, and registry coverage."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from krawbound.bivariate import tau
@@ -12,6 +13,7 @@ from krawbound.numerics import InputError, binary_entropy
 from krawbound.verify import (
     SuiteConfig,
     _disc_phi,
+    _philox_streams,
     all_suite_tags,
     degree_at_most_check,
     identity_sweep,
@@ -69,6 +71,34 @@ def test_search_reports_lowest_tied_row():
     assert len(rec.best_fourier_coeffs) == math.comb(10, 4)
     assert max(abs(v - uniform) for v in rec.best_fourier_coeffs) < 1e-12
     assert rec.best_log2_ratio == pytest.approx(rec.kraw_log2_ratio, rel=1e-12)
+
+
+def test_philox_streams_match_fresh_generators():
+    # the re-keyed generator gives the stream of a fresh Philox(key=[seed, r])
+    # for every key, in any order of keys, over three successive draws
+    for seed in (0, 5, 2**40, -3):
+        stream = _philox_streams(seed)
+        for r in (*range(49), 2**63, 7):
+            fresh = np.random.Generator(np.random.Philox(key=[seed, r]))
+            rng = stream(r)
+            assert np.array_equal(rng.standard_normal(7), fresh.standard_normal(7))
+            assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3))
+            assert rng.random() == fresh.random()
+
+
+def test_search_refuses_p_beyond_the_float_range():
+    # 2^n C(n, s)^(p/2) bounds the search's sums of |f|^p; past 2^1024 the
+    # search is refused rather than returning a NaN ratio
+    with pytest.raises(InputError, match="float range"):
+        search_extremal_ratio(6, 1, 800.0, budget=20)
+    # below it the gradients' sums of squares can still overflow, and those
+    # rows are rescaled: no warning, every start converges, and the best is
+    # the Krawchouk ratio
+    for n, s, p in ((6, 3, 400.0), (6, 1, 500.0), (12, 6, 200.0)):
+        rec = search_extremal_ratio(n, s, p, budget=20)
+        assert rec.converged_starts == 21
+        assert rec.best_log2_ratio == pytest.approx(rec.kraw_log2_ratio, rel=2e-15)
+        assert rec.best_log2_ratio <= rec.bound_log2
 
 
 def test_search_rejects_out_of_range():
@@ -159,6 +189,12 @@ def test_degree_mixtures_are_the_suite_at_one_cell():
     rep = degree_at_most_check(10, 3, 4, budget=1000, seed=5)
     suite = run_suite("degree-at-most", {"n": (10,), "s": (3,), "p": (4,)}, 5, {"instances": 1000})
     assert rep.cases == suite.cases
+
+
+def test_degree_mixtures_at_large_p():
+    # lp_norm keeps |f|^p in range at p = 1000, so no margin reads -inf
+    rep = run_suite("degree-at-most", {"n": (6,), "s": (1,), "p": (1000.0,)}, 0, {"instances": 3})
+    assert rep.passed and math.isfinite(rep.worst_margin)
 
 
 def test_degree_mixtures_domain():
