@@ -3,9 +3,11 @@
 
     PYTHONPATH=src python scripts/search_drift.py [OTHER_SRC]
 
-prints the cell count and the smallest number of converged starts. Given the
-`src` directory of another checkout, it also runs the cells there, in a
-subprocess that imports krawbound from OTHER_SRC, and prints:
+prints the cell count, the smallest number of converged starts and the wall
+time of the cells. Given the `src` directory of another checkout, it also
+runs the cells there, after those here, in a subprocess that imports
+krawbound from OTHER_SRC, and prints:
+- the wall time of the cells there, and the ratio of the two times;
 - the largest relative drift of `best_log2_ratio`, and its cell;
 - how many bests kept their bits, and the largest fall of a best;
 - the largest move of the reported coefficients;
@@ -21,37 +23,39 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from krawbound.verify import search_extremal_ratio
 
 ROW_MOVED = 1e-4
 
 
-def cells() -> list:
-    """(n, s, p, best_log2_ratio, converged_starts, coefficients) per cell,
-    in criterion 04's order."""
-    out = []
+def cells() -> tuple:
+    """The wall time of the cells, and (n, s, p, best_log2_ratio,
+    converged_starts, coefficients) per cell, in criterion 04's order."""
+    t0, out = time.perf_counter(), []
     for n in (6, 8, 10, 12):
         for p in (2.5, 3.0, 4.0, 6.0):
             for s in range(1, n // 2 + 1):
                 rec = search_extremal_ratio(n, s, p, budget=200, seed=0)
                 out.append((n, s, p, rec.best_log2_ratio, rec.converged_starts, rec.best_fourier_coeffs))
-    return out
+    return time.perf_counter() - t0, out
 
 
 def main(argv: list) -> None:
     if argv == ["--dump"]:
         print(json.dumps(cells()))
         return
-    here = cells()
-    print(f"{len(here)} cells, fewest converged starts {min(c[4] for c in here)} of 201")
+    spent, here = cells()
+    print(f"{len(here)} cells, fewest converged starts {min(c[4] for c in here)} of 201, {spent:.2f} s")
     if not argv:
         return
     env = dict(os.environ, PYTHONPATH=argv[0])
     dump = subprocess.run(
         [sys.executable, __file__, "--dump"], env=env, check=True, capture_output=True, text=True
     )
-    there = json.loads(dump.stdout)
+    spent_there, there = json.loads(dump.stdout)
+    print(f"wall time there: {spent_there:.2f} s; here / there: {spent / spent_there:.3f}")
     drift = [abs(a[3] - b[3]) / abs(b[3]) for a, b in zip(here, there)]
     worst = max(range(len(drift)), key=drift.__getitem__)
     print(f"max relative drift of best_log2_ratio: {drift[worst]:.3e} at cell {tuple(here[worst][:3])}")

@@ -175,7 +175,19 @@ def search_extremal_ratio(
     moves to the better of d and e; its own omega starts at 2, doubles while
     e wins and falls back to 2 when e loses. A row takes each step whose
     value does not fall, and is transformed only while it rises by more
-    than 1e-14, for at most _SEARCH_ITERATIONS = 500 steps. The reported
+    than 1e-14, for at most _SEARCH_ITERATIONS = 500 steps.
+
+    The rows live on the half cube {x : top bit 0} of n - 1 bits (Fino &
+    Algazi, IEEE Trans. Comput. 25, 1976). Complementing every bit maps
+    chi_alpha to (-1)^|alpha| chi_alpha, so f and g both change by (-1)^s,
+    and the mean of |f|^p over the half cube is that over the cube. There
+    chi_alpha is the (n - 1)-bit character of alpha' = alpha mod 2^(n-1),
+    of weight s or s - 1; alpha -> alpha' is one to one on level s, since
+    alpha and alpha + 2^(n-1) differ in weight. So f is the (n - 1)-bit
+    transform of the coefficients put at alpha', and the gradient WHT(g)
+    at a level-s alpha is twice the (n - 1)-bit transform of g at alpha'
+    (the two halves of the sum agree), a factor the normalization drops.
+    Coefficients go in and come out in the order of level s. The reported
     coefficients are those of the lowest-index row within 1e-12 relative of
     the best ratio. A best ratio above the proven exponent is returned as a
     serializable counterexample artifact, not raised. A cell whose sums of
@@ -184,6 +196,7 @@ def search_extremal_ratio(
     """
     if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
         raise InputError(f"search_extremal_ratio: need integers n={n!r}, s={s!r}, budget={budget!r}")
+    seed = _seed("search_extremal_ratio", seed)
     if n > _SEARCH_N_CAP:
         raise InputError(f"search_extremal_ratio: n={n} exceeds search cap {_SEARCH_N_CAP}")
     if not (0 <= s <= n / 2):
@@ -195,9 +208,11 @@ def search_extremal_ratio(
     bound = moment_bound(n, s, p)
     if s == 0:
         return SearchRecord(n, s, p, budget, seed, 0.0, (1.0,), 0.0, bound, budget + 1, None)
-    m = 1 << n
-    mask = weight_table(n) == s
-    live = int(mask.sum())
+    level = np.flatnonzero(weight_table(n) == s)
+    m = 1 << (n - 1)
+    pos = level & (m - 1)  # alpha' of each level-s alpha, in level-s order
+    mask = np.isin(weight_table(n - 1), (s - 1, s))
+    live = level.size
     # |f| <= sqrt(C(n, s)) on unit coefficients, so no sum of |f|^p over the
     # cube exceeds 2^n C(n, s)^(p/2)
     reach = n + 0.5 * p * math.log2(live)
@@ -210,11 +225,11 @@ def search_extremal_ratio(
     # `cur` holds the batch of rows still rising, `kept` every row's live
     # coefficients at its best value once the row leaves the batch
     cur = np.zeros((rows, m))
-    cur[0, mask] = 1.0
+    cur[0, pos] = 1.0
     stream = _philox_streams(seed)
     for r in range(1, rows):
-        cur[r, mask] = stream(r).standard_normal(live)
-    kept = _unit_rows(cur)[:, mask]
+        cur[r, pos] = stream(r).standard_normal(live)
+    kept = _unit_rows(cur)[:, pos]
 
     def values(c):
         # g = f |f|^(p-2) is both the point-space gradient direction and,
@@ -242,7 +257,7 @@ def search_extremal_ratio(
         if active.size == 0:
             break
         # d/dc mean|f|^p is proportional to WHT(g); <WHT(g), c> = sum |f|^p
-        # > 0, so its weight-s projection never vanishes
+        # > 0, so its level-s projection, the mask, never vanishes
         cand = walsh_hadamard(cur_g)
         del cur_g  # each batch is freed before the next transform
         cand *= mask
@@ -270,17 +285,17 @@ def search_extremal_ratio(
         best[active] = cand_val
         stay = cand_val > old + 1e-14
         if not stay.all():
-            kept[active[~stay]] = cand[np.ix_(~stay, mask)]
+            kept[active[~stay]] = cand[np.ix_(~stay, pos)]
             cand, cand_g, active = cand[stay], cand_g[stay], active[stay]
         cur, cur_g = cand, cand_g
-    kept[active] = cur[:, mask]
+    kept[active] = cur[:, pos]
     best_val = float(best.max())
     top = int(np.argmax(best >= best_val - 1e-12 * abs(best_val)))
     kraw = kraw_moments(n, s, p).log2_ratio
     counterexample = None
     if best_val > bound + 1e-9:
-        full = np.zeros(m)
-        full[mask] = kept[top]
+        full = np.zeros(2 * m)
+        full[level] = kept[top]
         counterexample = {
             "n": n,
             "s": s,
@@ -494,7 +509,8 @@ def _extremal_search(n, s, p, seed, restarts):
 
 def _degree_at_most(n, s, p, seed, instances):
     # random Fourier mixtures across levels 0..s against the degree-s moment
-    # bound, `instances` of them per cell
+    # bound, `instances` of them per cell; on the full cube, since levels of
+    # both parities leave f without the search's complement symmetry
     if instances < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {instances}")
     cases, stream = [], _philox_streams(seed)
@@ -615,6 +631,16 @@ def _integer(tag: str, label: str, v) -> int:
     return int(v)
 
 
+def _seed(tag: str, v) -> int:
+    """v as a seed in [0, 2^63): numpy takes a Philox key list holding 2^63
+    or more through float64 (2^64 - 1 replays seed 0) and wraps a negative
+    seed, so any other seed is an InputError, not another seed's stream."""
+    v = _integer(tag, "seed", v)
+    if not 0 <= v < 1 << 63:
+        raise InputError(f"{tag}: need 0 <= seed < 2^63, got seed={v}")
+    return v
+
+
 def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
     """Each axis's values from the grid, or its default; values of n and s
     as ints. A grid axis the suite does not read, or several values on an
@@ -662,7 +688,7 @@ def run_suite(
     elif row.budget is not None:
         key, default = row.budget
         spent = {key: _integer(name, key, (budget or {}).get(key, default))}
-        seed = _integer(name, "seed", 0 if seed is None else seed)
+        seed = _seed(name, 0 if seed is None else seed)
         extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, seed=seed, budget=spent)
     else:
         extra, config = {}, SuiteConfig(name, grid)

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from krawbound import verify
 from krawbound.bivariate import tau
+from krawbound.cube import FOURIER, CubeFunction, lp_norm, walsh_hadamard, weight_table, wht
 from krawbound.krawchouk import kraw_moments
 from krawbound.numerics import InputError, binary_entropy
 from krawbound.verify import (
@@ -71,6 +73,73 @@ def test_search_reports_lowest_tied_row():
     assert len(rec.best_fourier_coeffs) == math.comb(10, 4)
     assert max(abs(v - uniform) for v in rec.best_fourier_coeffs) < 1e-12
     assert rec.best_log2_ratio == pytest.approx(rec.kraw_log2_ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_complement_fold_of_level_s(n):
+    # the identities the search's half cube {top bit 0} rests on, on integer
+    # level-s coefficients, where the transforms are exact
+    rng = np.random.default_rng(n)
+    m = 1 << (n - 1)
+    for s in range(1, n // 2 + 1):
+        level = np.flatnonzero(weight_table(n) == s)
+        pos = level & (m - 1)
+        # alpha -> alpha' = alpha mod 2^(n-1) is one to one onto levels s - 1
+        # and s of n - 1 bits
+        live = np.flatnonzero(np.isin(weight_table(n - 1), (s - 1, s)))
+        assert np.array_equal(np.sort(pos), live)
+        coeffs = np.zeros(2 * m)
+        coeffs[level] = rng.integers(-9, 10, level.size)
+        f = walsh_hadamard(coeffs)
+        # f(x ^ 1...1) = (-1)^s f(x), and f on the half cube is the
+        # (n - 1)-bit transform of the coefficients put at alpha'
+        assert np.array_equal(f[::-1], (-1) ** s * f)
+        half = np.zeros(m)
+        half[pos] = coeffs[level]
+        assert np.array_equal(walsh_hadamard(half), f[:m])
+        # the gradient WHT(g), g = f |f|^(p-2) at p = 3, is on level s twice
+        # the (n - 1)-bit transform of g on the half cube at alpha'
+        g = f * np.abs(f)
+        assert np.array_equal(walsh_hadamard(g)[level], 2.0 * walsh_hadamard(g[:m])[pos])
+        # and the half cube's mean of |f|^p is the cube's
+        for p in (2.5, 3.0, 6.0, 7.3):
+            full_mean, half_mean = np.mean(np.abs(f) ** p), np.mean(np.abs(f[:m]) ** p)
+            assert half_mean == pytest.approx(full_mean, rel=1e-14)
+
+
+def _full_cube_ratio(n, s, p, level_coeffs):
+    # log2 E|f|^p / (E f^2)^(p/2) of the level-s coefficients, rebuilt on
+    # the whole cube
+    coeffs = np.zeros(1 << n)
+    coeffs[weight_table(n) == s] = level_coeffs
+    f = wht(CubeFunction(n, FOURIER, coeffs))
+    return p * math.log2(lp_norm(f, p)) - p * math.log2(lp_norm(f, 2))
+
+
+@pytest.mark.parametrize("n, s, p", [(6, 3, 2.5), (8, 1, 3.0), (10, 4, 6.0), (12, 6, 4.0)])
+def test_search_best_rebuilt_on_the_full_cube(n, s, p):
+    rec = search_extremal_ratio(n, s, p, budget=6, seed=4)
+    assert len(rec.best_fourier_coeffs) == math.comb(n, s)
+    assert math.fsum(v * v for v in rec.best_fourier_coeffs) == pytest.approx(1.0, rel=1e-14)
+    ratio = _full_cube_ratio(n, s, p, rec.best_fourier_coeffs)
+    assert ratio == pytest.approx(rec.best_log2_ratio, rel=1e-12)
+
+
+def test_counterexample_artifact_on_the_full_cube(monkeypatch):
+    # a bound below the Krawchouk ratio makes every cell a counterexample;
+    # its artifact carries all 2^n coefficients, on level s
+    n, s, p = 8, 3, 3.0
+    low = kraw_moments(n, s, p).log2_ratio - 0.5
+    monkeypatch.setattr(verify, "moment_bound", lambda *args: low)
+    rec = search_extremal_ratio(n, s, p, budget=6, seed=4)
+    art = rec.counterexample
+    assert art["bound_log2"] == low and art["log2_ratio"] == rec.best_log2_ratio
+    coeffs = np.asarray(art["fourier_coefficients"])
+    assert coeffs.size == 1 << n
+    assert not coeffs[weight_table(n) != s].any()
+    assert tuple(coeffs[weight_table(n) == s]) == rec.best_fourier_coeffs
+    ratio = _full_cube_ratio(n, s, p, coeffs[weight_table(n) == s])
+    assert ratio == pytest.approx(art["log2_ratio"], rel=1e-12)
 
 
 def test_philox_streams_match_fresh_generators():
@@ -156,6 +225,31 @@ def test_run_suite_refuses_non_integers(name, kwargs):
     # n, s, the budgets and the seed are refused, not truncated to ints
     with pytest.raises(InputError, match="need integers"):
         run_suite(name, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+def test_seeds_outside_the_philox_key_range_are_refused(seed):
+    # at or above 2^63 numpy takes the key list through float64, and it wraps
+    # a negative seed, so these seeds would replay other seeds' streams
+    with pytest.raises(InputError, match="seed"):
+        run_suite("degree-at-most", seed=seed, budget={"instances": 2})
+    with pytest.raises(InputError, match="seed"):
+        run_suite("extremal-search", grid={"n": (6,), "p": (3.0,)}, seed=seed, budget={"restarts": 2})
+    with pytest.raises(InputError, match="seed"):
+        search_extremal_ratio(6, 1, 3.0, budget=2, seed=seed)
+
+
+def test_largest_seed_keeps_its_stream():
+    # the top accepted seed draws from Philox(key=[2^63 - 1, r]), a stream
+    # of its own
+    top = 2**63 - 1
+    stream = _philox_streams(top)
+    for r in (0, 1, 200):
+        fresh = np.random.Generator(np.random.Philox(key=[top, r]))
+        assert np.array_equal(stream(r).standard_normal(5), fresh.standard_normal(5))
+    assert search_extremal_ratio(6, 2, 3.0, budget=3, seed=top).seed == top
+    top_cases = run_suite("degree-at-most", seed=top, budget={"instances": 3}).payload()["cases"]
+    assert top_cases != run_suite("degree-at-most", seed=0, budget={"instances": 3}).payload()["cases"]
 
 
 def test_run_suite_empty_grid_is_input_error():
