@@ -15,9 +15,12 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
-Each closed form has one body: the scalar evaluators run it on floats and
-the minimization oracles' cached per-sigma rows on numpy rows, bit for bit
-alike, because rows take their logs and squares entry by entry via _each.
+The closed form of I has one body: the scalar evaluators run it on floats
+and tau rows (for disc-cont's grid maxima) on numpy rows, bit for bit alike,
+because rows take their logs and squares entry by entry via _each. The three
+minimization oracles (pi over delta, the phi transform, the eps-minimization
+of the edge-isoperimetric bound) each scan their scalar objective at 21
+points and refine by Brent's method, in the one 1-d minimizer.
 
 Implicit equations are solved on monotone maps only, by the one
 root-bracketing solver (ITP steps inside a bisection-bounded bracket, run
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,10 +48,12 @@ from .numerics import (
 )
 
 _SLACK = 1e-12
-# grid points of the 1-d minimization oracles, scanned before golden section
-_GRID_POINTS = 2001
-# sigma rows kept over the three oracles, whose grids use at most 12 sigmas each
-_SIGMA_ROWS = 64
+# the scan points of the three minimization oracles, before Brent's refinement:
+# d and y linear, eps geometric toward eps -> 0, where the y = 0 infimum of
+# edge-iso-min lives
+_D_GRID = tuple(1e-12 + k * ((0.5 - 2e-12) / 20) for k in range(21))
+_Y_GRID = tuple(k / 40 for k in range(21))
+_EPS_GRID = tuple(1e-9 * (0.5 / 1e-9) ** (k / 20) for k in range(21))
 
 
 def _gate(name: str, label: str, t: float) -> float:
@@ -63,8 +68,8 @@ def _gate(name: str, label: str, t: float) -> float:
 
 def _each(f, row: np.ndarray) -> np.ndarray:
     """f at each entry of a row. numpy's log2 and t ** 2 miss math.log2 and
-    pow by an ulp at times, so _ROWS takes those through here: each formula
-    body below, given its operations m, then serves floats (m = _FLOATS, the
+    pow by an ulp at times, so _ROWS takes those through here: the closed
+    form of I, given its operations m, then serves floats (m = _FLOATS, the
     default) and rows (m = _ROWS) bit for bit alike; the rest round alike."""
     return np.fromiter(map(f, row.tolist()), float, row.size)
 
@@ -82,37 +87,19 @@ def _entropy_row(t: np.ndarray) -> np.ndarray:
     return out
 
 
-_FLOATS = SimpleNamespace(log2=math.log2, square=_square, sqrt=math.sqrt, maximum=max, minimum=min,
-                          entropy=binary_entropy)
+_FLOATS = SimpleNamespace(log2=math.log2, square=_square, sqrt=math.sqrt, maximum=max)
 _ROWS = SimpleNamespace(log2=partial(_each, math.log2), square=partial(_each, _square), sqrt=np.sqrt,
-                        maximum=np.maximum, minimum=np.minimum, entropy=_entropy_row)
+                        maximum=np.maximum)
 
 
-def _split_entropy(sigma: float, t, m=_FLOATS):
+def _split_entropy(sigma: float, t: float) -> float:
     """sigma H(t/sigma) + (1-sigma) H(t/(1-sigma)) for t >= 0, each ratio
     capped at 1; 0 at sigma = 0."""
     if sigma <= 0.0:
         return 0.0
-    return sigma * m.entropy(m.minimum(t / sigma, 1.0)) + (1.0 - sigma) * m.entropy(
-        m.minimum(t / (1.0 - sigma), 1.0)
+    return sigma * binary_entropy(min(t / sigma, 1.0)) + (1.0 - sigma) * binary_entropy(
+        min(t / (1.0 - sigma), 1.0)
     )
-
-
-def _linear_grid(lo: float, hi: float) -> np.ndarray:
-    return lo + np.arange(_GRID_POINTS) * ((hi - lo) / (_GRID_POINTS - 1))
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float row, because every caller shares the cached rows."""
-    row = np.array(values, dtype=float)
-    row.flags.writeable = False
-    return row
-
-
-@lru_cache(maxsize=_SIGMA_ROWS)
-def _sigma_row(kernel, grid_rows, sigma: float) -> np.ndarray:
-    """kernel(sigma, grid, *rows): a row at sigma from the first three of grid_rows()."""
-    return _frozen(kernel(sigma, *grid_rows()[:3]))
 
 
 def root_region_boundary(x: float) -> float:
@@ -361,9 +348,14 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
       + (1-sigma) H(x/(1-sigma)) + 2x log2(d) + (1-2x) log2(1-d)
       - kappa log2(1-2d) },  x = x_star(sigma, d).
 
-    Minimized by grid + golden section; compared against the closed form.
+    Minimized by a scan of _D_GRID and Brent's refinement; compared against
+    the closed form.
     """
-    d_star, val = _minimize_1d(*_pi_min_problem(sigma, kappa))
+
+    def objective(d: float) -> float:
+        return _alpha_max(sigma, d) - kappa * math.log2(1.0 - 2.0 * d)
+
+    d_star, val = _minimize_1d(objective, _D_GRID)
     if 0.0 < val:
         # the d -> 0 endpoint has limit 0
         d_star, val = 0.0, 0.0
@@ -378,41 +370,9 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     return PiMinRecord(sigma, kappa, half, closed, half - closed, d_star)
 
 
-@lru_cache(maxsize=None)
-def _delta_rows() -> tuple[np.ndarray, ...]:
-    """pi-min's grid of d, and log2(1 - d), log2(d) and log2(1 - 2d) on it."""
-    grid = _linear_grid(1e-12, 0.5 - 1e-12)
-    logs = (_each(math.log2, t) for t in (1.0 - grid, grid, 1.0 - 2.0 * grid))
-    return tuple(_frozen(r) for r in (grid, *logs))
-
-
 def _alpha_max(sigma: float, d: float) -> float:
     """max_x alpha_{sigma,d}(x), attained at x = x_star(sigma, d)."""
     return alpha_value(sigma, d, x_star(sigma, d))
-
-
-def _alpha_max_row(sigma: float, eps: np.ndarray, log2_1me, log2_e) -> np.ndarray:
-    """_alpha_max(sigma, .) at each point of a row eps in (0, 1/2], given
-    log2(1 - eps) and log2(eps) on it, by x_star's and alpha_value's bodies."""
-    sigma = _gate("alpha_value", "sigma", sigma)
-    x = _x_star(sigma * (1.0 - sigma), eps, _ROWS)
-    return _alpha(sigma, np.minimum(np.maximum(x, 0.0), sigma), log2_e, log2_1me, _ROWS)
-
-
-def _pi_objective(alpha, kappa: float, log2_1m2d):
-    """pi-min's objective from its parts, on floats or on rows."""
-    return alpha - kappa * log2_1m2d if kappa > 0.0 else alpha
-
-
-def _pi_min_problem(sigma: float, kappa: float) -> tuple:
-    """pi-min's objective, its grid and its values there, for _minimize_1d."""
-    grid, _, _, log2_1m2d = _delta_rows()
-
-    def objective(d: float) -> float:
-        return _pi_objective(_alpha_max(sigma, d), kappa, math.log2(1.0 - 2.0 * d))
-
-    alpha_row = _sigma_row(_alpha_max_row, _delta_rows, sigma)
-    return objective, grid, _pi_objective(alpha_row, kappa, log2_1m2d)
 
 
 def alpha_value(sigma: float, eps: float, x: float) -> float:
@@ -428,13 +388,8 @@ def alpha_value(sigma: float, eps: float, x: float) -> float:
     x = min(max(x, 0.0), sigma)
     if x > 0.0 and eps == 0.0:
         return -math.inf
-    return _alpha(sigma, x, math.log2(eps) if x > 0.0 else 0.0, math.log2(1.0 - eps))
-
-
-def _alpha(sigma: float, x, log2_e, log2_1me, m=_FLOATS):
-    """alpha_{sigma,eps}(x) for x in [0, sigma], given log2(eps), finite
-    where x > 0, and log2(1 - eps)."""
-    return _split_entropy(sigma, x, m) + 2.0 * x * log2_e + (1.0 - 2.0 * x) * log2_1me
+    log2_e = math.log2(eps) if x > 0.0 else 0.0
+    return _split_entropy(sigma, x) + 2.0 * x * log2_e + (1.0 - 2.0 * x) * math.log2(1.0 - eps)
 
 
 def x_star(sigma: float, eps: float) -> float:
@@ -444,14 +399,11 @@ def x_star(sigma: float, eps: float) -> float:
     sigma, eps = _gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps)
     if eps <= 0.0 or sigma <= 0.0:
         return 0.0
-    return _x_star(sigma * (1.0 - sigma), eps)
-
-
-def _x_star(q: float, e, m=_FLOATS):
-    """x_star at eps = e > 0 with q = sigma(1-sigma), as the closed form times
-    its conjugate, 2 e q / (sqrt(e^2 + 4(1-2e) q) + e): no cancellation as e
-    nears 1/2, where it gives the limit q."""
-    return 2.0 * e * q / (m.sqrt(e * e + 4.0 * (1.0 - 2.0 * e) * q) + e)
+    # the closed form times its conjugate, 2 eps q / (sqrt(eps^2 + 4(1-2eps) q)
+    # + eps) with q = sigma(1-sigma): no cancellation as eps nears 1/2, where
+    # it gives the limit q
+    q = sigma * (1.0 - sigma)
+    return 2.0 * eps * q / (math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q) + eps)
 
 
 def phi(sigma: float, eps: float) -> float:
@@ -493,37 +445,17 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
         y_closed = ((1.0 - eps) - math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q)) / (
             2.0 - 2.0 * eps
         )
-        best_y, neg_best = _minimize_1d(*_phi_transform_problem(sigma, eps))
+        c = math.log2(1.0 - 2.0 * eps)
+
+        def neg_transform(y: float) -> float:
+            return -(y * c + binary_entropy(y) + 2.0 * tau(sigma, y))
+
+        best_y, neg_best = _minimize_1d(neg_transform, _Y_GRID)
         best = -neg_best
     grid_max = best - 2.0
     return PhiTransformRecord(
         sigma, eps, p_val, grid_max, p_val - grid_max, best_y, max(y_closed, 0.0)
     )
-
-
-@lru_cache(maxsize=None)
-def _y_rows() -> tuple[np.ndarray, np.ndarray]:
-    """phi-transform's grid of y, and H(y) on it."""
-    grid = _linear_grid(0.0, 0.5)
-    return _frozen(grid), _frozen(_entropy_row(grid))
-
-
-def _neg_transform(y, c: float, h_y, tau_y):
-    """Minus phi-transform's objective y c + H(y) + 2 tau(sigma, y), with
-    c = log2(1 - 2 eps), from its parts, on floats or on rows."""
-    return -(y * c + h_y + 2.0 * tau_y)
-
-
-def _phi_transform_problem(sigma: float, eps: float) -> tuple:
-    """phi-transform's negated objective, its grid and its values there, for
-    _minimize_1d; eps < 1/2."""
-    grid, h_row = _y_rows()
-    c = math.log2(1.0 - 2.0 * eps)
-
-    def objective(y: float) -> float:
-        return _neg_transform(y, c, binary_entropy(y), tau(sigma, y))
-
-    return objective, grid, _neg_transform(grid, c, h_row, _sigma_row(_tau_row, _y_rows, sigma))
 
 
 def eta_p(p: float, x: float, eps: float) -> float:
@@ -576,38 +508,11 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
             f"edge_iso_min_check: y={y} outside [0, 2 sigma (1-sigma)] for sigma={sigma}"
         )
     y = min(max(y, 0.0), 2.0 * sigma * (1.0 - sigma)) if sigma > 0 else 0.0
-    best_e, best = _minimize_1d(*_edge_iso_problem(sigma, y))
-    closed = _split_entropy(sigma, 0.5 * y)
-    return EdgeIsoMinRecord(sigma, y, best, closed, best - closed, best_e)
-
-
-@lru_cache(maxsize=None)
-def _eps_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """edge-iso-min's grid of eps, log-spaced toward eps -> 0 where the
-    y = 0 infimum lives, and log2(1 - eps) and log2(eps) on it."""
-    lo, hi = 1e-9, 0.5
-    grid = np.array([lo * (hi / lo) ** (k / (_GRID_POINTS - 1)) for k in range(_GRID_POINTS)])
-    return tuple(_frozen(r) for r in (grid, _each(math.log2, 1.0 - grid), _each(math.log2, grid)))
-
-
-def _edge_objective(phi_e, base: float, y: float, log2_1me, log2_e):
-    """edge-iso-min's objective phi + base - (1-y) log2(1-eps) - y log2(eps),
-    with base = 1 - H(sigma), from its parts, on floats or on rows."""
-    val = phi_e + base - (1.0 - y) * log2_1me
-    if y > 0.0:
-        val = val - y * log2_e
-    return val
-
-
-def _edge_iso_problem(sigma: float, y: float) -> tuple:
-    """edge-iso-min's objective, its grid and its values there, for
-    _minimize_1d; sigma and y already in their domain."""
-    grid, log2_1me, log2_e = _eps_rows()
     base = 1.0 - binary_entropy(sigma)
 
     def objective(e: float) -> float:
-        return _edge_objective(phi(sigma, e), base, y, math.log2(1.0 - e), math.log2(e))
+        return phi(sigma, e) + base - (1.0 - y) * math.log2(1.0 - e) - y * math.log2(e)
 
-    # phi's row: H(sigma) - 1 plus the alpha row, as phi adds them
-    phi_row = binary_entropy(sigma) - 1.0 + _sigma_row(_alpha_max_row, _eps_rows, sigma)
-    return objective, grid, _edge_objective(phi_row, base, y, log2_1me, log2_e)
+    best_e, best = _minimize_1d(objective, _EPS_GRID)
+    closed = _split_entropy(sigma, 0.5 * y)
+    return EdgeIsoMinRecord(sigma, y, best, closed, best - closed, best_e)

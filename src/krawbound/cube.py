@@ -187,6 +187,9 @@ def random_homogeneous(n: int, s: int, seed: int) -> CubeFunction:
     deterministically derived from the seed (counter-based generator)."""
     if not (0 <= s <= n <= 20):
         raise InputError(f"random_homogeneous: need 0 <= s <= n <= 20, got {n}, {s}")
+    # Philox takes an integer key in [0, 2^128) and raises ValueError past it
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 128:
+        raise InputError(f"random_homogeneous: need an integer seed in [0, 2^128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     w = weight_table(n)
     coeffs = np.zeros(1 << n)

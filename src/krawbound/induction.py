@@ -50,7 +50,7 @@ def cap_F(x: float, y: float, p: float) -> float:
     F(x, 0) = x. 1-homogeneous, monotone in both arguments, >= max(x, y).
 
     The bracket [0, 4(p-1)/rho] grows geometrically until the objective is
-    seen to decrease, then golden-section search pins the interior maximum.
+    seen to decrease, then Brent's method pins the interior maximum.
     When 1 < rho < p-1 and the maximum lies past beta = 1/rho, the stationary
     point is also located as the sign change of the stationarity identity,
     whose residual is checked there.
@@ -87,10 +87,10 @@ def cap_F(x: float, y: float, p: float) -> float:
     def neg(beta: float) -> float:
         return -log2_f(beta)
 
-    beta, neg_best = _minimize_1d(neg, (0.0, hi), (neg(0.0), neg(hi)))
+    beta, neg_best = _minimize_1d(neg, (0.0, hi))
     best = max(-neg_best, limit_log2)
     if 1.0 + 1e-9 < rho < p - 1.0 - 1e-9 and beta > 1.0 / rho:
-        # the residual's terms grow like (a+b)^{p-1}: golden section's argmin
+        # the residual's terms grow like (a+b)^{p-1}: the minimizer's argmin
         # can leave it far above the gate, so solve for its one sign change,
         # negative at beta = 1/rho and positive as beta grows; the solver
         # never evaluates that end, where a - b rounds below 0 and the

@@ -1,6 +1,6 @@
 """Shared numeric primitives: binary entropy, log-domain binomials, base-2 logsumexp,
-and the one root-bracketing solver and one 1-d minimizer every implicit
-equation and minimization oracle runs on.
+and the one root-bracketing solver and one 1-d minimizer (a grid scan, then
+Brent's method) every implicit equation and minimization oracle runs on.
 
 Everything downstream works with base-2 exponents normalized per dimension n,
 so all helpers here speak log2, with -inf as the log of zero. Exact integer
@@ -86,42 +86,68 @@ def _solve(g: Callable[[float], float], lo: float, hi: float) -> float:
     return mid
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction 2 - phi
 
 
-def _minimize_1d(
-    f: Callable[[float], float], grid: Sequence[float], values: np.typing.ArrayLike
-) -> tuple[float, float]:
-    """Minimize f: take the first least of `values`, f at the increasing
-    grid points, then refine by golden section on the two cells around that
-    point, stopping once the bracket [a, b] has b - a <= 1e-12 max(1, |a|, |b|).
-    The relative test terminates on brackets far beyond 1, where an absolute
-    width below the float spacing could never be reached. A NaN in `values`
-    raises InternalError. Returns (argmin, min)."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
+def _minimize_1d(f: Callable[[float], float], grid: Sequence[float]) -> tuple[float, float]:
+    """Minimize f: scan it at the increasing grid points, then refine the two
+    cells around the first least of them by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5): a
+    parabolic step through the three best points where it falls inside the
+    bracket and moves less than half the step before last, else a golden-
+    section step into the larger side. The search starts from the least grid
+    point and evaluates f only inside the bracket. With w = 1e-12 max(1,
+    |a|, |b|) on the bracket [a, b], it stops once the best x lies within w
+    of both ends, at the latest when b - a <= w; the relative w terminates
+    on brackets far beyond 1, where an absolute width below the float
+    spacing could never be reached. It returns the midpoint of that bracket
+    and f there, or the least grid point where f is lower: one fresh value,
+    where the least of all values seen would be biased low by f's rounding
+    (against 40-digit mpmath, cap_F at p near 1000 then read high at 119 of
+    120 points). A NaN at a grid point raises InternalError. Returns
+    (argmin, min)."""
+    values = [f(t) for t in grid]
+    if any(math.isnan(v) for v in values):
         raise InternalError("_minimize_1d: NaN among the grid values")
-    best_k = int(np.argmin(values))
-    best_v = float(values[best_k])
-    a = float(grid[max(0, best_k - 1)])
-    b = float(grid[min(len(grid) - 1, best_k + 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+    k = values.index(min(values))
+    a, b = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+    x = w = v = grid[k]
+    fx = fw = fv = values[k]
+    d = e = 0.0  # the last step, and the one before it
+    while True:
+        m = 0.5 * (a + b)
+        tol2 = 1e-12 * max(1.0, abs(a), abs(b))
+        tol1 = 0.5 * tol2  # no two evaluations closer than this
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            vm = f(m)
+            return (m, vm) if vm <= values[k] else (grid[k], values[k])
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            # the parabola through (x, fx), (w, fw), (v, fv): its vertex is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < tol2 or b - x - d < tol2:
+                d = math.copysign(tol1, m - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    vm = f(xm)
-    if vm <= best_v:
-        return xm, vm
-    return float(grid[best_k]), best_v
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def inverse_entropy(y: float) -> float:

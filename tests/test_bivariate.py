@@ -2,9 +2,7 @@
 
 import importlib.util
 import math
-import os
 import pathlib
-import subprocess
 import sys
 
 import numpy as np
@@ -849,7 +847,7 @@ def test_domain_gate_clamps_to_half():
     assert bv.tau(0.5 + 4e-13, 0.1) == bv.tau(0.5, 0.1)
 
 
-# ------------------------------------------------------------ oracle rows
+# ------------------------------------------------------ minimization oracles
 
 def _perfbench_sweep_grids():
     """perfbench's sweep grids, denser than the suite defaults, as its
@@ -871,30 +869,49 @@ def _sweep_sigmas(tag):
     return sorted({float(sg) for grid in grids for sg in grid["sigma"]})
 
 
-# each oracle's problem, the row kernel and grid of its sigma row, cells at
-# the domain corners (sigma in {0, 1/2}, kappa = 0, y = 0, eps near 1/2), and
-# its cell at each sigma of its default and perfbench grids
-_ORACLE_ROWS = {
-    "pi-min": (
-        bv._pi_min_problem,
-        (bv._alpha_max_row, bv._delta_rows),
-        [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
-        lambda sg: (sg, sg * (1.0 - sg)),
-    ),
-    "phi-transform": (
-        bv._phi_transform_problem,
-        (bv._tau_row, bv._y_rows),
-        [(0.0, 0.01), (0.5, 0.0), (0.5, 0.5 - 1e-13), (0.3, 0.2)],
-        lambda sg: (sg, 0.2),
-    ),
-    "edge-iso-min": (
-        bv._edge_iso_problem,
-        (bv._alpha_max_row, bv._eps_rows),
-        [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)],
-        lambda sg: (sg, sg * (1.0 - sg)),
-    ),
+def _old_grid_min(oracle, cell):
+    """The least value of an oracle's objective, from the public evaluators,
+    over 2001 points with the ends and spacing of its 21-point scan: d
+    linear on [1e-12, 1/2 - 1e-12], y linear on [0, 1/2], eps geometric on
+    [1e-9, 1/2]."""
+    ks = np.arange(2001)
+    if oracle == "pi-min":
+        sigma, kappa = cell
+        grid = 1e-12 + ks * ((0.5 - 2e-12) / 2000)
+        return min(
+            bv.alpha_value(sigma, d, bv.x_star(sigma, d)) - kappa * math.log2(1.0 - 2.0 * d)
+            for d in grid.tolist()
+        )
+    if oracle == "phi-transform":
+        sigma, eps = cell
+        c = math.log2(1.0 - 2.0 * eps)
+        return min(-(y * c + H(y) + 2.0 * bv.tau(sigma, y)) for y in (ks * (0.5 / 2000)).tolist())
+    sigma, y = cell
+    grid = [1e-9 * (0.5 / 1e-9) ** (k / 2000) for k in range(2001)]
+    return min(
+        bv.phi(sigma, e) + 1.0 - H(sigma) - y * math.log2(e) - (1.0 - y) * math.log2(1.0 - e)
+        for e in grid
+    )
+
+
+def _oracle_min(oracle, cell):
+    """The oracle's minimum of the same objective."""
+    if oracle == "pi-min":
+        return 2.0 * bv.pi_min_check(*cell).min_over_delta
+    if oracle == "phi-transform":
+        return -(bv.phi_transform_check(*cell).grid_max_value + 2.0)
+    return bv.edge_iso_min_check(*cell).min_over_eps
+
+
+# cells at the domain corners of each oracle (sigma in {0, 1/2}, kappa = 0,
+# y = 0, eps near 1/2), and its cell at each sigma of its default and
+# perfbench grids
+_ORACLE_CELLS = {
+    "pi-min": ([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)], lambda sg: (sg, sg * (1.0 - sg))),
+    "phi-transform": ([(0.0, 0.01), (0.5, 0.0), (0.5, 0.5 - 1e-13), (0.3, 0.2)], lambda sg: (sg, 0.2)),
+    "edge-iso-min": ([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.3, 0.42)], lambda sg: (sg, sg * (1.0 - sg))),
 }
-_CORNERS = [(name, cell) for name, (_, _, cells, _) in _ORACLE_ROWS.items() for cell in cells]
+_CORNERS = [(name, cell) for name, (cells, _) in _ORACLE_CELLS.items() for cell in cells]
 
 
 @pytest.mark.parametrize(
@@ -902,32 +919,14 @@ _CORNERS = [(name, cell) for name, (_, _, cells, _) in _ORACLE_ROWS.items() for 
     [pytest.param(name, cell, id=f"{name}-cell{i}") for i, (name, cell) in enumerate(_CORNERS)]
     + [
         pytest.param(name, cell_at(sg), id=f"{name}-sigma{sg!r}")
-        for name, (*_, cell_at) in _ORACLE_ROWS.items()
+        for name, (_, cell_at) in _ORACLE_CELLS.items()
         for sg in _sweep_sigmas(name)
     ],
 )
-def test_oracle_scan_is_the_objective_on_the_grid(oracle, cell):
-    problem, (evaluator, grid_rows), _, _ = _ORACLE_ROWS[oracle]
-    objective, grid, values = problem(*cell)
-    # the array expression is the scalar objective, bit for bit
-    assert np.array_equal(values, [objective(g) for g in grid.tolist()])
-    # the cached rows are shared, so no caller may write them
-    assert not bv._sigma_row(evaluator, grid_rows, cell[0]).flags.writeable
-    assert not any(row.flags.writeable for row in grid_rows())
-
-
-def test_import_builds_no_row():
-    # every cached row is built on first use, none at import
-    src = str(pathlib.Path(bv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import krawbound, krawbound.bivariate as bv; "
-        "caches = [f for f in vars(bv).values() if hasattr(f, 'cache_info')]; "
-        "print(len(caches), sum(f.cache_info().currsize for f in caches))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["4", "0"]
+def test_oracle_finds_the_global_basin(oracle, cell):
+    # 21 scan points and Brent's refinement miss no basin that a scan of
+    # 2001 points finds
+    assert _oracle_min(oracle, cell) <= _old_grid_min(oracle, cell) + 1e-12
 
 
 _HALF = st.floats(0.0, 0.5)
@@ -960,15 +959,6 @@ def test_tau_row_is_tau_bit_for_bit(sigma, lo, hi):
     y = _row(lo, hi)
     row = bv._tau_row(sigma, y, bv._entropy_row(y))
     assert row.tobytes() == np.array([bv.tau(sigma, t) for t in y.tolist()]).tobytes()
-
-
-@_at_corner_sigmas
-@given(sigma=_HALF, lo=_HALF, hi=_HALF)
-def test_alpha_max_row_is_alpha_max_bit_for_bit(sigma, lo, hi):
-    eps = _row(lo, hi)
-    eps = eps[eps > 0.0]  # the oracles' eps rows are positive
-    row = bv._alpha_max_row(sigma, eps, bv._each(math.log2, 1.0 - eps), bv._each(math.log2, eps))
-    assert row.tobytes() == np.array([bv._alpha_max(sigma, t) for t in eps.tolist()]).tobytes()
 
 
 @_at_corner_pairs

@@ -250,6 +250,9 @@ def test_input_error_exits_2():
     # seeds outside [0, 2^63), which numpy's Philox key lists round or wrap
     for seed in ("18446744073709551616", "18446744073709551615", "9223372036854775808", "-1"):
         assert run("verify", "--suite", "degree-at-most", "--seed", seed, "--budget", "2").exit_code == 2
+    # eval's seed is a Philox key, an integer in [0, 2^128)
+    for seed in ("-1", str(1 << 128)):
+        assert run("eval", "--n", "6", "--s", "2", "--p", "4", "--seed", seed).exit_code == 2
     # sums of |f|^p beyond the float range are refused, not printed as NaN margins
     big_p = ("--grid", "n=6:6:1", "--grid", "p=1000:1000:1")
     assert run("verify", "--suite", "extremal-search", *big_p, "--budget", "5").exit_code == 2

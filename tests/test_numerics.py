@@ -265,18 +265,39 @@ def test_minimize_1d_relative_stop():
     def far(t):
         return (t - 6.0e14) ** 2
 
-    x, _ = _minimize_1d(far, (0.0, 1.0e15), (far(0.0), far(1.0e15)))
+    x, _ = _minimize_1d(far, (0.0, 1.0e15))
     assert abs(x - 6.0e14) <= 1e-12 * 1.0e15
     # within [0, 1] the cells around the best grid point are refined to 1e-12
     grid = [k / 10 for k in range(11)]
-    x, v = _minimize_1d(lambda t: abs(t - 0.33), grid, [abs(t - 0.33) for t in grid])
+    x, v = _minimize_1d(lambda t: abs(t - 0.33), grid)
     assert abs(x - 0.33) <= 1e-12 and v <= 1e-12
 
 
 def test_minimize_1d_refuses_nan_values():
     # a NaN grid value is a bug of the objective, not a point to skip
+    values = {0.0: 1.0, 1.0: math.nan, 2.0: 0.5}
     with pytest.raises(InternalError):
-        _minimize_1d(abs, [0.0, 1.0, 2.0], [1.0, math.nan, 0.5])
+        _minimize_1d(values.__getitem__, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "f, argmin",
+    [(lambda t: (t - 0.3) ** 2 + 0.1 * t ** 4, 0.29487219576), (lambda t: math.cosh(3.0 * (t - 0.71)), 0.71)],
+    ids=["quartic", "cosh"],
+)
+def test_minimize_1d_takes_brent_steps(f, argmin):
+    # parabolic steps converge superlinearly on a smooth minimum: golden
+    # section alone takes 58 calls to reach the stopping width here
+    grid = [k / 10 for k in range(11)]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    x, v = _minimize_1d(counted, grid)
+    assert len(calls) - len(grid) <= 30
+    assert abs(x - argmin) <= 1e-8 and v == f(x)
 
 
 def test_inverse_entropy_tiny_y_bisects_a_short_bracket(monkeypatch):
