@@ -2,9 +2,11 @@
 
 Dense functions live as 2^n arrays indexed by bitmask, with an explicit
 domain tag (point values vs Fourier coefficients) so transforms cannot be
-applied twice silently. Weight-symmetric objects (Krawchouk rows, spheres,
-sphere unions) get a per-weight log-domain profile instead, which scales to
-n in the thousands where 2^n storage is impossible.
+applied twice silently. The Walsh-Hadamard transform and the point-domain
+noise operator are Kronecker products of small factors over bit ranges, run
+by one loop. Weight-symmetric objects (Krawchouk rows, spheres, sphere
+unions) get a per-weight log-domain profile instead, which scales to n in
+the thousands where 2^n storage is impossible.
 
 Conventions: W_alpha(x) = (-1)^{|alpha & x|}; the point -> Fourier direction
 divides by 2^n, the inverse does not; ||f||_p averages over the cube.
@@ -40,11 +42,18 @@ FOURIER = "fourier-coefficients"
 def weight_table(n: int) -> np.ndarray:
     """Hamming weights of 0..2^n-1 (uint8), built by doubling; read-only
     because every caller shares the cached array."""
-    w = np.zeros(1 << n, dtype=np.uint8)
+    w = np.zeros(1 << int(n), dtype=np.uint8)  # a numpy uint8 n would wrap
     for b in range(n):
         w[1 << b : 2 << b] = w[: 1 << b] + 1
     w.flags.writeable = False
     return w
+
+
+def _dimension(who: str, n, cap: int = DENSE_CAP) -> int:
+    # int first: numbers.Integral costs ~0.4 us; int(n) stops a numpy uint8 n wrapping 1 << n
+    if not ((type(n) is int or isinstance(n, numbers.Integral)) and 0 <= n <= cap):
+        raise InputError(f"{who}: need an integer n in [0, {cap}], got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,8 @@ class CubeFunction:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.n > DENSE_CAP:
-            raise InputError(f"CubeFunction: n={self.n} exceeds dense cap {DENSE_CAP}")
+        if _dimension("CubeFunction", self.n) is not self.n:  # a numpy integer
+            object.__setattr__(self, "n", int(self.n))
         if self.domain_tag not in (POINT, FOURIER):
             raise InputError(f"CubeFunction: unknown domain tag {self.domain_tag!r}")
         if self.data.shape != (1 << self.n,):
@@ -81,18 +90,21 @@ def _sylvester(k: int) -> np.ndarray:
     return h
 
 
-def walsh_hadamard(data: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis (length
-    2^n); leading axes are a batch.
+@lru_cache(maxsize=None)
+def _xor_weights(k: int) -> np.ndarray:
+    """|i xor j| for i, j < 2^k, 2^k x 2^k; read-only and shared."""
+    d = weight_table(k)[np.arange(1 << k)[:, None] ^ np.arange(1 << k)]
+    d.flags.writeable = False
+    return d
 
-    H_n is the Kronecker product of the Sylvester matrices of consecutive
-    bit ranges (Fino & Algazi 1976), so the transform is one small matrix
-    product per range: ceil(n/5) ranges of nearly equal size keep every
-    factor at most 32 x 32. A range of k bits costs 2^k multiply-adds per
-    entry, so at n = 12 three 16 x 16 factors cost 48 where two 64 x 64
-    factors would cost 128. Range [lo, lo + k) acts on the middle axis of
-    the (-1, 2^k, 2^lo) view; the lowest range is one 2-d product.
-    """
+
+def _kron_apply(data: np.ndarray, factor) -> np.ndarray:
+    """data (last axis 2^n, leading axes a batch) times the Kronecker product
+    of the symmetric factors factor(k), one per range of k bits: ceil(n/5)
+    ranges of nearly equal size keep each factor at most 32 x 32. A range
+    costs 2^k multiply-adds per entry, so at n = 12 three 16 x 16 factors
+    cost 48 where two 64 x 64 would cost 128. Range [lo, lo + k) acts on the
+    middle axis of the (-1, 2^k, 2^lo) view, the lowest by a 2-d product."""
     m = data.shape[-1]
     n = m.bit_length() - 1
     parts = max(1, -(-n // 5))
@@ -100,13 +112,21 @@ def walsh_hadamard(data: np.ndarray) -> np.ndarray:
     lo = 0
     for r in range(parts):
         k = (n - lo) // (parts - r)
-        h = _sylvester(k)
+        h = factor(k)
         if lo == 0:
             out = out.reshape(-1, 1 << k) @ h
         else:
             out = h @ out.reshape(-1, 1 << k, 1 << lo)
         lo += k
     return out.reshape(data.shape)
+
+
+def walsh_hadamard(data: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (length
+    2^n); leading axes are a batch. H_n is the Kronecker product of the
+    Sylvester matrices of consecutive bit ranges (Fino & Algazi 1976), one
+    small matrix product per range."""
+    return _kron_apply(data, _sylvester)
 
 
 def wht(f: CubeFunction) -> CubeFunction:
@@ -126,16 +146,24 @@ def to_fourier(f: CubeFunction) -> CubeFunction:
 
 
 def apply_noise(f: CubeFunction, eps: float) -> CubeFunction:
-    """T_eps as the Fourier multiplier (1-2 eps)^{|alpha|}, gathered from its
-    n+1 distinct powers; returns the same domain the input came in."""
+    """T_eps in the domain the input came in: on Fourier coefficients the
+    multiplier (1-2 eps)^{|alpha|}, gathered from its n+1 powers; on points
+    the Kronecker product of 2 x 2 kernels [[1-eps, eps], [eps, 1-eps]]
+    (O'Donnell 2014, sec. 2.4) in one factored pass, with k-bit factors
+    N_k[i, j] = eps^{|i xor j|} (1-eps)^{k-|i xor j|}; eps = 0 is exact."""
     if not (0.0 <= eps <= 0.5):
         raise InputError(f"apply_noise: eps={eps} outside [0, 1/2]")
-    powers = (1.0 - 2.0 * eps) ** np.arange(f.n + 1, dtype=np.float64)
     if f.domain_tag == FOURIER:
+        powers = (1.0 - 2.0 * eps) ** np.arange(f.n + 1, dtype=np.float64)
         return CubeFunction(f.n, FOURIER, f.data * powers[weight_table(f.n)])
-    coeffs = walsh_hadamard(f.data)  # the exact 1/2^n rides on the n+1 powers
-    coeffs *= (powers / (1 << f.n))[weight_table(f.n)]
-    return CubeFunction(f.n, POINT, walsh_hadamard(coeffs))
+    kernels = {}  # N_k once per distinct k of this call
+
+    def factor(k: int) -> np.ndarray:
+        if k not in kernels:
+            kernels[k] = np.array([eps**d * (1.0 - eps) ** (k - d) for d in range(k + 1)]).take(_xor_weights(k))
+        return kernels[k]
+
+    return CubeFunction(f.n, POINT, _kron_apply(f.data, factor))
 
 
 def spectral_project(f: CubeFunction, k: int) -> CubeFunction:
@@ -185,8 +213,9 @@ def inner_product(f: CubeFunction, g: CubeFunction) -> float:
 def random_homogeneous(n: int, s: int, seed: int) -> CubeFunction:
     """Standard-normal coefficients on exactly the weight-s characters,
     deterministically derived from the seed (counter-based generator)."""
-    if not (0 <= s <= n <= 20):
-        raise InputError(f"random_homogeneous: need 0 <= s <= n <= 20, got {n}, {s}")
+    n = _dimension("random_homogeneous", n, 20)
+    if not (isinstance(s, numbers.Integral) and 0 <= s <= n):
+        raise InputError(f"random_homogeneous: need an integer s in [0, {n}], got {s!r}")
     # Philox takes an integer key in [0, 2^128) and raises ValueError past it
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 1 << 128:
         raise InputError(f"random_homogeneous: need an integer seed in [0, 2^128), got {seed!r}")
@@ -200,8 +229,8 @@ def random_homogeneous(n: int, s: int, seed: int) -> CubeFunction:
 
 def tensor_power(f: CubeFunction, m: int) -> CubeFunction:
     """F(x_1..x_m) = f(x_1) ... f(x_m), dense; n*m capped at 24."""
-    if m < 1:
-        raise InputError(f"tensor_power: need m >= 1, got {m}")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise InputError(f"tensor_power: need an integer m >= 1, got {m!r}")
     if f.n * m > DENSE_CAP:
         raise InputError(f"tensor_power: n*m = {f.n * m} exceeds dense cap {DENSE_CAP}")
     pts = to_points(f).data
@@ -219,8 +248,8 @@ class CubeSubset:
     membership: np.ndarray  # bool, length 2^n
 
     def __post_init__(self):
-        if self.n > DENSE_CAP:
-            raise InputError(f"CubeSubset: n={self.n} exceeds dense cap {DENSE_CAP}")
+        if _dimension("CubeSubset", self.n) is not self.n:  # a numpy integer
+            object.__setattr__(self, "n", int(self.n))
         if self.membership.shape != (1 << self.n,):
             raise InputError("CubeSubset: membership length mismatch")
 
@@ -230,6 +259,7 @@ class CubeSubset:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "CubeSubset":
+        n = _dimension("CubeSubset.from_indices", n)
         idx = np.asarray(list(indices))
         if idx.size and (
             idx.dtype.kind not in "iu" or idx.ndim != 1 or idx.min() < 0 or idx.max() >= 1 << n
@@ -277,8 +307,9 @@ def undetected_error_probability(A: CubeSubset, eps: float) -> float:
 
 def sphere_indicator(n: int, s: int) -> tuple[CubeSubset, CubeFunction]:
     """The Hamming sphere of radius s: subset and dense indicator."""
-    if not (0 <= s <= n <= DENSE_CAP):
-        raise InputError(f"sphere_indicator: need 0 <= s <= n <= {DENSE_CAP}")
+    n = _dimension("sphere_indicator", n)
+    if not (isinstance(s, numbers.Integral) and 0 <= s <= n):
+        raise InputError(f"sphere_indicator: need an integer s in [0, {n}], got {s!r}")
     mask = weight_table(n) == s
     sub = CubeSubset(n, mask)
     return sub, CubeFunction(n, POINT, mask.astype(np.float64))

@@ -130,9 +130,70 @@ def test_walsh_hadamard_factors_at_most_32(monkeypatch):
             assert max(built) <= 5 and sum(built) == n, (n, shape, built)
 
 
+def test_noise_factors_at_most_32(monkeypatch):
+    # the point-domain noise runs through the same factor loop: each factor
+    # is at most 32 x 32 and the factors of one call cover its n bits
+    import krawbound.cube as cube
+
+    shapes, kron_apply = [], cube._kron_apply
+
+    def recording(data, factor):
+        def seen(k):
+            h = factor(k)
+            shapes.append(h.shape)
+            return h
+
+        return kron_apply(data, seen)
+
+    monkeypatch.setattr(cube, "_kron_apply", recording)
+    for n in range(21):
+        shapes.clear()
+        apply_noise(CubeFunction(n, POINT, np.ones(1 << n)), 0.1)
+        assert all(a == b <= 32 for a, b in shapes), (n, shapes)
+        assert sum(a.bit_length() - 1 for a, _ in shapes) == n, (n, shapes)
+
+
 def test_wht_size_cap():
     with pytest.raises(InputError):
         CubeFunction(25, POINT, np.zeros(2))
+
+
+BAD_DIMENSIONS = {
+    "function-float-n": lambda: CubeFunction(2.0, POINT, np.zeros(4)),
+    "function-negative-n": lambda: CubeFunction(-1, POINT, np.zeros(1)),
+    "subset-negative-n": lambda: CubeSubset(-1, np.zeros(1, dtype=bool)),
+    "from-indices-float-n": lambda: CubeSubset.from_indices(2.5, [0]),
+    "from-indices-negative-n": lambda: CubeSubset.from_indices(-1, []),
+    "homogeneous-float-n": lambda: random_homogeneous(4.0, 2, 0),
+    "homogeneous-float-s": lambda: random_homogeneous(4, 2.0, 0),
+    "sphere-float-n": lambda: sphere_indicator(4.0, 2),
+    "sphere-float-s": lambda: sphere_indicator(4, 1.5),
+    "tensor-float-m": lambda: tensor_power(CubeFunction(2, POINT, np.ones(4)), 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_DIMENSIONS, ids=list(BAD_DIMENSIONS))
+def test_bad_dimension_is_input_error(bad):
+    with pytest.raises(InputError):
+        BAD_DIMENSIONS[bad]()
+
+
+def test_numpy_integer_dimensions_accepted():
+    i = np.int64
+    assert CubeFunction(i(2), POINT, np.zeros(4)).n == 2
+    assert CubeSubset.from_indices(i(3), [i(5)]).size == 1
+    assert random_homogeneous(i(4), i(2), 0).n == 4
+    assert sphere_indicator(i(4), i(2))[0].size == 6
+    assert tensor_power(CubeFunction(2, POINT, np.ones(4)), i(2)).n == 4
+    # a uint8 n of 8 or more wraps 1 << n to 0 unless it becomes an int
+    u = np.uint8(10)
+    f = CubeFunction(u, POINT, np.ones(1 << 10))
+    assert type(f.n) is int and wht(f).data[0] == 1.0
+    assert type(CubeSubset(u, np.zeros(1 << 10, dtype=bool)).n) is int
+    assert CubeSubset.from_indices(u, [1023]).size == 1
+    assert random_homogeneous(u, 2, 0).data.size == 1 << 10
+    assert sphere_indicator(u, 2)[0].size == 45
+    assert np.array_equal(weight_table(u), weight_table(10))
 
 
 def test_wht_tag_validation():
@@ -146,7 +207,13 @@ def test_wht_tag_validation():
 def test_noise_eps_zero_identity():
     f = random_function(6, 1)
     g = apply_noise(f, 0.0)
-    assert np.allclose(g.data, f.data, atol=1e-13)
+    assert np.array_equal(g.data, f.data)
+
+
+def test_noise_on_zero_bits_is_identity():
+    f = CubeFunction(0, POINT, np.array([-2.75]))
+    for eps in (0.0, 0.1, 0.5):
+        assert np.array_equal(apply_noise(f, eps).data, f.data)
 
 
 def test_noise_eps_half_mean():
@@ -191,7 +258,7 @@ def test_noise_preserves_domain_tag():
     assert apply_noise(g, 0.2).domain_tag == POINT
 
 
-@pytest.mark.parametrize("domain", [POINT, FOURIER])
+@pytest.mark.parametrize("domain", [FOURIER])
 def test_noise_multiplier_bit_identical_to_pointwise_power(domain):
     # the n+1 gathered powers are the same pow(rho, k) as one power per point
     for n in range(15):
@@ -199,9 +266,42 @@ def test_noise_multiplier_bit_identical_to_pointwise_power(domain):
             f = random_function(n, 200 + n, domain=domain)
             mult = (1.0 - 2.0 * eps) ** weight_table(n).astype(np.float64)
             want = CubeFunction(n, FOURIER, to_fourier(f).data * mult)
-            if domain == POINT:
-                want = to_points(want)
             assert np.array_equal(apply_noise(f, eps).data, want.data)
+
+
+def direct_noise(data, eps):
+    """sum_y eps^|x xor y| (1-eps)^(n-|x xor y|) data[y] for every x, in the
+    dtype of data, a column block at a time; O(4^n)."""
+    m = data.size
+    n = m.bit_length() - 1
+    eps = data.dtype.type(eps)
+    row = eps ** np.arange(n + 1) * (1 - eps) ** np.arange(n, -1, -1)
+    idx = np.arange(m)
+    out = np.empty_like(data)
+    for c0 in range(0, m, 256):
+        out[c0 : c0 + 256] = data @ row[weight_table(n)[idx[:, None] ^ idx[None, c0 : c0 + 256]]]
+    return out
+
+
+def test_noise_dyadic_eps_exact_on_integers():
+    # with eps in {0, 1/4, 1/2} and small integer data, every product and
+    # partial sum is an integer below 2^53 times 4^-n, so both sums are exact
+    rng = np.random.default_rng(31)
+    for n in range(13):
+        data = rng.integers(-8, 9, size=1 << n).astype(np.float64)
+        for eps in (0.0, 0.25, 0.5):
+            got = apply_noise(CubeFunction(n, POINT, data), eps).data
+            assert np.array_equal(got, direct_noise(data, eps)), (n, eps)
+
+
+def test_noise_points_against_long_double_kernel():
+    for n in range(10):
+        f = random_function(n, 300 + n)
+        for eps in (0.03, 0.1, 0.17, 0.3, 0.45):
+            got = apply_noise(f, eps).data
+            want = direct_noise(f.data.astype(np.longdouble), eps)
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 4e-15, (n, eps, err)
 
 
 def test_weight_table_cached_and_read_only():
