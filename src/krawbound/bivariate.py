@@ -32,9 +32,9 @@ inline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,8 +271,7 @@ def solve_a_inverse(p: float, x: float) -> float:
     return 0.5 - _a_root(p, _gate("solve_a_inverse", "x", x))
 
 
-@dataclass(frozen=True)
-class PsiEval:
+class PsiEval(NamedTuple):
     """psi(p,x) with both representations and the auxiliary solutions."""
 
     p: float
@@ -331,8 +330,7 @@ def pi_fn(x: float, y: float) -> float:
     return _inner_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
 
 
-@dataclass(frozen=True)
-class PiMinRecord:
+class PiMinRecord(NamedTuple):
     sigma: float
     kappa: float
     min_over_delta: float
@@ -419,8 +417,7 @@ def tilde_phi(y: float, eps: float) -> float:
     return phi(inverse_entropy(min(y, 1.0)), eps)
 
 
-@dataclass(frozen=True)
-class PhiTransformRecord:
+class PhiTransformRecord(NamedTuple):
     sigma: float
     eps: float
     phi_value: float
@@ -486,8 +483,7 @@ def eta(x: float, eps: float) -> float:
     return eta_p(p, x, eps)
 
 
-@dataclass(frozen=True)
-class EdgeIsoMinRecord:
+class EdgeIsoMinRecord(NamedTuple):
     sigma: float
     y: float
     min_over_eps: float

@@ -10,15 +10,14 @@ rather than assume them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bivariate import _alpha_max, _split_entropy, eta_p, phi, pi_fn, psi, tau
 from .krawchouk import kraw_moments
 from .numerics import InputError, binary_entropy, inverse_entropy
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Comparison artifact: measured exponent vs bound exponent, per n."""
 
     bound_name: str
@@ -54,8 +53,7 @@ def moment_bound(n: int, s: int, p: float) -> float:
     return psi(p, s / n).value * n
 
 
-@dataclass(frozen=True)
-class MomentGapRecord:
+class MomentGapRecord(NamedTuple):
     n: int
     s: int
     p: float
@@ -77,8 +75,7 @@ def moment_gap(n: int, s: int, p: float) -> MomentGapRecord:
     return MomentGapRecord(n, s, p, bound, kraw, gap, fitted_c)
 
 
-@dataclass(frozen=True)
-class TailRecord:
+class TailRecord(NamedTuple):
     n: int
     s: int
     i: int

@@ -135,7 +135,7 @@ def kraw(n, s, p, fmt, out):
     table = kraw_table(n, s)
     payload = {"n": n, "s": s, "table": [[i, v] for i, v in enumerate(table.values)]}
     if p is not None:
-        payload["moment"] = asdict(kraw_moments(n, s, p))
+        payload["moment"] = kraw_moments(n, s, p)._asdict()
     _emit("kraw", payload, (("i", "K"), payload["table"]), fmt, out)
 
 
@@ -178,7 +178,7 @@ def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
         payload.update(n=n, s=s, p=p, exponent=value if raw else value / n)
     elif kind == "gap":
         need(n=n, s=s, p=p)
-        payload.update(asdict(moment_gap(n, s, p)))
+        payload.update(moment_gap(n, s, p)._asdict())
     elif kind == "tail":
         need(n=n, s=s, i=i)
         rec = tail_bound(n, s, i)

@@ -113,7 +113,7 @@ def cap_F(x: float, y: float, p: float) -> float:
     return y * 2.0**best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/workloads.py takes dataclasses.asdict of it
 class InductionParams:
     n: int
     s: int
@@ -172,7 +172,7 @@ def induction_params(n: int, s: int, p: float) -> InductionParams:
     return InductionParams(n, s, p, i0, t, rho, phi_big, u_star, rho <= 1.0 + 1e-12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/workloads.py takes dataclasses.asdict of it
 class HannerRecord:
     n: int
     s: int
@@ -203,7 +203,7 @@ def hanner_gap_kraw(n: int, s: int, p: float) -> HannerRecord:
     return HannerRecord(n, s, p, lhs_log2, rhs_log2, (rhs_log2 - lhs_log2) / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/workloads.py takes dataclasses.asdict of it
 class RecursionRecord:
     n: int
     s: int

@@ -13,7 +13,7 @@ h(p, i0/n) = 1 - 2s/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .numerics import (
     LOG2_BINOMIAL_CAP,
     InputError,
     InternalError,
+    _integer,
     _log2_binomial_row,
     log2_binomial,
     log_sum_exp2,
@@ -33,8 +34,7 @@ KRAW_MOMENT_CAP = LOG2_BINOMIAL_CAP
 KRAW_ROOT_CAP = 2048  # kraw_roots / l2_between_roots; tested up to s = n/2 at n = 2048
 
 
-@dataclass(frozen=True)
-class KrawTable:
+class KrawTable(NamedTuple):
     """Exact values K_s(i), i = 0..n."""
 
     n: int
@@ -42,8 +42,7 @@ class KrawTable:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootList:
+class RootList(NamedTuple):
     """The s real roots of K_s in increasing order."""
 
     n: int
@@ -51,8 +50,7 @@ class RootList:
     roots: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MomentRecord:
+class MomentRecord(NamedTuple):
     """log2 E|K_s|^p and the normalized ratio exponent log2 r(n,s,p)."""
 
     n: int
@@ -63,8 +61,7 @@ class MomentRecord:
     mode: str  # 'exact' (s = 0 or n) | 'exact-assisted' (n <= 4096) | 'log'
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     """Norm attainment on one root-delimited interval."""
 
     lo: float
@@ -74,8 +71,7 @@ class IntervalRecord:
     empty: bool = False
 
 
-@dataclass(frozen=True)
-class ConcentrationRecord:
+class ConcentrationRecord(NamedTuple):
     n: int
     s: int
     p: float
@@ -84,6 +80,15 @@ class ConcentrationRecord:
     i0: float
     mass_in_window: float
     outside_proposition_range: bool = False
+
+
+def _degree(who: str, n, s) -> tuple[int, int]:
+    """(n, s) as ints, or an InputError unless both are integers with
+    0 <= s <= n; numpy integers pass, a whole float does not."""
+    n, s = _integer(who, "n", n), _integer(who, "s", s)
+    if not 0 <= s <= n:
+        raise InputError(f"{who}: need 0 <= s <= n, got n={n}, s={s}")
+    return n, s
 
 
 def _kraw_row_weight_recurrence(n: int, s: int) -> list[int]:
@@ -114,8 +119,7 @@ def _kraw_row_weight_recurrence(n: int, s: int) -> list[int]:
 
 def kraw_table(n: int, s: int) -> KrawTable:
     """Exact K_s table, i = 0..n, by the weight recurrence."""
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_table: need 0 <= s <= n, got n={n}, s={s}")
+    n, s = _degree("kraw_table", n, s)
     if n > KRAW_TABLE_CAP:
         raise InputError(f"kraw_table: n={n} exceeds cap {KRAW_TABLE_CAP}")
     return KrawTable(n, s, tuple(_kraw_row_weight_recurrence(n, s)))
@@ -137,40 +141,32 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     Exact-assisted for n <= 4096; beyond that the weight recurrence runs in
     scaled floats with mirroring across n/2. Zeros carry sign 0.
     """
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_log_row: need 0 <= s <= n, got n={n}, s={s}")
+    n, s = _degree("kraw_log_row", n, s)
     if n > KRAW_MOMENT_CAP:
         raise InputError(f"kraw_log_row: n={n} exceeds cap {KRAW_MOMENT_CAP}")
-    signs = np.zeros(n + 1, dtype=np.int8)
-    logs = np.full(n + 1, -np.inf)
     if n <= KRAW_TABLE_CAP:
-        for i, v in enumerate(_kraw_row_weight_recurrence(n, s)):
-            if v:
-                signs[i] = 1 if v > 0 else -1
-                logs[i] = math.log2(abs(v))
-        return signs, logs
+        row = _kraw_row_weight_recurrence(n, s)
+        logs = [math.log2(abs(v)) if v else -math.inf for v in row]
+        return np.array([(v > 0) - (v < 0) for v in row], dtype=np.int8), np.array(logs)
     mid = n // 2
     # scaled-float weight recurrence: the pair (K(i-1), K(i)) is (a, b) * 2^e
     # with one exponent, so an exact zero never carries a stale one
     a, b, e = 0.0, 1.0, 0
     base = log2_binomial(n, s)
-    signs[0] = 1
-    logs[0] = base
+    signs, logs = [1], [base]
     for i in range(0, mid):
         a, b, e = _rescale(b, ((n - 2 * s) * b - i * a) / (n - i), e)
-        if b != 0.0:
-            signs[i + 1] = 1 if b > 0 else -1
-            logs[i + 1] = base + math.log2(abs(b)) + e
-    sgn = -1 if (s & 1) else 1
+        signs.append((b > 0) - (b < 0))
+        logs.append(base + math.log2(abs(b)) + e if b else -math.inf)
     if n % 2 == 0 and s % 2 == 1:
         # K_s(n/2) = -K_s(n/2) forces an exact zero the float recurrence
         # only approximates
-        signs[mid] = 0
-        logs[mid] = -np.inf
-    for i in range(mid + 1):
-        signs[n - i] = sgn * signs[i]
-        logs[n - i] = logs[i]
-    return signs, logs
+        signs[mid], logs[mid] = 0, -math.inf
+    # mirrored across n/2: K_s(n - i) = (-1)^s K_s(i)
+    sgn = -1 if (s & 1) else 1
+    signs += [sgn * v for v in signs[n - mid - 1 :: -1]]
+    logs += logs[n - mid - 1 :: -1]
+    return np.array(signs, dtype=np.int8), np.array(logs)
 
 
 def _kraw_eval_scaled(n: int, s: int, x: float) -> tuple[float, int]:
@@ -191,8 +187,7 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     degree recurrence runs in scaled floats; a value beyond float range maps
     to +-inf, and one below it to 0.
     """
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_eval_real: need 0 <= s <= n, got n={n}, s={s}")
+    n, s = _degree("kraw_eval_real", n, s)
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
         return float(_kraw_row_weight_recurrence(n, s)[int(round(x))])
     m, e = _kraw_eval_scaled(n, s, x)
@@ -225,6 +220,7 @@ def kraw_roots(n: int, s: int) -> RootList:
     """All s roots of K_s, in increasing order: the eigenvalues of the Jacobi
     matrix of the degree recurrence, cross-checked against the exact signs
     of K_s at the integers 0..n."""
+    n, s = _degree("kraw_roots", n, s)
     if not (1 <= s <= n / 2):
         raise InputError(f"kraw_roots: need 1 <= s <= n/2, got n={n}, s={s}")
     if n > KRAW_ROOT_CAP:
@@ -237,8 +233,7 @@ def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
     """log2 E|K_s|^p = log2[(1/2^n) sum_i C(n,i)|K_s(i)|^p] and the
     normalized exponent log2 r(n,s,p) = log2 E|K_s|^p - (p/2) log2 C(n,s),
     summed in log2 over kraw_log_row for every finite p."""
-    if not (0 <= s <= n):
-        raise InputError(f"kraw_moments: need 0 <= s <= n, got n={n}, s={s}")
+    n, s = _degree("kraw_moments", n, s)
     if not 1 <= p < math.inf:
         raise InputError(f"kraw_moments: need finite p >= 1, got p={p}")
     if n > KRAW_MOMENT_CAP:
@@ -274,8 +269,7 @@ def lp_concentration(
     window*sqrt(n ln n) of i0 and of n - i0."""
     if not 2 < p < math.inf:
         raise InputError(f"lp_concentration: need finite p > 2, got p={p}")
-    if not (0 <= s <= n):
-        raise InputError(f"lp_concentration: need 0 <= s <= n, got n={n}, s={s}")
+    n, s = _degree("lp_concentration", n, s)
     s_eff = min(s, n - s)
     i0 = solve_i0(n, s_eff, p)
     s0 = n / math.log(n) if n > 1 else 0.0
@@ -298,6 +292,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
     (including [0, y_1) and (y_s, n]), reports the best integer i and
     attainment_factor = max_i [C(n,i) K_s(i)^2 / 2^n] / C(n,s) in (0, 1].
     """
+    n, s = _degree("l2_between_roots", n, s)
     if not (1 <= s <= n / 2):
         raise InputError(f"l2_between_roots: need 1 <= s <= n/2, got n={n}, s={s}")
     if n > KRAW_ROOT_CAP:

@@ -11,6 +11,7 @@ choose explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,16 @@ class InputError(ValueError):
 
 class InternalError(RuntimeError):
     """Raised when an internal consistency check fails (not a caller error)."""
+
+
+def _integer(who: str, label: str, v) -> int:
+    """v as an int; any other value, a whole float too, is an InputError
+    rather than truncated. numpy integers pass, as int, so that a numpy
+    uint8 cannot wrap the arithmetic done with it."""
+    # int first: numbers.Integral costs ~0.4 us
+    if not (type(v) is int or isinstance(v, numbers.Integral)):
+        raise InputError(f"{who}: need integers, got {label}={v!r}")
+    return int(v)
 
 
 def binary_entropy(t: float) -> float:

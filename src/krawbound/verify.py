@@ -18,8 +18,8 @@ import math
 import numbers
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,23 +52,22 @@ from .cube import (
 )
 from .induction import cap_F, der_zer_residual, induction_params
 from .krawchouk import kraw_moments, l2_between_roots
-from .numerics import InputError, _log2_binomial_row, binary_entropy, inverse_entropy, log2_binomial
+from .numerics import InputError, _integer, _log2_binomial_row, binary_entropy, inverse_entropy, log2_binomial
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
+    # no defaults: a `{}` default would be one dict shared by every config
     suite: str
-    grid: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
-    budget: dict = field(default_factory=dict)
+    grid: dict
+    tolerances: dict
+    seed: int
+    budget: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     config: SuiteConfig
     cases: tuple
     worst_margin: float
@@ -137,8 +136,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One extremal-search cell; `converged_starts` counts the rows that
     stopped rising before the iteration cap."""
 
@@ -542,8 +540,7 @@ def _degree_at_most(n, s, p, seed, instances):
 # ------------------------------------------------------------- suite table
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     """One row of the suite table. `axes` maps each grid axis the suite reads
     to its default values; a bare number marks an axis that takes one value.
     An identity sweep has a `tol` that its `residual` must stay below on each
@@ -624,13 +621,6 @@ def tightness_tags() -> list:
     return sorted(tag for tag, row in _SUITES.items() if row.tol is None and row.budget is None)
 
 
-def _integer(tag: str, label: str, v) -> int:
-    """v as an int; any other value is an InputError rather than truncated."""
-    if not isinstance(v, numbers.Integral):
-        raise InputError(f"{tag}: need integers, got {label}={v!r}")
-    return int(v)
-
-
 def _seed(tag: str, v) -> int:
     """v as a seed in [0, 2^63): numpy takes a Philox key list holding 2^63
     or more through float64 (2^64 - 1 replays seed 0) and wraps a negative
@@ -684,14 +674,14 @@ def run_suite(
     axes = _axis_values(name, row.axes, grid)
     if row.tol is not None:
         tol = row.tol if tol is None else tol
-        extra, config = {"tol": tol}, SuiteConfig(name, grid, tolerances={"residual": tol})
+        extra, config = {"tol": tol}, SuiteConfig(name, grid, {"residual": tol}, 0, {})
     elif row.budget is not None:
         key, default = row.budget
         spent = {key: _integer(name, key, (budget or {}).get(key, default))}
         seed = _seed(name, 0 if seed is None else seed)
-        extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, seed=seed, budget=spent)
+        extra, config = {"seed": seed, **spent}, SuiteConfig(name, grid, {}, seed, spent)
     else:
-        extra, config = {}, SuiteConfig(name, grid)
+        extra, config = {}, SuiteConfig(name, grid, {}, 0, {})
     if row.residual is None:
         cases, constants, artifacts = row.measure(**axes, **extra)
     else:

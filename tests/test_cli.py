@@ -55,6 +55,29 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_builds_only_the_kept_dataclasses():
+    # each dataclass compiles its generated methods at import, a cost every
+    # CLI call pays; result records are NamedTuples instead
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import dataclasses, sys, krawbound.cli\n"
+        "for name, mod in sorted(sys.modules.items()):\n"
+        "    for c in vars(mod).values() if name.startswith('krawbound') else ():\n"
+        "        if isinstance(c, type) and c.__module__ == name and dataclasses.is_dataclass(c):\n"
+        "            print(f'{name}.{c.__name__}')"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stdout.split()) == [
+        "krawbound.cube.CubeFunction",
+        "krawbound.cube.CubeSubset",
+        "krawbound.induction.HannerRecord",
+        "krawbound.induction.InductionParams",
+        "krawbound.induction.RecursionRecord",
+    ]
+
+
 def test_kraw_csv_example():
     res = run("kraw", "--n", "4", "--s", "2", "--format", "csv")
     assert res.exit_code == 0
@@ -278,7 +301,7 @@ def test_unknown_suite_exits_2():
 def test_counterexample_exits_3(monkeypatch):
     artifact = {"n": 8, "s": 2, "p": 4.0, "log2_ratio": 9.9}
     fake = SuiteReport(
-        config=SuiteConfig("extremal-search"),
+        config=SuiteConfig("extremal-search", {}, {}, 0, {}),
         cases=(),
         worst_margin=math.inf,
         measured_constants={},

@@ -3,12 +3,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krawbound.krawchouk as kw
 from krawbound.bivariate import exponent_I, tau
+from krawbound.cube import SymmetricProfile, sphere_union_distance_distribution
+from krawbound.induction import hanner_gap_kraw, tensor_ratio_log2
 from krawbound.numerics import InputError, exact_binomial
 from oracles import kraw_moment_exact, kraw_sum, kraw_table_recurrence, kraw_table_sum
 
@@ -80,6 +83,42 @@ def test_table_cap_error():
         kw.kraw_table(4097, 3)
     with pytest.raises(InputError):
         kw.kraw_table(10, 11)
+
+
+NON_INTEGER_SIZES = {
+    "kraw_table(10, 2.5)": lambda: kw.kraw_table(10, 2.5),
+    "kraw_moments(10, 2.5, 4)": lambda: kw.kraw_moments(10, 2.5, 4),
+    "kraw_eval_real(10, 2.5, 1)": lambda: kw.kraw_eval_real(10, 2.5, 1.0),
+    "SymmetricProfile.kraw(10, 2.5)": lambda: SymmetricProfile.kraw(10, 2.5),
+    "sphere_union_distance_distribution(10, 2.5)": lambda: sphere_union_distance_distribution(10, 2.5),
+    "hanner_gap_kraw(10, 2.5, 4)": lambda: hanner_gap_kraw(10, 2.5, 4),
+    "lp_concentration(512, 64.5, 4, 4)": lambda: kw.lp_concentration(512, 64.5, 4, 4),
+    "kraw_log_row(10.5, 2)": lambda: kw.kraw_log_row(10.5, 2),
+    "kraw_roots(10, 2.5)": lambda: kw.kraw_roots(10, 2.5),
+    "l2_between_roots(10, 2.5)": lambda: kw.l2_between_roots(10, 2.5),
+    "tensor_ratio_log2(4, 1, 4, 2.5)": lambda: tensor_ratio_log2(4, 1, 4, 2.5),
+    "SymmetricProfile.sphere_union(10.0, [1])": lambda: SymmetricProfile.sphere_union(10.0, [1]),
+    "SymmetricProfile.sphere_union(10, [1.5])": lambda: SymmetricProfile.sphere_union(10, [1.5]),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES)
+def test_non_integer_sizes_are_input_errors(call):
+    with pytest.raises(InputError, match="integer"):
+        call()
+
+
+def test_numpy_integer_sizes_agree_with_ints():
+    # stored as int, so a numpy uint8 wraps neither n - 2s nor n + 1
+    u8 = np.uint8
+    assert kw.kraw_table(u8(10), u8(6)) == kw.kraw_table(10, 6)
+    assert kw.kraw_moments(u8(10), u8(6), 4.0) == kw.kraw_moments(10, 6, 4.0)
+    assert kw.kraw_roots(u8(20), u8(6)) == kw.kraw_roots(20, 6)
+    for got, want in zip(kw.kraw_log_row(np.int64(5000), np.int64(7)), kw.kraw_log_row(5000, 7)):
+        assert np.array_equal(got, want)
+    assert sphere_union_distance_distribution(u8(10), u8(6)) == sphere_union_distance_distribution(10, 6)
+    union = SymmetricProfile.sphere_union(u8(255), [u8(3)])
+    assert union.n == 255 and np.flatnonzero(union.signs).tolist() == [3]
 
 
 # ---------------------------------------------------------------- log rows
