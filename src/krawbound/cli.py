@@ -261,7 +261,7 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
         if eps is not None:
             payload["noised_l2_exponent"] = 0.5 * prof.noise_inner_log2(2 * eps * (1 - eps)) * scale
         coeffs = prof.fourier()
-        lc = _log2_binomial_row(n)
+        lc = _log2_binomial_row(n).tolist()
         for k in range(n + 1):
             if coeffs.signs[k] != 0:
                 levels.append([k, (lc[k] + 2.0 * float(coeffs.logs[k])) * scale])
@@ -394,7 +394,7 @@ def iso(n, s, sigma, i, raw, fmt, out):
     imax = math.floor(2 * sigma * (1 - sigma) * n)
     todo = [i] if i is not None else list(range(1, imax + 1))
     if s is not None:
-        ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
+        ls, lns = _log2_binomial_row(s).tolist(), _log2_binomial_row(n - s).tolist()
     rows = []
     for dist in todo:
         bnd = edge_iso_bound(n, sigma, dist) * scale

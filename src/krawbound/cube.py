@@ -332,6 +332,7 @@ class SymmetricProfile(NamedTuple):
 
     @classmethod
     def from_weight_values(cls, n: int, values: Sequence[float]) -> "SymmetricProfile":
+        n = _integer("SymmetricProfile.from_weight_values", "n", n)
         if len(values) != n + 1:
             raise InputError("SymmetricProfile: need n+1 weight values")
         v = np.asarray(values, dtype=float)
@@ -381,12 +382,12 @@ class SymmetricProfile(NamedTuple):
             return float(self.logs.max())
         if not p >= 1:
             raise InputError(f"lp_norm_log2: need p >= 1 or inf, got p={p}")
-        lc = np.asarray(_log2_binomial_row(self.n))
+        lc = _log2_binomial_row(self.n)
         return log_sum_exp2(lc + p * self.logs - self.n) / p
 
     def size_log2(self) -> float:
         """log2 of the support size in points, sum of C(n,i) over the support."""
-        lc = np.asarray(_log2_binomial_row(self.n))
+        lc = _log2_binomial_row(self.n)
         return log_sum_exp2(np.where(self.signs != 0, lc, -np.inf))
 
     def fourier(self) -> "SymmetricProfile":
@@ -411,7 +412,7 @@ class SymmetricProfile(NamedTuple):
         if rho == 0.0:
             # only k = 0 survives, with C(n, 0) = 1
             return 2.0 * float(g.logs[0])
-        lc = np.asarray(_log2_binomial_row(self.n))
+        lc = _log2_binomial_row(self.n)
         k = np.arange(self.n + 1)
         return log_sum_exp2(lc + k * math.log2(rho) + 2.0 * g.logs)
 

@@ -13,6 +13,7 @@ h(p, i0/n) = 1 - 2s/n.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from .bivariate import solve_h_inverse
 from .numerics import (
     EXACT_BINOMIAL_CAP,
     LOG2_BINOMIAL_CAP,
+    ROW_CACHE_SIZE,
     InputError,
     InternalError,
     _integer,
@@ -136,37 +138,54 @@ def _rescale(a: float, b: float, e: int) -> tuple[float, float, int]:
 
 
 def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row of (sign, log2|K_s(i)|) pairs, i = 0..n.
+    """Row of (sign, log2|K_s(i)|) pairs, i = 0..n, as read-only int8 and
+    float64 arrays.
 
     Exact-assisted for n <= 4096; beyond that the weight recurrence runs in
-    scaled floats with mirroring across n/2. Zeros carry sign 0.
+    scaled floats with mirroring across n/2. Zeros carry sign 0. The last
+    ROW_CACHE_SIZE rows are kept and shared by every caller, 9 (n + 1) bytes
+    each; with the log2 binomial row of the same n that every moment reads,
+    about 17 (n + 1) bytes per (n, s) cached, 272 MB at worst, at n = 10^6.
     """
     n, s = _degree("kraw_log_row", n, s)
     if n > KRAW_MOMENT_CAP:
         raise InputError(f"kraw_log_row: n={n} exceeds cap {KRAW_MOMENT_CAP}")
+    return _kraw_log_row_built(n, s)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _kraw_log_row_built(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     if n <= KRAW_TABLE_CAP:
         row = _kraw_row_weight_recurrence(n, s)
+        signs = [(v > 0) - (v < 0) for v in row]
         logs = [math.log2(abs(v)) if v else -math.inf for v in row]
-        return np.array([(v > 0) - (v < 0) for v in row], dtype=np.int8), np.array(logs)
-    mid = n // 2
-    # scaled-float weight recurrence: the pair (K(i-1), K(i)) is (a, b) * 2^e
-    # with one exponent, so an exact zero never carries a stale one
-    a, b, e = 0.0, 1.0, 0
-    base = log2_binomial(n, s)
-    signs, logs = [1], [base]
-    for i in range(0, mid):
-        a, b, e = _rescale(b, ((n - 2 * s) * b - i * a) / (n - i), e)
-        signs.append((b > 0) - (b < 0))
-        logs.append(base + math.log2(abs(b)) + e if b else -math.inf)
-    if n % 2 == 0 and s % 2 == 1:
-        # K_s(n/2) = -K_s(n/2) forces an exact zero the float recurrence
-        # only approximates
-        signs[mid], logs[mid] = 0, -math.inf
-    # mirrored across n/2: K_s(n - i) = (-1)^s K_s(i)
-    sgn = -1 if (s & 1) else 1
-    signs += [sgn * v for v in signs[n - mid - 1 :: -1]]
-    logs += logs[n - mid - 1 :: -1]
-    return np.array(signs, dtype=np.int8), np.array(logs)
+    else:
+        mid = n // 2
+        # scaled-float weight recurrence: the pair (K(i-1), K(i)) is (a, b) * 2^e
+        # with one exponent, so an exact zero never carries a stale one
+        a, b, e = 0.0, 1.0, 0
+        c, lo, hi = n - 2 * s, 2.0**-501, 2.0**500
+        base = log2_binomial(n, s)
+        signs, logs = [1], [base]
+        for i in range(0, mid):
+            a, b = b, (c * b - i * a) / (n - i)
+            # _rescale acts only once max(|a|, |b|) leaves [lo, hi): tested
+            # inline, as a call per step costs more than the step
+            if not (-hi < a < hi and -hi < b < hi) or (-lo < a < lo and -lo < b < lo):
+                a, b, e = _rescale(a, b, e)
+            signs.append((b > 0) - (b < 0))
+            logs.append(base + math.log2(abs(b)) + e if b else -math.inf)
+        if n % 2 == 0 and s % 2 == 1:
+            # K_s(n/2) = -K_s(n/2) forces an exact zero the float recurrence
+            # only approximates
+            signs[mid], logs[mid] = 0, -math.inf
+        # mirrored across n/2: K_s(n - i) = (-1)^s K_s(i)
+        sgn = -1 if (s & 1) else 1
+        signs += [sgn * v for v in signs[n - mid - 1 :: -1]]
+        logs += logs[n - mid - 1 :: -1]
+    signs, logs = np.array(signs, dtype=np.int8), np.array(logs)
+    signs.flags.writeable = logs.flags.writeable = False
+    return signs, logs
 
 
 def _kraw_eval_scaled(n: int, s: int, x: float) -> tuple[float, int]:
@@ -188,6 +207,8 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     to +-inf, and one below it to 0.
     """
     n, s = _degree("kraw_eval_real", n, s)
+    if not math.isfinite(x):
+        raise InputError(f"kraw_eval_real: need a finite x, got x={x}")
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
         return float(_kraw_row_weight_recurrence(n, s)[int(round(x))])
     m, e = _kraw_eval_scaled(n, s, x)
@@ -244,8 +265,8 @@ def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
     _, logs = kraw_log_row(n, s)
     lc = _log2_binomial_row(n)
     mode = "exact-assisted" if n <= KRAW_TABLE_CAP else "log"
-    log2_moment = log_sum_exp2(np.asarray(lc) + p * logs - n)
-    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * lc[s], mode)
+    log2_moment = log_sum_exp2(lc + p * logs - n)
+    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * float(lc[s]), mode)
 
 
 def solve_i0(n: float, s: float, p: float) -> float:
@@ -257,8 +278,8 @@ def solve_i0(n: float, s: float, p: float) -> float:
     """
     if not p >= 2:
         raise InputError(f"solve_i0: need p >= 2, got p={p}")
-    if not (0 <= s <= n / 2):
-        raise InputError(f"solve_i0: need 0 <= s <= n/2, got n={n}, s={s}")
+    if not (n > 0 and 0 <= s <= n / 2):
+        raise InputError(f"solve_i0: need n > 0 and 0 <= s <= n/2, got n={n}, s={s}")
     return n * solve_h_inverse(p, 1.0 - 2.0 * s / n)
 
 
@@ -276,7 +297,7 @@ def lp_concentration(
     outside = not (s0 < s_eff < n / 2 - s0)
     halfwidth = window * math.sqrt(n * math.log(n)) if n > 1 else 0.0
     _, logs = kraw_log_row(n, s)
-    terms = np.asarray(_log2_binomial_row(n)) + p * logs
+    terms = _log2_binomial_row(n) + p * logs
     i = np.arange(n + 1)
     inside = (np.abs(i - i0) <= halfwidth) | (np.abs(i - (n - i0)) <= halfwidth)
     mass = 2.0 ** (log_sum_exp2(np.where(inside, terms, -np.inf)) - log_sum_exp2(terms))
@@ -298,7 +319,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
     if n > KRAW_ROOT_CAP:
         raise InputError(f"l2_between_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
     roots, row, below = _roots_and_counts(n, s)
-    lc = _log2_binomial_row(n)
+    lc = _log2_binomial_row(n).tolist()
     best_i: list[int | None] = [None] * (s + 1)
     best = [0.0] * (s + 1)
     for i, v in enumerate(row):

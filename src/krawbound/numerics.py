@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ LN2 = math.log(2.0)
 
 EXACT_BINOMIAL_CAP = 4096
 LOG2_BINOMIAL_CAP = 10**6
+ROW_CACHE_SIZE = 16  # rows each cached row builder keeps, the least recently used dropped first
 
 
 class InputError(ValueError):
@@ -180,6 +182,7 @@ def inverse_entropy(y: float) -> float:
 
 def exact_binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer. k outside [0, n] gives 0. Capped at n <= 4096."""
+    n, k = _integer("exact_binomial", "n", n), _integer("exact_binomial", "k", k)
     if n < 0 or n > EXACT_BINOMIAL_CAP:
         raise InputError(f"exact_binomial: n={n} outside [0, {EXACT_BINOMIAL_CAP}]")
     if k < 0 or k > n:
@@ -198,16 +201,27 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
-def _log2_binomial_row(n: int) -> list[float]:
-    """log2 C(n, i) for i = 0..n: math.log2 of the exact integers up to
-    EXACT_BINOMIAL_CAP (it takes a big int, rounding its top 53 bits to
-    nearest), from log-gamma above it (as log2_binomial)."""
+def _log2_binomial_row(n: int) -> np.ndarray:
+    """log2 C(n, i) for i = 0..n as a read-only float64 array: math.log2 of
+    the exact integers up to EXACT_BINOMIAL_CAP (it takes a big int,
+    rounding its top 53 bits to nearest), from log-gamma above it (as
+    log2_binomial). The last ROW_CACHE_SIZE rows are kept and shared by
+    every caller, 8 (n + 1) bytes each: 128 MB at worst, at n = 10^6."""
+    n = _integer("log2 binomial row", "n", n)
     if n < 0 or n > LOG2_BINOMIAL_CAP:
         raise InputError(f"log2 binomial row: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
+    return _log2_binomial_row_built(n)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _log2_binomial_row_built(n: int) -> np.ndarray:
     if n <= EXACT_BINOMIAL_CAP:
-        return [math.log2(c) for c in _binomial_row(n)]
-    lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    return ((lg[n] - lg - lg[::-1]) / LN2).tolist()
+        row = np.array([math.log2(c) for c in _binomial_row(n)])
+    else:
+        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        row = (lg[n] - lg - lg[::-1]) / LN2
+    row.flags.writeable = False
+    return row
 
 
 def log2_binomial(n: int, k: int) -> float:

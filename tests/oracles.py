@@ -5,14 +5,17 @@ i. Two definitions here share nothing with it: the explicit alternating sum,
 and the three-term recurrence in the degree s. The exact moment sums the
 exact row in big integers, where `krawbound` sums its log row in floats, and
 the distance distribution is counted pair by pair, where `krawbound` uses
-the spectral identity.
+the spectral identity. The scaled log row is rebuilt with its rescale called
+at every step, where `kraw_log_row` calls it only outside the range in which
+it does nothing.
 """
 
 import math
 
 import numpy as np
 
-from krawbound.krawchouk import kraw_table
+from krawbound.krawchouk import _rescale, kraw_table
+from krawbound.numerics import log2_binomial
 
 
 def kraw_sum(n, s, i):
@@ -63,3 +66,24 @@ def distance_distribution_scan(A):
     for x in idx:
         a += np.bincount(np.bitwise_count(idx ^ x), minlength=A.n + 1)
     return tuple(int(v) for v in a)
+
+
+def kraw_log_row_rescaled_every_step(n, s):
+    """kraw_log_row's signs and logs for n > 4096 by the scaled-float weight
+    recurrence, with `_rescale` called at every step and the row mirrored
+    across n/2; also returns how many steps moved the exponent down and up."""
+    mid = n // 2
+    a, b, e = 0.0, 1.0, 0
+    base = log2_binomial(n, s)
+    signs, logs, down, up = [1], [base], 0, 0
+    for i in range(mid):
+        a, b, e_next = _rescale(b, ((n - 2 * s) * b - i * a) / (n - i), e)
+        down, up, e = down + (e_next < e), up + (e_next > e), e_next
+        signs.append((b > 0) - (b < 0))
+        logs.append(base + math.log2(abs(b)) + e if b else -math.inf)
+    if n % 2 == 0 and s % 2 == 1:
+        signs[mid], logs[mid] = 0, -math.inf
+    sgn = -1 if (s & 1) else 1
+    signs += [sgn * v for v in signs[n - mid - 1 :: -1]]
+    logs += logs[n - mid - 1 :: -1]
+    return np.array(signs, dtype=np.int8), np.array(logs), down, up

@@ -9,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krawbound.krawchouk as kw
+from krawbound import numerics
 from krawbound.bivariate import exponent_I, tau
 from krawbound.cube import SymmetricProfile, sphere_union_distance_distribution
 from krawbound.induction import hanner_gap_kraw, tensor_ratio_log2
-from krawbound.numerics import InputError, exact_binomial
-from oracles import kraw_moment_exact, kraw_sum, kraw_table_recurrence, kraw_table_sum
+from krawbound.numerics import InputError, _log2_binomial_row, exact_binomial
+from oracles import (
+    kraw_log_row_rescaled_every_step,
+    kraw_moment_exact,
+    kraw_sum,
+    kraw_table_recurrence,
+    kraw_table_sum,
+)
 
 
 # ---------------------------------------------------------------- tables
@@ -99,6 +106,9 @@ NON_INTEGER_SIZES = {
     "tensor_ratio_log2(4, 1, 4, 2.5)": lambda: tensor_ratio_log2(4, 1, 4, 2.5),
     "SymmetricProfile.sphere_union(10.0, [1])": lambda: SymmetricProfile.sphere_union(10.0, [1]),
     "SymmetricProfile.sphere_union(10, [1.5])": lambda: SymmetricProfile.sphere_union(10, [1.5]),
+    "SymmetricProfile.from_weight_values(10.0, ...)": lambda: SymmetricProfile.from_weight_values(
+        10.0, [1.0] * 11
+    ),
 }
 
 
@@ -168,6 +178,64 @@ def test_log_row_above_table_cap_matches_exact_row(n, s):
     assert err <= 1e-9
 
 
+@pytest.mark.parametrize("n,s", [(4098, 2049), (6000, 3000), (8192, 2048), (12001, 6000), (20000, 5000)])
+def test_log_row_range_test_matches_rescale_at_every_step(n, s):
+    # every cell here scales its pair down past 2^-500 several times, and
+    # none up: |K_s(i)| <= C(n, s) falls toward n/2, so the upward side of
+    # the range test is checked on _rescale alone below
+    signs, logs = kw.kraw_log_row(n, s)
+    want_signs, want_logs, down, up = kraw_log_row_rescaled_every_step(n, s)
+    assert down >= 4 and up == 0
+    assert signs.tobytes() == want_signs.tobytes() and logs.tobytes() == want_logs.tobytes()
+
+
+def test_rescale_is_a_no_op_exactly_inside_the_log_rows_range():
+    # kraw_log_row skips _rescale while max(|a|, |b|) lies in [2^-501, 2^500)
+    lo, hi = 2.0**-501, 2.0**500
+    inside = [lo, math.nextafter(hi, 0.0), 1.0, -lo, -math.nextafter(hi, 0.0)]
+    outside = [math.nextafter(lo, 0.0), hi, -hi, 2.0**-1074, 1e308, -1e-300]
+    for m in inside:
+        for a, b in ((m, 0.0), (0.5 * m, m), (m, -0.25 * m)):
+            assert kw._rescale(a, b, 7) == (a, b, 7)
+    for m in outside:
+        for a, b in ((m, 0.0), (0.5 * m, m), (m, -0.25 * m)):
+            ra, rb, e = kw._rescale(a, b, 7)
+            assert e != 7 and 0.5 <= max(abs(ra), abs(rb)) < 1
+            assert (math.ldexp(ra, e - 7), math.ldexp(rb, e - 7)) == (a, b)
+
+
+def test_cached_rows_are_read_only_and_shared():
+    rows = (*kw.kraw_log_row(10, 3), *kw.kraw_log_row(5000, 7))
+    for row in (*rows, _log2_binomial_row(10), _log2_binomial_row(5000)):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1
+    signs, logs = kw.kraw_log_row(5000, 7)
+    for got, want in zip(kw.kraw_log_row(np.int64(5000), np.uint16(7)), (signs, logs)):
+        assert got is want
+    assert _log2_binomial_row(np.uint16(5000)) is _log2_binomial_row(5000)
+
+
+def test_whole_float_sizes_refused_after_the_int_row_is_cached():
+    kw.kraw_log_row(10, 2)
+    _log2_binomial_row(10)
+    with pytest.raises(InputError, match="integer"):
+        kw.kraw_log_row(10.0, 2)
+    with pytest.raises(InputError, match="integer"):
+        kw.kraw_log_row(10, 2.0)
+    with pytest.raises(InputError, match="integer"):
+        _log2_binomial_row(10.0)
+
+
+@pytest.mark.parametrize("n,s", [(10, 3), (4096, 2048), (5001, 2500), (8192, 2048)])
+def test_rows_rebuilt_after_cache_clear_are_bit_identical(n, s):
+    before = [r.tobytes() for r in (*kw.kraw_log_row(n, s), _log2_binomial_row(n))]
+    kw._kraw_log_row_built.cache_clear()
+    numerics._log2_binomial_row_built.cache_clear()
+    after = [r.tobytes() for r in (*kw.kraw_log_row(n, s), _log2_binomial_row(n))]
+    assert after == before
+
+
 # ---------------------------------------------------------------- eval real
 
 
@@ -208,6 +276,12 @@ def test_eval_scaled_rescales_both_ways_against_mpmath():
         for j in range(1, s):
             a, b = b, ((n - 2 * mpmath.mpf(x)) * b - (n - j + 1) * a) / (j + 1)
         assert abs(mpmath.ldexp(m, e) / b - 1) < 1e-13
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_eval_real_refuses_non_finite_x(x):
+    with pytest.raises(InputError, match="finite"):
+        kw.kraw_eval_real(10, 3, x)
 
 
 def test_eval_real_continuity():
@@ -365,6 +439,14 @@ def test_moments_refuse_non_finite_p(p):
         kw.kraw_moments(6000, 3, p)
     with pytest.raises(InputError):
         kw.lp_concentration(10, 3, p, 1.0)
+
+
+def test_concentration_refuses_the_empty_cube():
+    # i0 solves h(p, i0/n) = 1 - 2s/n, which has no n = 0
+    with pytest.raises(InputError, match="n > 0"):
+        kw.lp_concentration(0, 0, 4, 1)
+    with pytest.raises(InputError, match="n > 0"):
+        kw.solve_i0(0.0, 0.0, 4.0)
 
 
 def test_moments_vs_float_bruteforce():

@@ -207,6 +207,10 @@ def test_exact_binomial_pascal_triangle():
     assert exact_binomial(10, 11) == 0
     with pytest.raises(InputError):
         exact_binomial(4097, 1)
+    for bad in ((10.5, 2), (10.0, 2), (10, 2.0), ("10", 2)):
+        with pytest.raises(InputError, match="integer"):
+            exact_binomial(*bad)
+    assert exact_binomial(np.uint8(10), np.int64(3)) == 120
 
 
 def test_log2_binomial_against_exact():
@@ -220,6 +224,9 @@ def test_log2_binomial_against_exact():
         with pytest.raises(InputError):
             log2_binomial(bad, 0)
         with pytest.raises(InputError):
+            _log2_binomial_row(bad)
+    for bad in (10.0, 10.5):
+        with pytest.raises(InputError, match="integer"):
             _log2_binomial_row(bad)
 
 
