@@ -15,12 +15,10 @@ objects, with x always a degree-like ratio and y a point-like ratio in
 - alpha, x*, phi, tilde_phi: noise-stability exponents for sets;
 - eta, eta_p: hypercontractive exponents in terms of the lp/l1 ratio.
 
-The closed form of I has one body: the scalar evaluators run it on floats
-and tau rows (for disc-cont's grid maxima) on numpy rows, bit for bit alike,
-because rows take their logs and squares entry by entry via _each. The three
-minimization oracles (pi over delta, the phi transform, the eps-minimization
-of the edge-isoperimetric bound) each scan their scalar objective at 21
-points and refine by Brent's method, in the one 1-d minimizer.
+The three minimization oracles (pi over delta, the phi transform, the
+eps-minimization of the edge-isoperimetric bound) each scan their scalar
+objective at 21 points and refine by Brent's method, in the one 1-d
+minimizer.
 
 Implicit equations are solved on monotone maps only, by the one
 root-bracketing solver (ITP steps inside a bisection-bounded bracket, run
@@ -32,11 +30,7 @@ inline.
 from __future__ import annotations
 
 import math
-from functools import partial
-from types import SimpleNamespace
 from typing import NamedTuple
-
-import numpy as np
 
 from .numerics import (
     InputError,
@@ -64,32 +58,6 @@ def _gate(name: str, label: str, t: float) -> float:
     if 0.5 < t <= 0.5 + _SLACK:
         return 0.5
     raise InputError(f"{name}: {label}={t} outside [0, 1/2]")
-
-
-def _each(f, row: np.ndarray) -> np.ndarray:
-    """f at each entry of a row. numpy's log2 and t ** 2 miss math.log2 and
-    pow by an ulp at times, so _ROWS takes those through here: the closed
-    form of I, given its operations m, then serves floats (m = _FLOATS, the
-    default) and rows (m = _ROWS) bit for bit alike; the rest round alike."""
-    return np.fromiter(map(f, row.tolist()), float, row.size)
-
-
-def _square(t: float) -> float:
-    return t ** 2
-
-
-def _entropy_row(t: np.ndarray) -> np.ndarray:
-    """binary_entropy at each entry of a row in [0, 1], bit for bit."""
-    out = np.zeros(t.shape)
-    live = (0.0 < t) & (t < 1.0)
-    s = t[live]
-    out[live] = -s * _each(math.log2, s) - (1.0 - s) * _each(math.log2, 1.0 - s)
-    return out
-
-
-_FLOATS = SimpleNamespace(log2=math.log2, square=_square, sqrt=math.sqrt, maximum=max)
-_ROWS = SimpleNamespace(log2=partial(_each, math.log2), square=partial(_each, _square), sqrt=np.sqrt,
-                        maximum=np.maximum)
 
 
 def _split_entropy(sigma: float, t: float) -> float:
@@ -126,7 +94,7 @@ def ratio_r(x: float, y: float) -> float:
     return (a + b) / (2.0 * (1.0 - y))
 
 
-def _I_closed(u, v: float, m=_FLOATS):
+def _I_closed(u: float, v: float) -> float:
     """Closed-form antiderivative, u = point ratio, v = degree ratio > 0.
 
     With a = 1-2v, b = sqrt(a^2 - 4u(1-u)) and w = v(1-v), for v > 0 and
@@ -136,23 +104,22 @@ def _I_closed(u, v: float, m=_FLOATS):
     as v -> 0 or u -> 1/2 are taken exactly: b^2 = (1-2u)^2 - 4w,
     1-2u-b = 4w/(1-2u+b) and 2(1-u) - a^2 - ab = 16(1-u)^2 w/(1-2u + 4w + ab).
     """
-    log2, square = m.log2, m.square
     a = 1.0 - 2.0 * v
     w = v * (1.0 - v)
-    b = m.sqrt(m.maximum(square(1.0 - 2.0 * u) - 4.0 * w, 0.0))
-    t1 = log2(1.0 - u)
-    t2 = 0.5 * a * log2(4.0 * w / (1.0 - 2.0 * u + b))
-    t3 = u * log2((a + b) / (2.0 * (1.0 - u)))
-    q = 16.0 * square(1.0 - u) * w / (1.0 - 2.0 * u + 4.0 * w + a * b)
-    return t1 + t2 + t3 - 0.5 * log2(q)
+    b = math.sqrt(max((1.0 - 2.0 * u) ** 2 - 4.0 * w, 0.0))
+    t1 = math.log2(1.0 - u)
+    t2 = 0.5 * a * math.log2(4.0 * w / (1.0 - 2.0 * u + b))
+    t3 = u * math.log2((a + b) / (2.0 * (1.0 - u)))
+    q = 16.0 * (1.0 - u) ** 2 * w / (1.0 - 2.0 * u + 4.0 * w + a * b)
+    return t1 + t2 + t3 - 0.5 * math.log2(q)
 
 
-def _inner_I(x: float, y, m=_FLOATS):
+def _inner_I(x: float, y: float) -> float:
     """exponent_I at y in [0, 1/2] below the root-region boundary: the closed
     form anchored at y = 0 (-1 there); -1 at x = 0, and at x = 1/2, which has no such y."""
     if not 0.0 < x < 0.5:
         return -1.0
-    return _I_closed(y, x, m) - _I_closed(0.0, x) - 1.0
+    return _I_closed(y, x) - _I_closed(0.0, x) - 1.0
 
 
 def exponent_I(x_deg: float, y_pt: float) -> float:
@@ -187,17 +154,6 @@ def tau(x: float, y: float) -> float:
     if y < root_region_boundary(x):
         return binary_entropy(x) + _inner_I(x, y) + 1.0
     return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
-
-
-def _tau_row(x: float, y: np.ndarray, h_y: np.ndarray) -> np.ndarray:
-    """tau(x, .) at each point of a row y in [0, 1/2], given H on it, by
-    tau's two branches."""
-    x = _gate("tau", "x", x)
-    hx = binary_entropy(x)
-    inner = y < root_region_boundary(x)
-    e = np.zeros(y.shape)
-    e[inner] = _inner_I(x, y[inner], _ROWS)
-    return np.where(inner, hx + e + 1.0, 0.5 * (1.0 + hx - h_y))
 
 
 def little_h(p: float, x: float) -> float:

@@ -13,6 +13,7 @@ h(p, i0/n) = 1 - 2s/n.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -207,8 +208,10 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
     to +-inf, and one below it to 0.
     """
     n, s = _degree("kraw_eval_real", n, s)
-    if not math.isfinite(x):
-        raise InputError(f"kraw_eval_real: need a finite x, got x={x}")
+    if not abs(x) <= sys.float_info.max:
+        # an int beyond the float range overflows math.isfinite and may be too long for str
+        shown = f"x={x}" if isinstance(x, float) else f"an x of type {type(x).__name__} beyond it"
+        raise InputError(f"kraw_eval_real: need a finite x in the float range, got {shown}")
     if x == round(x) and 0 <= x <= n and n <= KRAW_TABLE_CAP:
         return float(_kraw_row_weight_recurrence(n, s)[int(round(x))])
     m, e = _kraw_eval_scaled(n, s, x)

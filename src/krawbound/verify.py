@@ -23,16 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bivariate import (
-    _entropy_row,
-    _tau_row,
-    edge_iso_min_check,
-    phi,
-    phi_transform_check,
-    pi_min_check,
-    psi,
-    tau,
-)
+from .bivariate import edge_iso_min_check, phi, phi_transform_check, pi_min_check, psi, tau
 from .bounds import (
     edge_iso_bound,
     hypercontractive_bound,
@@ -373,16 +364,24 @@ def _u_star(n, s, p):
 
 def _disc_phi(nv: int, sigma: float, eps: list) -> list:
     """phi's maximum over the n-point grid y = k/n, k <= n/2, at each eps:
-    max_k { y log2(1 - 2 eps) + H(y) + 2 tau(sigma, y) } - 2, from one tau row."""
+    max_k { y log2(1 - 2 eps) + H(y) + 2 tau(sigma, y) } - 2. At eps >= 1/2,
+    log2(1 - 2 eps) = -inf kills every y > 0: the y = 0 term 2 H(sigma) - 2."""
     y = np.arange(nv // 2 + 1) / nv
-    h_y = _entropy_row(y)
-    tau_y = _tau_row(sigma, y, h_y)
-    return [float(np.max(y * math.log2(1.0 - 2.0 * ep) + h_y + 2.0 * tau_y - 2.0)) for ep in eps]
+    h_y = np.array([binary_entropy(t) for t in y.tolist()])
+    tau_y = np.array([tau(sigma, t) for t in y.tolist()])
+    return [
+        float(np.max(y * math.log2(1.0 - 2.0 * ep) + h_y + 2.0 * tau_y - 2.0))
+        if ep < 0.5
+        else float(h_y[0] + 2.0 * tau_y[0] - 2.0)
+        for ep in eps
+    ]
 
 
 def _disc_cont(n, sigma, eps, tol):
     # The continuous maximum defining phi exceeds its n-point grid version
     # by at most O(1/n); the measured constant is reported.
+    if any(nv < 1 for nv in n):
+        raise InputError(f"disc-cont: need n >= 1, got n={n}")
     cases, worst_c = [], 0.0
     eps = [float(ep) for ep in eps]
     for nv, sg in product(n, map(float, sigma)):
@@ -416,6 +415,8 @@ def _edge_iso_sphere(n, s):
 
 
 def _hc_sphere_gap(eps, s):
+    if len(set(s)) < 2 or min(s) < 1:
+        raise InputError(f"hc-sphere-gap: need two or more distinct s >= 1 to fit a slope, got s={s}")
     eps = float(eps)
     p = 1 + (1 - 2 * eps) ** 2
     cases, gaps, cs = [], [], []

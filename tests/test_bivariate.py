@@ -933,32 +933,11 @@ _HALF = st.floats(0.0, 0.5)
 _CORNERS_OF_HALF = [0.0, 1e-300, 0.5 - 1e-13, 0.5]
 
 
-def _row(lo, hi):
-    """Every corner of [0, 1/2], then 256 points from lo to hi: enough for a
-    log2 or square taken by numpy, which misses math's on ~1 in 1,000
-    inputs, to show."""
-    return np.concatenate([_CORNERS_OF_HALF, np.linspace(lo, hi, 256)])
-
-
-def _at_corner_sigmas(test):
-    for c in _CORNERS_OF_HALF:
-        test = example(sigma=c, lo=0.0, hi=0.5)(test)
-    return test
-
-
 def _at_corner_pairs(test):
     for x in _CORNERS_OF_HALF:
         for y in _CORNERS_OF_HALF:
             test = example(x=x, y=y)(test)
     return test
-
-
-@_at_corner_sigmas
-@given(sigma=_HALF, lo=_HALF, hi=_HALF)
-def test_tau_row_is_tau_bit_for_bit(sigma, lo, hi):
-    y = _row(lo, hi)
-    row = bv._tau_row(sigma, y, bv._entropy_row(y))
-    assert row.tobytes() == np.array([bv.tau(sigma, t) for t in y.tolist()]).tobytes()
 
 
 @_at_corner_pairs

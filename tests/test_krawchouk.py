@@ -278,7 +278,11 @@ def test_eval_scaled_rescales_both_ways_against_mpmath():
         assert abs(mpmath.ldexp(m, e) / b - 1) < 1e-13
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "x",
+    # then two ints beyond the float range, which overflow any float conversion
+    [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400"), pytest.param(-(10**5000), id="-1e5000")],
+)
 def test_eval_real_refuses_non_finite_x(x):
     with pytest.raises(InputError, match="finite"):
         kw.kraw_eval_real(10, 3, x)

@@ -340,17 +340,29 @@ def test_disc_cont_gap_within_one_over_n():
 
 
 @pytest.mark.parametrize("nv", [64, 1024])
-@pytest.mark.parametrize("sigma", [0.1, 0.4])
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.4, 0.5])
 def test_disc_phi_is_the_scalar_maximum(nv, sigma):
-    # one tau row per (n, sigma) gives the maximum of the scalar loop, bit for bit
-    eps = [0.05, 0.45]
+    # the grid maximum is that of the scalar loop over y = k/n, bit for bit;
+    # at eps = 1/2, where log2(1 - 2 eps) = -inf kills every y > 0, the
+    # y = 0 term
+    eps = [0.05, 0.45, 0.5]
     for ep, disc in zip(eps, _disc_phi(nv, sigma, eps)):
-        c = math.log2(1.0 - 2.0 * ep)
-        want = max(
-            k / nv * c + binary_entropy(k / nv) + 2.0 * tau(sigma, k / nv) - 2.0
-            for k in range(nv // 2 + 1)
-        )
+        c, ks = (math.log2(1.0 - 2.0 * ep), range(nv // 2 + 1)) if ep < 0.5 else (0.0, [0])
+        want = max(k / nv * c + binary_entropy(k / nv) + 2.0 * tau(sigma, k / nv) - 2.0 for k in ks)
         assert disc.hex() == want.hex()
+
+
+def test_disc_cont_at_eps_one_half():
+    # the grid maximum is its y = 0 term 2 H(sigma) - 2, which is phi(sigma, 1/2)
+    rep = run_suite("disc-cont", {"eps": (0.5,)})
+    assert rep.passed and len(rep.cases) == 16
+    assert rep.measured_constants["disc_cont_n_times_gap"] < 1e-9
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_disc_cont_refuses_n_below_one(n):
+    with pytest.raises(InputError, match="need n >= 1"):
+        run_suite("disc-cont", {"n": (64, n)})
 
 
 # --------------------------------------------------------- tightness sweeps
@@ -383,6 +395,17 @@ def test_hc_sphere_factor_below_s_three_quarters():
     assert max(cs) <= 10.0
     # the scaled factor must not explode along the grid
     assert cs[-1] <= cs[0] * 2.0
+
+
+@pytest.mark.parametrize("s", [(1,), (0, 2), (2, 2), ()])
+def test_hc_sphere_gap_refuses_a_ladder_without_a_slope(s):
+    with pytest.raises(InputError, match="two or more distinct s >= 1"):
+        run_suite("hc-sphere-gap", {"s": s})
+
+
+def test_hc_sphere_gap_on_two_rungs():
+    rep = run_suite("hc-sphere-gap", {"s": (1, 2)})
+    assert rep.passed and len(rep.cases) == 2
 
 
 def test_ue_union_trend_non_exploding():
