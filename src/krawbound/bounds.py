@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 from .bivariate import _alpha_max, _split_entropy, eta_p, phi, pi_fn, psi, tau
-from .krawchouk import kraw_moments
 from .numerics import InputError, binary_entropy, inverse_entropy
 
 
@@ -66,6 +65,8 @@ class MomentGapRecord(NamedTuple):
 def moment_gap(n: int, s: int, p: float) -> MomentGapRecord:
     """Bound exponent minus the Krawchouk ratio it dominates, with the
     constant C backed out of gap <= log2(n C^p s^{p/4})."""
+    from .krawchouk import kraw_moments  # numpy, which the other bounds never load
+
     if not (1 <= s <= n / 2):
         raise InputError(f"moment_gap: need 1 <= s <= n/2, got s={s}, n={n}")
     bound = moment_bound(n, s, p)

@@ -7,7 +7,11 @@ exponents), iso (edge-isoperimetric exponents).
 
 Exit codes: 0 success, 2 input error, 3 a verification suite failed a case
 or produced a counterexample artifact. Data goes to stdout, diagnostics to
-stderr. All exponent outputs are log2-per-n unless --raw.
+stderr. All exponent outputs are log2-per-n unless --raw. The array layers
+and numpy are imported inside the commands that use them, so that `bound`
+of every kind but `gap`, `iso` without --s, and `verify` on the suites of
+scalar formulas (tau-symmetry, psi-two-reps, pi-min, phi-transform,
+edge-iso-min, disc-cont) never load numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 import click
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -35,17 +38,7 @@ from .bounds import (
     tail_bound,
     ue_exponent,
 )
-from .cube import (
-    SymmetricProfile,
-    apply_noise,
-    lp_norm,
-    random_homogeneous,
-    sphere_union_ue_log2,
-    weight_table,
-)
-from .induction import hanner_gap_kraw, induction_params, recursion_residual
-from .krawchouk import kraw_moments, kraw_table
-from .numerics import InputError, _log2_binomial_row, binary_entropy, inverse_entropy
+from .numerics import InputError, _log2_binomial_row, binary_entropy, inverse_entropy, linspace
 from .verify import all_suite_tags, run_suite
 
 
@@ -97,11 +90,13 @@ def _parse_grid(specs: tuple[str, ...]) -> dict:
             raise click.UsageError(f"--grid expects axis=lo:hi:count, got {spec!r}")
         if count_i < 1:
             raise click.UsageError(f"--grid count must be >= 1, got {count_i}")
-        values = np.linspace(lo_f, hi_f, count_i)
+        values = linspace(lo_f, hi_f, count_i)
+        if not all(map(math.isfinite, (lo_f, hi_f, *values))):
+            raise click.UsageError(f"--grid values must be finite, got {spec!r}")
         if axis in ("n", "s"):
             grid[axis] = tuple(dict.fromkeys(int(round(v)) for v in values))
         else:
-            grid[axis] = tuple(float(v) for v in values)
+            grid[axis] = values
     return grid
 
 
@@ -132,6 +127,8 @@ def main():
 def kraw(n, s, p, fmt, out):
     """Exact Krawchouk table: K_s(i) for i = 0..n under the counting measure,
     optionally with its p-th moment and ratio exponents."""
+    from .krawchouk import kraw_moments, kraw_table
+
     table = kraw_table(n, s)
     payload = {"n": n, "s": s, "table": [[i, v] for i, v in enumerate(table.values)]}
     if p is not None:
@@ -233,6 +230,10 @@ def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
 def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
     """Norms and spectral level masses of a sphere indicator (default) or a
     random homogeneous function; level rows are plot-ready (k, mass)."""
+    import numpy as np
+
+    from .cube import SymmetricProfile, apply_noise, lp_norm, random_homogeneous, weight_table
+
     if n < 1:
         raise InputError(f"eval: need n >= 1, got n={n}")
     if eps is not None and not (0.0 <= eps <= 0.5):
@@ -282,6 +283,8 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
 def induction(n, s, p, fmt, out):
     """Dimension-step parameters (i0, t, rho, Phi, u*), the Hanner gap of the
     adjacent pair, and the one-step recursion residual."""
+    from .induction import hanner_gap_kraw, induction_params, recursion_residual
+
     params = induction_params(n, s, p)
     payload = {
         "params": asdict(params),
@@ -346,6 +349,8 @@ def verify(ctx, suite, grid_specs, seed, budget, tol, fmt, out):
 def ue(n, eps, s, rate, raw, fmt, out):
     """Undetected-error exponent of the adjacent-sphere union against the
     closed-form worst-case exponent at the matching rate."""
+    from .cube import sphere_union_ue_log2
+
     if s is None:
         if rate is None:
             raise click.UsageError("ue requires --s or --R")

@@ -5,7 +5,8 @@ Brent's method) every implicit equation and minimization oracle runs on.
 Everything downstream works with base-2 exponents normalized per dimension n,
 so all helpers here speak log2, with -inf as the log of zero. Exact integer
 binomials are kept separate from the log-domain approximations; callers
-choose explicitly.
+choose explicitly. numpy is imported inside the functions that build arrays,
+so that a caller of the scalar helpers alone never loads it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -51,6 +53,24 @@ def binary_entropy(t: float) -> float:
     if t == 0.0 or t == 1.0:
         return 0.0
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
+
+
+def linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    """count evenly spaced floats from lo to hi, both ends included, with
+    the bits of np.linspace: i * step + lo with step = (hi - lo) / (count -
+    1), the last value hi, and i / (count - 1) * (hi - lo) + lo where the
+    step underflows to 0."""
+    lo, hi = float(lo), float(hi)
+    div, delta = count - 1, hi - lo
+    if div < 1:
+        return tuple(i * delta + lo for i in range(count))
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(count)]
+    else:
+        values = [i * step + lo for i in range(count)]
+    values[-1] = hi
+    return tuple(values)
 
 
 def _solve(g: Callable[[float], float], lo: float, hi: float) -> float:
@@ -215,6 +235,8 @@ def _log2_binomial_row(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _log2_binomial_row_built(n: int) -> np.ndarray:
+    import numpy as np
+
     if n <= EXACT_BINOMIAL_CAP:
         row = np.array([math.log2(c) for c in _binomial_row(n)])
     else:
@@ -243,6 +265,8 @@ def log_sum_exp2(exponents: np.typing.ArrayLike) -> float | np.ndarray:
     An empty input, or a column of zeros, gives -inf. Accurate to ~1e-15
     absolute in the exponent for up to ~10^7 terms.
     """
+    import numpy as np
+
     arr = np.asarray(exponents, dtype=float)
     m = arr.max(axis=0, initial=-np.inf)
     # shift zero columns by 0, not by -inf, so that no -inf - -inf arises
@@ -262,6 +286,8 @@ def log_sum_exp2_signed(
     negative part is resolved in the exponent domain; exact cancellation to
     zero gives sign 0 and -inf.
     """
+    import numpy as np
+
     e = np.asarray(exponents, dtype=float)
     s = np.asarray(signs)
     pos = np.asarray(log_sum_exp2(np.where(s > 0, e, -np.inf)))

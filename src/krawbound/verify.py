@@ -9,7 +9,9 @@ the moment inequality (the power method for l_p norms over homogeneous
 polynomials, after D. W. Boyd 1974 and N. J. Higham 1992). Every suite
 consumes a SuiteConfig and emits a SuiteReport whose payload is a pure
 function of the config: replays are bit-for-bit identical, wall time lives
-outside the payload.
+outside the payload. The array layers (cube, krawchouk, induction) and
+numpy are imported inside the functions that use them, so that a sweep of
+the scalar formulas alone never loads them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import numbers
 import time
 from collections.abc import Callable
 from itertools import product
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bivariate import edge_iso_min_check, phi, phi_transform_check, pi_min_check, psi, tau
 from .bounds import (
@@ -32,18 +32,18 @@ from .bounds import (
     support_projection_bound,
     ue_exponent,
 )
-from .cube import (
-    CubeFunction,
-    SymmetricProfile,
-    lp_norm,
-    sphere_union_ue_log2,
-    to_points,
-    walsh_hadamard,
-    weight_table,
+from .numerics import (
+    InputError,
+    _integer,
+    _log2_binomial_row,
+    binary_entropy,
+    inverse_entropy,
+    linspace,
+    log2_binomial,
 )
-from .induction import cap_F, der_zer_residual, induction_params
-from .krawchouk import kraw_moments, l2_between_roots
-from .numerics import InputError, _integer, _log2_binomial_row, binary_entropy, inverse_entropy, log2_binomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SuiteConfig(NamedTuple):
@@ -101,6 +101,8 @@ def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
     One generator is re-keyed in place for each r, at counter 0 with an
     empty buffer, because each fresh Philox also draws OS entropy for a
     seed sequence it never uses."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=0))
     state = rng.bit_generator.state
 
@@ -118,6 +120,8 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     row norms without the squared copy np.linalg.norm makes. A row whose
     sum of squares leaves the float range (a gradient at large p) is first
     divided by its largest entry."""
+    import numpy as np
+
     sq = np.einsum("ij,ij->i", x, x)
     big = np.isinf(sq)
     if big.any():
@@ -183,6 +187,11 @@ def search_extremal_ratio(
     |f|^p could leave the float range, 2^n C(n, s)^(p/2) >= 2^1024, is
     refused.
     """
+    import numpy as np
+
+    from .cube import walsh_hadamard, weight_table
+    from .krawchouk import kraw_moments
+
     if not all(isinstance(v, numbers.Integral) for v in (n, s, budget)):
         raise InputError(f"search_extremal_ratio: need integers n={n!r}, s={s!r}, budget={budget!r}")
     seed = _seed("search_extremal_ratio", seed)
@@ -311,10 +320,6 @@ def degree_at_most_check(
 # ---------------------------------------------------------- identity cells
 
 
-def _lin(lo: float, hi: float, count: int) -> tuple:
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
-
-
 def _product(**axes):
     """The default cells: every combination of the axis values, as floats,
     the first axis outermost."""
@@ -348,11 +353,15 @@ def _psi_two_reps(p, x):
 
 
 def _phi_eq_f(n, s, p):
+    from .induction import cap_F, induction_params
+
     par = induction_params(n, s, p)
     return abs(cap_F(par.rho ** (p / 2.0), 1.0, p) / par.phi_big - 1.0)
 
 
 def _u_star(n, s, p):
+    from .induction import der_zer_residual, induction_params
+
     par = induction_params(n, s, p)
     return abs(der_zer_residual(par.u_star, par.rho, p))
 
@@ -366,15 +375,17 @@ def _disc_phi(nv: int, sigma: float, eps: list) -> list:
     """phi's maximum over the n-point grid y = k/n, k <= n/2, at each eps:
     max_k { y log2(1 - 2 eps) + H(y) + 2 tau(sigma, y) } - 2. At eps >= 1/2,
     log2(1 - 2 eps) = -inf kills every y > 0: the y = 0 term 2 H(sigma) - 2."""
-    y = np.arange(nv // 2 + 1) / nv
-    h_y = np.array([binary_entropy(t) for t in y.tolist()])
-    tau_y = np.array([tau(sigma, t) for t in y.tolist()])
-    return [
-        float(np.max(y * math.log2(1.0 - 2.0 * ep) + h_y + 2.0 * tau_y - 2.0))
-        if ep < 0.5
-        else float(h_y[0] + 2.0 * tau_y[0] - 2.0)
-        for ep in eps
-    ]
+    y = [k / nv for k in range(nv // 2 + 1)]
+    h_y = [binary_entropy(t) for t in y]
+    tau2_y = [2.0 * tau(sigma, t) for t in y]
+    out = []
+    for ep in eps:
+        if ep < 0.5:
+            slope = math.log2(1.0 - 2.0 * ep)
+            out.append(max(t * slope + h + u - 2.0 for t, h, u in zip(y, h_y, tau2_y)))
+        else:
+            out.append(h_y[0] + tau2_y[0] - 2.0)
+    return out
 
 
 def _disc_cont(n, sigma, eps, tol):
@@ -415,6 +426,10 @@ def _edge_iso_sphere(n, s):
 
 
 def _hc_sphere_gap(eps, s):
+    import numpy as np
+
+    from .cube import SymmetricProfile
+
     if len(set(s)) < 2 or min(s) < 1:
         raise InputError(f"hc-sphere-gap: need two or more distinct s >= 1 to fit a slope, got s={s}")
     eps = float(eps)
@@ -441,6 +456,8 @@ def _hc_sphere_gap(eps, s):
 
 
 def _ue_sphere_union(eps, n, R):
+    from .cube import sphere_union_ue_log2
+
     eps, R = float(eps), float(R)
     cases, per_log = [], []
     for nv in n:
@@ -461,6 +478,8 @@ def _ue_sphere_union(eps, n, R):
 def _tails_sphere(n):
     # every root-delimited interval must carry l2 mass; the margin is the
     # headroom in bits over an n^{-5/2} floor
+    from .krawchouk import l2_between_roots
+
     cases, scaled = [], []
     for nv in n:
         s = nv // 4
@@ -475,6 +494,8 @@ def _tails_sphere(n):
 
 
 def _max_proj_roots(n):
+    from .krawchouk import l2_between_roots
+
     cases, scaled = [], []
     for nv in n:
         s = nv // 8
@@ -510,6 +531,10 @@ def _degree_at_most(n, s, p, seed, instances):
     # random Fourier mixtures across levels 0..s against the degree-s moment
     # bound, `instances` of them per cell; on the full cube, since levels of
     # both parities leave f without the search's complement symmetry
+    import numpy as np
+
+    from .cube import CubeFunction, lp_norm, to_points, weight_table
+
     if instances < 1:
         raise InputError(f"degree_at_most_check: need budget >= 1 instance, got {instances}")
     cases, stream = [], _philox_streams(seed)
@@ -559,24 +584,24 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "tau-symmetry": _Suite(
-        {"x": _lin(0.02, 0.48, 24), "y": _lin(0.02, 0.48, 24)},
+        {"x": linspace(0.02, 0.48, 24), "y": linspace(0.02, 0.48, 24)},
         1e-8,
         lambda x, y: abs(binary_entropy(y) + tau(x, y) - binary_entropy(x) - tau(y, x)),
     ),
-    "psi-two-reps": _Suite({"p": _lin(2.1, 10.0, 21), "x": _lin(0.01, 0.49, 21)}, 1e-9, _psi_two_reps),
+    "psi-two-reps": _Suite({"p": linspace(2.1, 10.0, 21), "x": linspace(0.01, 0.49, 21)}, 1e-9, _psi_two_reps),
     "pi-min": _Suite(
-        {"sigma": _lin(0.05, 0.5, 10), "kappa": _lin(0.0, 0.45, 10)},
+        {"sigma": linspace(0.05, 0.5, 10), "kappa": linspace(0.0, 0.45, 10)},
         1e-8,
         lambda sigma, kappa: abs(pi_min_check(sigma, kappa).gap),
         _pi_min_cells,
     ),
     "phi-transform": _Suite(
-        {"sigma": _lin(0.02, 0.5, 8), "eps": _lin(0.01, 0.5, 8)},
+        {"sigma": linspace(0.02, 0.5, 8), "eps": linspace(0.01, 0.5, 8)},
         1e-6,
         lambda sigma, eps: abs(phi_transform_check(sigma, eps).gap),
     ),
     "edge-iso-min": _Suite(
-        {"sigma": _lin(0.05, 0.5, 8), "yfrac": _lin(0.05, 0.95, 8)},
+        {"sigma": linspace(0.05, 0.5, 8), "yfrac": linspace(0.05, 0.95, 8)},
         1e-6,
         lambda sigma, y: abs(edge_iso_min_check(sigma, y).gap),
         _edge_iso_min_cells,
@@ -589,7 +614,7 @@ _SUITES = {
         lambda n, p: (c for c in _nsp_cells(n, p) if c["p"] > 2),
     ),
     "disc-cont": _Suite(
-        {"n": (64, 128, 256, 512), "sigma": _lin(0.1, 0.4, 4), "eps": _lin(0.05, 0.45, 4)},
+        {"n": (64, 128, 256, 512), "sigma": linspace(0.1, 0.4, 4), "eps": linspace(0.05, 0.45, 4)},
         1.0,
         measure=_disc_cont,
     ),
@@ -642,7 +667,7 @@ def _axis_values(tag: str, axes: dict, grid: dict) -> dict:
     out = {}
     for name, default in axes.items():
         got = grid.get(name, default)
-        values = (got,) if np.isscalar(got) else tuple(got)
+        values = (got,) if isinstance(got, numbers.Number) else tuple(got)
         values = tuple(_integer(tag, name, v) for v in values) if name in ("n", "s") else values
         if isinstance(default, tuple):
             out[name] = values

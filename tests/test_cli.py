@@ -55,26 +55,41 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_builds_only_the_kept_dataclasses():
-    # each dataclass compiles its generated methods at import, a cost every
-    # CLI call pays; result records are NamedTuples instead
+def test_cli_scalar_commands_never_load_numpy():
+    # importing numpy, and building a dataclass (it compiles its generated
+    # methods), are costs every CLI call pays at start; the array layers are
+    # imported by the commands that use them, and result records are
+    # NamedTuples
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import dataclasses, sys, krawbound.cli\n"
+        "import contextlib, dataclasses, io, sys, krawbound.cli\n"
         "for name, mod in sorted(sys.modules.items()):\n"
         "    for c in vars(mod).values() if name.startswith('krawbound') else ():\n"
         "        if isinstance(c, type) and c.__module__ == name and dataclasses.is_dataclass(c):\n"
-        "            print(f'{name}.{c.__name__}')"
+        "            print(f'{name}.{c.__name__}')\n"
+        "print('import', 'numpy' in sys.modules)\n"
+        "for args in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = krawbound.cli.main(args.split(), standalone_mode=False)\n"
+        "    print(args.split()[0], code or 0, 'numpy' in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    commands = [
+        "verify --suite psi-two-reps",
+        "verify --suite disc-cont --grid n=64:64:1",
+        "bound moment --n 64 --s 8 --p 4",
+        "iso --n 20 --sigma 0.2",
+        "eval --n 8 --s 2 --seed 0",
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert sorted(proc.stdout.split()) == [
-        "krawbound.cube.CubeFunction",
-        "krawbound.cube.CubeSubset",
-        "krawbound.induction.HannerRecord",
-        "krawbound.induction.InductionParams",
-        "krawbound.induction.RecursionRecord",
+    assert proc.stdout.splitlines() == [
+        "import False",
+        "verify 0 False",
+        "verify 0 False",
+        "bound 0 False",
+        "iso 0 False",
+        "eval 0 True",
     ]
 
 
@@ -366,6 +381,9 @@ def test_verify_budget_and_seed():
 def test_grid_parse_errors_exit_2():
     assert run("verify", "--suite", "pi-min", "--grid", "sigma=0.1:0.4").exit_code == 2
     assert run("verify", "--suite", "pi-min", "--grid", "sigma=0.1:0.4:0").exit_code == 2
+    # a non-finite end is refused, not rounded into an integer axis
+    assert run("verify", "--suite", "extremal-search", "--grid", "n=nan:8:2").exit_code == 2
+    assert run("verify", "--suite", "extremal-search", "--grid", "n=6:1e400:2").exit_code == 2
 
 
 def test_verify_csv_cases_table():

@@ -216,6 +216,20 @@ def test_cached_rows_are_read_only_and_shared():
     assert _log2_binomial_row(np.uint16(5000)) is _log2_binomial_row(5000)
 
 
+def test_root_sets_built_once_per_key_and_read_only():
+    # kraw_roots and l2_between_roots share one checked build of each (n, s)
+    kw._roots_and_counts.cache_clear()
+    roots, row, below = kw._roots_and_counts(40, 10)
+    assert kw.kraw_roots(40, 10).roots == tuple(roots.tolist())
+    assert len(kw.l2_between_roots(np.int64(40), np.uint8(10))) == 11
+    info = kw._roots_and_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert row == tuple(kw.kraw_table(40, 10).values)
+    for arr in (roots, below):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_whole_float_sizes_refused_after_the_int_row_is_cached():
     kw.kraw_log_row(10, 2)
     _log2_binomial_row(10)

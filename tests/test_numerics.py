@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawbound import bivariate, numerics
+from krawbound import bivariate, numerics, verify
 from krawbound.krawchouk import kraw_log_row
 from krawbound.numerics import (
     EXACT_BINOMIAL_CAP,
@@ -25,6 +25,7 @@ from krawbound.numerics import (
     binary_entropy,
     exact_binomial,
     inverse_entropy,
+    linspace,
     log2_binomial,
     log_sum_exp2,
     log_sum_exp2_signed,
@@ -190,6 +191,68 @@ def test_solve_zero_width_bracket():
 def test_inverse_entropy_tiny_y(y):
     # the root lies far below any absolute grid on [0, 1/2]
     assert abs(binary_entropy(inverse_entropy(y)) - y) <= 1e-12 * y
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# (lo, hi, count) of the benchmark's sweep grids and of criterion 02's psi
+# grid and boundary lines
+BENCH_GRIDS = [
+    (0.02, 0.48, 36),
+    (2.1, 10.0, 25),
+    (0.01, 0.49, 25),
+    (0.05, 0.5, 12),
+    (0.0, 0.45, 12),
+    (0.02, 0.5, 10),
+    (0.01, 0.5, 10),
+    (0.05, 0.5, 10),
+    (0.05, 0.95, 10),
+    (0.1, 0.4, 5),
+    (0.05, 0.45, 5),
+    (2.1, 10.0, 101),
+    (0.01, 0.49, 101),
+    (2.0, 10.0, 41),
+    (0.0, 0.5, 41),
+]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    BENCH_GRIDS
+    + [
+        (0.3, 0.7, 1),
+        (-0.0, -1.0, 1),
+        (2.0, 2.0, 5),
+        (0.7, -0.3, 9),
+        # (hi - lo) / (count - 1) underflows to 0: numpy scales i / (count - 1)
+        (0.0, 5e-324, 7),
+        (-1e-323, 1e-323, 9),
+    ],
+)
+def test_linspace_has_the_bits_of_np_linspace(lo, hi, count):
+    assert _bits(linspace(lo, hi, count)) == _bits(np.linspace(lo, hi, count))
+
+
+def test_linspace_bits_on_random_draws():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        lo, hi = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 9, 2)
+        count = int(rng.integers(1, 200))
+        assert _bits(linspace(lo, hi, count)) == _bits(np.linspace(lo, hi, count)), (lo, hi, count)
+
+
+def test_linspace_bits_on_the_suite_table_axes():
+    # every default float axis of verify's table is an evenly spaced grid
+    checked = 0
+    for tag, row in verify._SUITES.items():
+        for name, values in row.axes.items():
+            if isinstance(values, tuple) and all(type(v) is float for v in values):
+                want = np.linspace(values[0], values[-1], len(values))
+                assert _bits(values) == _bits(want), (tag, name)
+                checked += 1
+    assert checked == 12
 
 
 def test_exact_binomial_pascal_triangle():

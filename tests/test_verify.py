@@ -494,6 +494,15 @@ def test_run_suite_rejects_several_values_on_a_single_value_axis():
     assert run_suite("edge-iso-sphere", grid={"n": (60,), "s": 12}).cases[0].params["n"] == 60
 
 
+def test_run_suite_takes_numpy_axes():
+    # an array is a sequence of values and a numpy scalar one value
+    plain = run_suite("tau-symmetry", grid={"x": (0.1, 0.2), "y": (0.3,)})
+    given = run_suite("tau-symmetry", grid={"x": np.array([0.1, 0.2]), "y": np.float64(0.3)})
+    assert given.cases == plain.cases
+    sphere = run_suite("edge-iso-sphere", grid={"n": np.int64(40), "s": np.array([10])})
+    assert sphere.cases == run_suite("edge-iso-sphere").cases
+
+
 def test_payload_excludes_wall_time():
     rep = identity_sweep("u-star")
     assert "wall_time" not in rep.payload()
