@@ -30,14 +30,16 @@ inline.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .numerics import (
+    LN2,
     InputError,
     InternalError,
+    _entropy,
     _minimize_1d,
     _solve,
-    binary_entropy,
     inverse_entropy,
 )
 
@@ -52,7 +54,9 @@ _EPS_GRID = tuple(1e-9 * (0.5 / 1e-9) ** (k / 20) for k in range(21))
 
 def _gate(name: str, label: str, t: float) -> float:
     """The domain gate of every [0, 1/2] argument: InputError unless
-    0 <= t <= 1/2 + _SLACK, else t clamped into [0, 1/2]."""
+    0 <= t <= 1/2 + _SLACK, else t clamped into [0, 1/2]. Public functions
+    gate their arguments once, at entry; the underscored bodies they and
+    the oracle loops call take arguments already in the domain."""
     if 0.0 <= t <= 0.5:
         return t
     if 0.5 < t <= 0.5 + _SLACK:
@@ -65,9 +69,7 @@ def _split_entropy(sigma: float, t: float) -> float:
     capped at 1; 0 at sigma = 0."""
     if sigma <= 0.0:
         return 0.0
-    return sigma * binary_entropy(min(t / sigma, 1.0)) + (1.0 - sigma) * binary_entropy(
-        min(t / (1.0 - sigma), 1.0)
-    )
+    return sigma * _entropy(min(t / sigma, 1.0)) + (1.0 - sigma) * _entropy(min(t / (1.0 - sigma), 1.0))
 
 
 def root_region_boundary(x: float) -> float:
@@ -114,12 +116,19 @@ def _I_closed(u: float, v: float) -> float:
     return t1 + t2 + t3 - 0.5 * math.log2(q)
 
 
-def _inner_I(x: float, y: float) -> float:
-    """exponent_I at y in [0, 1/2] below the root-region boundary: the closed
-    form anchored at y = 0 (-1 there); -1 at x = 0, and at x = 1/2, which has no such y."""
+def _anchor(x: float) -> float:
+    """_I_closed(0, x), where exponent_I's closed form is anchored, for
+    0 < x < 1/2; 0 elsewhere, where _inner_I does not read it."""
+    return _I_closed(0.0, x) if 0.0 < x < 0.5 else 0.0
+
+
+def _inner_I(x: float, y: float, anchor: float) -> float:
+    """exponent_I at y in [0, 1/2] below the root-region boundary, given
+    anchor = _anchor(x): the closed form anchored at y = 0 (-1 there); -1 at
+    x = 0, and at x = 1/2, which has no such y."""
     if not 0.0 < x < 0.5:
         return -1.0
-    return _I_closed(y, x) - _I_closed(0.0, x) - 1.0
+    return _I_closed(y, x) - anchor - 1.0
 
 
 def exponent_I(x_deg: float, y_pt: float) -> float:
@@ -134,13 +143,13 @@ def exponent_I(x_deg: float, y_pt: float) -> float:
     """
     x_deg = _gate("exponent_I", "x_deg", x_deg)
     boundary = root_region_boundary(x_deg)
-    if y_pt < -_SLACK or y_pt > boundary + 1e-9:
+    if not -_SLACK <= y_pt <= boundary + 1e-9:
         raise InputError(f"exponent_I: y_pt={y_pt} outside the root region for x_deg={x_deg}")
     if y_pt >= boundary:
         # also where the boundary rounds to 1/2 for tiny x and the closed
         # form would take log2(0); at x = 0 (boundary 1/2) the seam is -1
-        return -0.5 * (1.0 + binary_entropy(x_deg) + binary_entropy(y_pt))
-    return _inner_I(x_deg, max(y_pt, 0.0))
+        return -0.5 * (1.0 + _entropy(x_deg) + _entropy(y_pt))
+    return _inner_I(x_deg, max(y_pt, 0.0), _anchor(x_deg))
 
 
 def tau(x: float, y: float) -> float:
@@ -151,9 +160,23 @@ def tau(x: float, y: float) -> float:
     outside; continuous across the seam; tau(x,0) = H(x), tau(x,1/2) = H(x)/2.
     """
     x, y = _gate("tau", "x", x), _gate("tau", "y", y)
-    if y < root_region_boundary(x):
-        return binary_entropy(x) + _inner_I(x, y) + 1.0
-    return 0.5 * (1.0 + binary_entropy(x) - binary_entropy(y))
+    edge = root_region_boundary(x)
+    return _tau(x, _entropy(x), edge, _anchor(x) if y < edge else 0.0, y, _entropy(y))
+
+
+def _tau(x: float, hx: float, edge: float, anchor: float, y: float, hy: float) -> float:
+    """tau's formula for x, y already in [0, 1/2], given hx = H(x), edge =
+    root_region_boundary(x), anchor = _anchor(x) (read only where y < edge)
+    and hy = H(y)."""
+    if y < edge:
+        return hx + _inner_I(x, y, anchor) + 1.0
+    return 0.5 * (1.0 + hx - hy)
+
+
+def _tau_at(x: float) -> Callable[[float, float], float]:
+    """(y, H(y)) -> tau(x, y) for x already in [0, 1/2], with the constants
+    of x computed once for a loop over y."""
+    return partial(_tau, x, _entropy(x), root_region_boundary(x), _anchor(x))
 
 
 def little_h(p: float, x: float) -> float:
@@ -198,7 +221,7 @@ def a_fn(p: float, delta: float) -> float:
     for finite p >= 2; decreases from 1/2 at delta = 0 to 0 at delta = 1/2."""
     if not 2 <= p < math.inf:
         raise InputError(f"a_fn: need finite p >= 2, got p={p}")
-    return _a(p, 0.5 - _gate("a_fn", "delta", delta))
+    return _a_minus(p, 0.0)(0.5 - _gate("a_fn", "delta", delta))
 
 
 def _log_r(t: float) -> float:
@@ -206,17 +229,22 @@ def _log_r(t: float) -> float:
     return math.log1p(-2.0 * t) - math.log1p(2.0 * t) if t < 0.5 else -math.inf
 
 
-def _a(p: float, t: float) -> float:
-    """a at delta = 1/2 - t with both powers divided by (1-delta)^p, so that
-    no float leaves its range for any finite p: 2t/(1+2t) (1 - r^(p-1))
-    / (1 + r^p); increases from 0 at t = 0 to 1/2 at t = 1/2."""
-    ln_r = _log_r(t)
-    return 2.0 * t / (1.0 + 2.0 * t) * -math.expm1((p - 1.0) * ln_r) / (1.0 + math.exp(p * ln_r))
+def _a_minus(p: float, x: float) -> Callable[[float], float]:
+    """t -> a(p, 1/2 - t) - x, the one body of a: at delta = 1/2 - t, with
+    both powers divided by (1-delta)^p so that no float leaves its range for
+    any finite p, a = 2t/(1+2t) (1 - r^(p-1)) / (1 + r^p), which increases
+    from 0 at t = 0 to 1/2 at t = 1/2."""
+
+    def residual(t: float) -> float:
+        ln_r = _log_r(t)
+        return 2.0 * t / (1.0 + 2.0 * t) * -math.expm1((p - 1.0) * ln_r) / (1.0 + math.exp(p * ln_r)) - x
+
+    return residual
 
 
 def _a_root(p: float, x: float) -> float:
     """t in [0, 1/2] with a(p, 1/2 - t) = x, solved on the increasing a; t = x at both ends."""
-    return x if x in (0.0, 0.5) else _solve(lambda t: _a(p, t) - x, 0.0, 0.5)
+    return x if x in (0.0, 0.5) else _solve(_a_minus(p, x), 0.0, 0.5)
 
 
 def solve_a_inverse(p: float, x: float) -> float:
@@ -264,9 +292,9 @@ def psi(p: float, x: float) -> PsiEval:
         return PsiEval(p, x, 0.0, 0.0, root_region_boundary(x), 0.5 - t)
     rp = math.exp(p * _log_r(t))
     y = rp / (1.0 + rp)
-    hx = binary_entropy(x)
-    rep1 = binary_entropy(y) - 1.0 + p * tau(x, y) - 0.5 * p * hx
-    rep2 = (p * math.log1p(2.0 * t) + math.log1p(rp)) / math.log(2.0) - 1.0 - 0.5 * p * hx
+    hx, hy = _entropy(x), _entropy(y)
+    rep1 = hy - 1.0 + p * _tau(x, hx, root_region_boundary(x), _anchor(x), y, hy) - 0.5 * p * hx
+    rep2 = (p * math.log1p(2.0 * t) + math.log1p(rp)) / LN2 - 1.0 - 0.5 * p * hx
     rep2 -= p * x * math.log2(2.0 * t)
     if abs(rep1 - rep2) > 1e-6:
         raise InternalError(
@@ -283,7 +311,7 @@ def pi_fn(x: float, y: float) -> float:
     x, y = _gate("pi_fn", "x", x), _gate("pi_fn", "y", y)
     if y >= root_region_boundary(x):
         return 0.0
-    return _inner_I(x, y) + 1.0 + 0.5 * (binary_entropy(x) + binary_entropy(y) - 1.0)
+    return _inner_I(x, y, _anchor(x)) + 1.0 + 0.5 * (_entropy(x) + _entropy(y) - 1.0)
 
 
 class PiMinRecord(NamedTuple):
@@ -305,6 +333,7 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     Minimized by a scan of _D_GRID and Brent's refinement; compared against
     the closed form.
     """
+    sigma, kappa = _gate("pi_min_check", "sigma", sigma), _gate("pi_min_check", "kappa", kappa)
 
     def objective(d: float) -> float:
         return _alpha_max(sigma, d) - kappa * math.log2(1.0 - 2.0 * d)
@@ -316,7 +345,7 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     if kappa == 0.0:
         # the d -> 1/2 endpoint is admissible when the kappa term vanishes;
         # its analytic limit is H(sigma) - 1 (x -> sigma(1-sigma))
-        end = binary_entropy(sigma) - 1.0
+        end = _entropy(sigma) - 1.0
         if end < val:
             d_star, val = 0.5, end
     closed = pi_fn(sigma, kappa)
@@ -324,9 +353,11 @@ def pi_min_check(sigma: float, kappa: float) -> PiMinRecord:
     return PiMinRecord(sigma, kappa, half, closed, half - closed, d_star)
 
 
-def _alpha_max(sigma: float, d: float) -> float:
-    """max_x alpha_{sigma,d}(x), attained at x = x_star(sigma, d)."""
-    return alpha_value(sigma, d, x_star(sigma, d))
+def _alpha_max(sigma: float, eps: float) -> float:
+    """max_x alpha_{sigma,eps}(x), attained at x = x_star(sigma, eps), for
+    sigma, eps already in [0, 1/2]."""
+    # x* exceeds a sigma below ~1e-20 by an ulp, where alpha_value clamps it
+    return _alpha(sigma, eps, min(_x_star(sigma, eps), sigma))
 
 
 def alpha_value(sigma: float, eps: float, x: float) -> float:
@@ -337,9 +368,13 @@ def alpha_value(sigma: float, eps: float, x: float) -> float:
     x = 0 and -inf for x > 0; eps = 1/2 contributes a flat -1.
     """
     sigma, eps = _gate("alpha_value", "sigma", sigma), _gate("alpha_value", "eps", eps)
-    if x < -_SLACK or x > sigma + _SLACK:
+    if not -_SLACK <= x <= sigma + _SLACK:
         raise InputError(f"alpha_value: x={x} outside [0, sigma={sigma}]")
-    x = min(max(x, 0.0), sigma)
+    return _alpha(sigma, eps, min(max(x, 0.0), sigma))
+
+
+def _alpha(sigma: float, eps: float, x: float) -> float:
+    """alpha_value's formula, for sigma, eps already in [0, 1/2] and x in [0, sigma]."""
     if x > 0.0 and eps == 0.0:
         return -math.inf
     log2_e = math.log2(eps) if x > 0.0 else 0.0
@@ -350,7 +385,11 @@ def x_star(sigma: float, eps: float) -> float:
     """Maximizer of alpha_{sigma,eps}:
     x* = (-eps^2 + eps sqrt(eps^2 + 4(1-2eps) sigma(1-sigma))) / (2(1-2eps));
     limit sigma(1-sigma) at eps = 1/2."""
-    sigma, eps = _gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps)
+    return _x_star(_gate("x_star", "sigma", sigma), _gate("x_star", "eps", eps))
+
+
+def _x_star(sigma: float, eps: float) -> float:
+    """x_star's formula, for sigma, eps already in [0, 1/2]."""
     if eps <= 0.0 or sigma <= 0.0:
         return 0.0
     # the closed form times its conjugate, 2 eps q / (sqrt(eps^2 + 4(1-2eps) q)
@@ -363,7 +402,7 @@ def x_star(sigma: float, eps: float) -> float:
 def phi(sigma: float, eps: float) -> float:
     """phi(sigma, eps) = H(sigma) - 1 + max_x alpha_{sigma,eps}(x)."""
     sigma, eps = _gate("phi", "sigma", sigma), _gate("phi", "eps", eps)
-    return binary_entropy(sigma) - 1.0 + _alpha_max(sigma, eps)
+    return _entropy(sigma) - 1.0 + _alpha_max(sigma, eps)
 
 
 def tilde_phi(y: float, eps: float) -> float:
@@ -388,20 +427,23 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
     phi(sigma,eps) = max_{0<=y<=1/2} { y log2(1-2eps) + H(y) + 2 tau(sigma,y) } - 2,
     with the closed-form maximizer
     y* = ((1-eps) - sqrt(eps^2 + 4(1-2eps) sigma(1-sigma))) / (2-2eps)."""
+    sigma, eps = _gate("phi_transform_check", "sigma", sigma), _gate("phi_transform_check", "eps", eps)
     p_val = phi(sigma, eps)
     if eps >= 0.5 - 1e-14:
         # log2(1-2eps) = -inf kills every y > 0
         y_closed = 0.0
-        best_y, best = 0.0, binary_entropy(0.0) + 2.0 * tau(sigma, 0.0)
+        best_y, best = 0.0, _entropy(0.0) + 2.0 * tau(sigma, 0.0)
     else:
         q = sigma * (1.0 - sigma)
         y_closed = ((1.0 - eps) - math.sqrt(eps * eps + 4.0 * (1.0 - 2.0 * eps) * q)) / (
             2.0 - 2.0 * eps
         )
         c = math.log2(1.0 - 2.0 * eps)
+        tau_s = _tau_at(sigma)
 
         def neg_transform(y: float) -> float:
-            return -(y * c + binary_entropy(y) + 2.0 * tau(sigma, y))
+            hy = _entropy(y)
+            return -(y * c + hy + 2.0 * tau_s(y, hy))
 
         best_y, neg_best = _minimize_1d(neg_transform, _Y_GRID)
         best = -neg_best
@@ -424,7 +466,8 @@ def eta_p(p: float, x: float, eps: float) -> float:
         # tilde_phi(1, .) = 0 identically: the classic inequality, no gain
         return 0.0
     delta = 2.0 * eps * (1.0 - eps)
-    return 0.5 * tilde_phi(1.0 - (p / (p - 1.0)) * x, delta) + x / (p - 1.0)
+    # at x = (p-1)/p the argument rounds to 0 or to -2^-52
+    return 0.5 * tilde_phi(max(1.0 - (p / (p - 1.0)) * x, 0.0), delta) + x / (p - 1.0)
 
 
 def eta(x: float, eps: float) -> float:
@@ -455,15 +498,16 @@ def edge_iso_min_check(sigma: float, y: float) -> EdgeIsoMinRecord:
       - (1-y) log2(1-eps) } = sigma H(y/(2 sigma)) + (1-sigma) H(y/(2(1-sigma))).
     """
     sigma = _gate("edge_iso_min_check", "sigma", sigma)
-    if y < -_SLACK or y > 2.0 * sigma * (1.0 - sigma) + 1e-9:
+    if not -_SLACK <= y <= 2.0 * sigma * (1.0 - sigma) + 1e-9:
         raise InputError(
             f"edge_iso_min_check: y={y} outside [0, 2 sigma (1-sigma)] for sigma={sigma}"
         )
     y = min(max(y, 0.0), 2.0 * sigma * (1.0 - sigma)) if sigma > 0 else 0.0
-    base = 1.0 - binary_entropy(sigma)
+    h = _entropy(sigma)
+    h1, base = h - 1.0, 1.0 - h  # phi(sigma, e) = h1 + _alpha_max(sigma, e)
 
     def objective(e: float) -> float:
-        return phi(sigma, e) + base - (1.0 - y) * math.log2(1.0 - e) - y * math.log2(e)
+        return h1 + _alpha_max(sigma, e) + base - (1.0 - y) * math.log2(1.0 - e) - y * math.log2(e)
 
     best_e, best = _minimize_1d(objective, _EPS_GRID)
     closed = _split_entropy(sigma, 0.5 * y)

@@ -53,18 +53,21 @@ def cap_F(x: float, y: float, p: float) -> float:
     seen to decrease, then Brent's method pins the interior maximum.
     When 1 < rho < p-1 and the maximum lies past beta = 1/rho, the stationary
     point is also located as the sign change of the stationarity identity,
-    whose residual is checked there.
+    whose residual is checked there. InputError where F, or that residual,
+    leaves the float range: F(1, 1) > 2^1024 from p ~ 2050, and the
+    residual's (a+b)^{p-1}, at most 2^{(p-1)/2}, can overflow from p = 2050.
     """
-    if x < 0 or y < 0:
-        raise InputError(f"cap_F: need x, y >= 0, got x={x}, y={y}")
-    if not p >= 2:
-        raise InputError(f"cap_F: need p >= 2, got {p}")
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise InputError(f"cap_F: need finite x, y >= 0, got x={x}, y={y}")
+    if not 2 <= p < math.inf:
+        raise InputError(f"cap_F: need finite p >= 2, got {p}")
     if y == 0.0:
         return x
-    if x == 0.0:
-        # rho = 0: objective is P(0)/(beta+1)^{p/2}, maximal at beta = 0
-        return y
     rho = (x / y) ** (2.0 / p)
+    if rho == 0.0:
+        # x = 0, or x/y below the float range: the objective is P(0)/(beta+1)^{p/2}
+        # times 1 + O(rho), which rounds to 1; maximal at beta = 0
+        return y
 
     def log2_f(beta: float) -> float:
         return _log2_big_p(rho * beta, p) - 0.5 * p * math.log2(beta + 1.0)
@@ -76,6 +79,8 @@ def cap_F(x: float, y: float, p: float) -> float:
         if log2_f(hi) < log2_f(hi / 2.0):
             seen_decrease = True
             break
+        if rho * hi > 2.0**1000:
+            break  # rho beta would soon overflow, and log2_f read inf
         hi *= 2.0
     if not seen_decrease:
         # objective climbs toward its beta -> infinity limit rho^{p/2}
@@ -98,19 +103,26 @@ def cap_F(x: float, y: float, p: float) -> float:
         def residual(b: float) -> float:
             return der_zer_residual(1.0 / (rho * (b + 1.0)), rho, p)
 
-        beta = _solve(residual, 1.0 / rho, hi)
+        try:
+            beta = _solve(residual, 1.0 / rho, hi)
+            # the gate scales with the residual's largest product
+            # (a+b)^{p-1} max(a, rho b): at p = 100 it reaches ~1e14, and the
+            # float-exact stationary point leaves a residual of ~1e-16 of it
+            u = 1.0 / (rho * (beta + 1.0))
+            a, b = math.sqrt(1.0 - rho * u), math.sqrt(u)
+            scale = (a + b) ** (p - 1.0) * max(a, rho * b)
+            miss = abs(der_zer_residual(u, rho, p))
+        except OverflowError:
+            raise InputError(f"cap_F: the stationarity residual leaves the float range at p={p}") from None
         best = max(best, log2_f(beta))
-        # the gate scales with the residual's largest product
-        # (a+b)^{p-1} max(a, rho b): at p = 100 it reaches ~1e14, and the
-        # float-exact stationary point leaves a residual of ~1e-16 of it
-        u = 1.0 / (rho * (beta + 1.0))
-        a, b = math.sqrt(1.0 - rho * u), math.sqrt(u)
-        scale = (a + b) ** (p - 1.0) * max(a, rho * b)
-        if abs(der_zer_residual(u, rho, p)) > max(1e-5, 1e-12 * scale):
+        if miss > max(1e-5, 1e-12 * scale):
             raise InternalError(
                 f"cap_F: stationary-point check failed at x={x}, y={y}, p={p}"
             )
-    return y * 2.0**best
+    value = y * 2.0**best if best < 1024.0 else math.inf
+    if value == math.inf:
+        raise InputError(f"cap_F: F leaves the float range at x={x}, y={y}, p={p}")
+    return value
 
 
 @dataclass(frozen=True)  # not a NamedTuple: perfbench/workloads.py takes dataclasses.asdict of it

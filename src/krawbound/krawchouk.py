@@ -7,7 +7,8 @@ s are independent oracles kept with the tests; here the degree recurrence
 only evaluates K_s at real x in floats and gives the Jacobi matrix of roots.
 Under the binomial measure mu(i) = C(n,i)/2^n the squared norm of K_s is
 C(n,s), and its lp moments concentrate near the solution i0 of
-h(p, i0/n) = 1 - 2s/n.
+h(p, i0/n) = 1 - 2s/n. numpy is imported inside the functions that build
+arrays, so that the exact tables alone never load it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bivariate import solve_h_inverse
 from .numerics import (
@@ -31,6 +30,9 @@ from .numerics import (
     log2_binomial,
     log_sum_exp2,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KRAW_TABLE_CAP = EXACT_BINOMIAL_CAP  # 4096
 KRAW_MOMENT_CAP = LOG2_BINOMIAL_CAP
@@ -156,6 +158,8 @@ def kraw_log_row(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _kraw_log_row_built(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     if n <= KRAW_TABLE_CAP:
         row = _kraw_row_weight_recurrence(n, s)
         signs = [(v > 0) - (v < 0) for v in row]
@@ -229,6 +233,8 @@ def _roots_and_counts(n: int, s: int) -> tuple[np.ndarray, tuple[int, ...], np.n
     (-1)^{#roots below i} and every exact zero has a root within 1e-9. The
     last ROW_CACHE_SIZE results are kept and shared by kraw_roots and
     l2_between_roots, at most about 0.26 MB each (n = 2048, s = 1024)."""
+    import numpy as np
+
     j = np.arange(1, s)
     jacobi = np.diag(np.full(s, n / 2.0))
     jacobi[j, j - 1] = jacobi[j - 1, j] = np.sqrt(j * (n - j + 1.0)) / 2.0
@@ -295,6 +301,8 @@ def lp_concentration(
 ) -> ConcentrationRecord:
     """Fraction of sum_i C(n,i)|K_s(i)|^p carried by the weights within
     window*sqrt(n ln n) of i0 and of n - i0."""
+    import numpy as np
+
     if not 2 < p < math.inf:
         raise InputError(f"lp_concentration: need finite p > 2, got p={p}")
     n, s = _degree("lp_concentration", n, s)

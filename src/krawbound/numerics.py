@@ -48,8 +48,13 @@ def binary_entropy(t: float) -> float:
     """H(t) = -t log2 t - (1-t) log2(1-t), with H(0) = H(1) = 0."""
     if isinstance(t, (int, float)) is False:
         t = float(t)
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise InputError(f"binary_entropy: t={t} outside [0, 1]")
+    return _entropy(t)
+
+
+def _entropy(t: float) -> float:
+    """binary_entropy's formula, for t already in [0, 1]."""
     if t == 0.0 or t == 1.0:
         return 0.0
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
@@ -191,13 +196,13 @@ def inverse_entropy(y: float) -> float:
     absolute grid on [0, 1/2]. H(t) >= 2t on [0, 1/2] brackets t in
     [0, y/2], so a tiny y takes about as many steps as y = 1/2.
     """
-    if y < 0.0 or y > 1.0:
+    if not 0.0 <= y <= 1.0:
         raise InputError(f"inverse_entropy: y={y} outside [0, 1]")
     if y == 0.0:
         return 0.0
     if y == 1.0:
         return 0.5
-    return _solve(lambda t: binary_entropy(t) - y, 0.0, 0.5 * y)
+    return _solve(lambda t: _entropy(t) - y, 0.0, 0.5 * y)
 
 
 def exact_binomial(n: int, k: int) -> int:

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bivariate import edge_iso_min_check, phi, phi_transform_check, pi_min_check, psi, tau
+from .bivariate import _gate, _tau_at, edge_iso_min_check, phi, phi_transform_check, pi_min_check, psi, tau
 from .bounds import (
     edge_iso_bound,
     hypercontractive_bound,
@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .numerics import (
     InputError,
+    _entropy,
     _integer,
     _log2_binomial_row,
     binary_entropy,
@@ -375,9 +376,10 @@ def _disc_phi(nv: int, sigma: float, eps: list) -> list:
     """phi's maximum over the n-point grid y = k/n, k <= n/2, at each eps:
     max_k { y log2(1 - 2 eps) + H(y) + 2 tau(sigma, y) } - 2. At eps >= 1/2,
     log2(1 - 2 eps) = -inf kills every y > 0: the y = 0 term 2 H(sigma) - 2."""
+    tau_s = _tau_at(_gate("disc-cont", "sigma", sigma))
     y = [k / nv for k in range(nv // 2 + 1)]
-    h_y = [binary_entropy(t) for t in y]
-    tau2_y = [2.0 * tau(sigma, t) for t in y]
+    h_y = [_entropy(t) for t in y]
+    tau2_y = [2.0 * tau_s(t, h) for t, h in zip(y, h_y)]
     out = []
     for ep in eps:
         if ep < 0.5:

@@ -7,12 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from krawbound import bivariate as bv
-from krawbound import verify
+from krawbound import numerics, verify
 from krawbound.numerics import InputError, binary_entropy, inverse_entropy
 
 H = binary_entropy
@@ -818,6 +818,10 @@ _GATED = {
     "eta_p.eps": lambda t: bv.eta_p(3.0, 0.2, t),
     "eta.eps": lambda t: bv.eta(0.0, t),
     "edge_iso_min_check.sigma": lambda t: bv.edge_iso_min_check(t, 0.0),
+    "pi_min_check.sigma": lambda t: bv.pi_min_check(t, 0.1),
+    "pi_min_check.kappa": lambda t: bv.pi_min_check(0.3, t),
+    "phi_transform_check.sigma": lambda t: bv.phi_transform_check(t, 0.1),
+    "phi_transform_check.eps": lambda t: bv.phi_transform_check(0.3, t),
 }
 # accepted up to 1/2 + 1e-12, refused below 0
 _EDGES = [
@@ -828,6 +832,8 @@ _EDGES = [
     (0.5 + 4e-13, True),
     (0.5 + 1.5e-12, False),
     (0.7, False),
+    (math.inf, False),
+    (math.nan, False),
 ]
 
 
@@ -839,6 +845,27 @@ def test_domain_gate_edges(name, t, accepted):
     else:
         with pytest.raises(InputError):
             _GATED[name](t)
+
+
+# the arguments whose domain is not [0, 1/2], each outside it: sigma = 0.3,
+# so 2 sigma (1 - sigma) = 0.42; refused with InputError, not a bare
+# ValueError from math.sqrt or math.log2, nor a nan or an InternalError
+_REFUSED = {
+    "alpha_value.x": [(lambda t: bv.alpha_value(0.3, 0.1, t)), -1e-9, 0.3 + 1e-9, 0.7, math.nan],
+    "edge_iso_min_check.y": [(lambda t: bv.edge_iso_min_check(0.3, t)), -1e-9, 0.42 + 1e-8, 0.6, math.nan],
+    "exponent_I.y_pt": [(lambda t: bv.exponent_I(0.3, t)), -1e-9, 0.1, math.nan],
+    "inverse_entropy.y": [inverse_entropy, -1e-300, 1.0 + 1e-15, math.inf, math.nan],
+    "binary_entropy.t": [binary_entropy, -1e-300, 1.0 + 1e-15, math.nan],
+}
+
+
+@pytest.mark.parametrize(
+    "name, t",
+    [pytest.param(name, t, id=f"{name}-{t!r}") for name, (_, *ts) in _REFUSED.items() for t in ts],
+)
+def test_refuses_arguments_outside_their_domain(name, t):
+    with pytest.raises(InputError):
+        _REFUSED[name][0](t)
 
 
 def test_domain_gate_clamps_to_half():
@@ -929,6 +956,95 @@ def test_oracle_finds_the_global_basin(oracle, cell):
     assert _oracle_min(oracle, cell) <= _old_grid_min(oracle, cell) + 1e-12
 
 
+def _sweep_cells(tag):
+    """The (first, second) argument pairs of a suite's perfbench sweep grid."""
+    grid = _SWEEP_GRIDS[tag]
+    return [(float(a), float(b)) for a in grid[list(grid)[0]] for b in grid[list(grid)[1]]]
+
+
+def _psi_tau_term(p, x):
+    # psi's first representation from the gated public evaluators
+    ev = bv.psi(p, x)
+    y, hx = ev.y_aux, binary_entropy(x)
+    return ev.value, binary_entropy(y) - 1.0 + p * bv.tau(x, y) - 0.5 * p * hx
+
+
+# each ungated body, on the cells of a perfbench sweep grid, against its
+# gated public form: (grid, cell -> (body's value, public form's value))
+_BODIES = {
+    "_entropy": ("tau-symmetry", lambda x, y: (numerics._entropy(y), binary_entropy(y))),
+    "_x_star": ("phi-transform", lambda s, e: (bv._x_star(s, e), bv.x_star(s, e))),
+    "_alpha": (
+        "phi-transform",
+        lambda s, e: (bv._alpha(s, e, 0.7 * s), bv.alpha_value(s, e, 0.7 * s)),
+    ),
+    "_alpha_max": (
+        "pi-min",
+        lambda s, k: (bv._alpha_max(s, k), bv.alpha_value(s, k, bv.x_star(s, k))),
+    ),
+    "_tau_at": ("tau-symmetry", lambda x, y: (bv._tau_at(x)(y, binary_entropy(y)), bv.tau(x, y))),
+    "psi's tau term": ("psi-two-reps", _psi_tau_term),
+}
+
+
+@pytest.mark.parametrize("body", sorted(_BODIES))
+def test_ungated_body_is_its_gated_form_bit_for_bit(body):
+    tag, pair = _BODIES[body]
+    cells = _sweep_cells(tag)
+    if body == "_alpha_max":
+        # every scan point of pi-min's d at each of its sigmas
+        cells = [(s, d) for s in sorted({s for s, _ in cells}) for d in bv._D_GRID]
+    for cell in cells:
+        got, want = pair(*cell)
+        assert got.hex() == want.hex(), cell
+
+
+def _public_objective(oracle, cell):
+    """An oracle's objective written with the gated public evaluators."""
+    sigma, arg = cell
+    if oracle == "pi-min":
+        return lambda d: bv.alpha_value(sigma, d, bv.x_star(sigma, d)) - arg * math.log2(1.0 - 2.0 * d)
+    if oracle == "phi-transform":
+        c = math.log2(1.0 - 2.0 * arg)
+        return lambda y: -(y * c + binary_entropy(y) + 2.0 * bv.tau(sigma, y))
+    y = arg * 2.0 * sigma * (1.0 - sigma)  # arg is the sweep's yfrac
+    base = 1.0 - binary_entropy(sigma)
+    return lambda e: bv.phi(sigma, e) + base - (1.0 - y) * math.log2(1.0 - e) - y * math.log2(e)
+
+
+_CHECKS = {
+    "pi-min": bv.pi_min_check,
+    "phi-transform": bv.phi_transform_check,
+    "edge-iso-min": lambda sigma, yfrac: bv.edge_iso_min_check(sigma, yfrac * 2.0 * sigma * (1.0 - sigma)),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_CHECKS))
+def test_oracle_objective_is_its_public_form_bit_for_bit(oracle, monkeypatch):
+    # the objective each oracle minimizes, with its per-sigma constants taken
+    # once, equals the one written with the gated evaluators at every point
+    # it evaluates, on the oracle's perfbench sweep grid
+    minimize, seen = bv._minimize_1d, []
+
+    def recorded(f, grid):
+        def g(t):
+            seen.append((t, f(t)))
+            return seen[-1][1]
+
+        return minimize(g, grid)
+
+    monkeypatch.setattr(bv, "_minimize_1d", recorded)
+    for cell in _sweep_cells(oracle):
+        if oracle == "phi-transform" and cell[1] >= 0.5 - 1e-14:
+            continue  # no minimization: log2(1 - 2 eps) = -inf kills every y > 0
+        seen.clear()
+        _CHECKS[oracle](*cell)
+        public = _public_objective(oracle, cell)
+        assert len(seen) > 21
+        for t, v in seen:
+            assert v.hex() == public(t).hex(), (cell, t)
+
+
 _HALF = st.floats(0.0, 0.5)
 _CORNERS_OF_HALF = [0.0, 1e-300, 0.5 - 1e-13, 0.5]
 
@@ -951,3 +1067,70 @@ def test_tau_and_pi_are_their_forms_through_exponent_I(x, y):
         tau, pi = 0.5 * (1.0 + hx - hy), 0.0
     assert bv.tau(x, y).hex() == tau.hex()
     assert bv.pi_fn(x, y).hex() == pi.hex()
+
+
+# ------------------------------------------- finite or refused, never a crash
+
+# x -> 0 and x -> 1/2 in each [0, 1/2] argument
+_HALF_ENDS = (0.0, 5e-324, 0.5 - 2.0**-54, 0.5)
+
+
+def _finite_or_refused(f, *args):
+    try:
+        value = f(*args)
+    except InputError:
+        return
+    assert math.isfinite(value), args
+
+
+def _at_half_ends(test):
+    for a in _HALF_ENDS:
+        for b in _HALF_ENDS:
+            test = example(a=a, b=b)(test)
+    return test
+
+
+# a margin of 0.1 either side of [0, 1/2], so that the gates are drawn too
+_AROUND_HALF = st.floats(-0.1, 0.6)
+
+
+@_at_half_ends
+@settings(max_examples=200, deadline=None)
+@given(a=_AROUND_HALF, b=_AROUND_HALF)
+def test_tau_finite_or_refused(a, b):
+    _finite_or_refused(bv.tau, a, b)
+
+
+@_at_half_ends
+@settings(max_examples=200, deadline=None)
+@given(a=_AROUND_HALF, b=_AROUND_HALF)
+def test_phi_finite_or_refused(a, b):
+    _finite_or_refused(bv.phi, a, b)
+
+
+@_at_half_ends
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 0.5), b=st.floats(0.0, 1.01))
+def test_exponent_I_finite_or_refused(a, b):
+    # y as a fraction b of the root-region boundary of x = a, up to 1% past it
+    _finite_or_refused(bv.exponent_I, a, b * bv.root_region_boundary(a))
+
+
+@example(p=2.0, frac=1.0, eps=0.0)
+@example(p=2.0 + 1e-12, frac=5e-324, eps=0.5)
+@example(p=1e6, frac=1.0, eps=0.5 - 2.0**-54)
+@example(p=1e6, frac=0.0, eps=5e-324)
+@example(p=1.0 + 1e-12, frac=0.5, eps=0.25)
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1.0, 1e6), frac=st.floats(0.0, 1.0), eps=_AROUND_HALF)
+def test_eta_p_finite_or_refused(p, frac, eps):
+    # x as a fraction of its upper end (p - 1)/p, which is 1/2 at p = 2
+    _finite_or_refused(bv.eta_p, p, frac * (p - 1.0) / p, eps)
+
+
+@pytest.mark.parametrize("p", [1.0 + 2.3e-9, 1.7733660110664715, 2.0, 589.7319167228677, 15138.498231841553])
+def test_eta_p_at_the_upper_end_of_x(p):
+    # 1 - (p/(p-1)) x at x = (p-1)/p rounded to -2^-52 at these p, which
+    # tilde_phi refused; its value there is tilde_phi(0, .)/2 + 1/p
+    x = (p - 1.0) / p
+    assert bv.eta_p(p, x, 0.1) == pytest.approx(0.5 * bv.tilde_phi(0.0, 0.18) + x / (p - 1.0), abs=1e-12)

@@ -79,6 +79,7 @@ def test_cli_scalar_commands_never_load_numpy():
         "verify --suite disc-cont --grid n=64:64:1",
         "bound moment --n 64 --s 8 --p 4",
         "iso --n 20 --sigma 0.2",
+        "kraw --n 6 --s 2",
         "eval --n 8 --s 2 --seed 0",
     ]
     proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True, env=env)
@@ -89,6 +90,7 @@ def test_cli_scalar_commands_never_load_numpy():
         "verify 0 False",
         "bound 0 False",
         "iso 0 False",
+        "kraw 0 False",
         "eval 0 True",
     ]
 

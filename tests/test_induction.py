@@ -4,7 +4,7 @@ closed forms, exact moment computations, and the tensorization limit."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krawbound.bivariate import psi, ratio_r
@@ -80,6 +80,30 @@ def test_cap_f_one_homogeneous(x, y, p, lam):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+_EXTREME = st.floats(0.0, 1.7e308)
+
+
+@example(x=1.0, y=1.0, p=2.0)
+@example(x=1.0, y=1.0, p=2.0 + 1e-12)
+@example(x=1.0, y=1.0, p=1e6)
+@example(x=5e-324, y=1.0, p=4.0)
+@example(x=1e-300, y=1e300, p=2.0)
+@example(x=1.0, y=1.2e-297, p=2.0 + 1e-14)
+@example(x=1.2e256, y=2.3e62, p=4608.0)
+@example(x=1.7e308, y=1.7e308, p=3.0)
+@settings(max_examples=100, deadline=None)
+@given(x=_EXTREME, y=_EXTREME, p=st.one_of(st.floats(2.0, 20.0), st.floats(2.0, 1e6)))
+def test_cap_f_finite_or_refused(x, y, p):
+    # x/y across the whole float range: each call returns a finite value or
+    # refuses an F, or a stationarity residual, beyond the float range
+    try:
+        value = cap_F(x, y, p)
+    except InputError as e:
+        assert "leaves the float range" in str(e)
+        return
+    assert math.isfinite(value) and value >= max(x, y) * (1.0 - 1e-10)
+
+
 def test_cap_f_monotone_by_perturbation():
     for x, y, p in [(2.0, 1.0, 4), (0.5, 3.0, 3), (5.0, 5.0, 2.5)]:
         base = cap_F(x, y, p)
@@ -115,6 +139,9 @@ def test_cap_f_domain():
         cap_F(1.0, 1.0, 1.2)
     with pytest.raises(InputError):
         cap_F(1.0, 1.0, math.nan)
+    for bad in ((math.nan, 1.0, 4.0), (1.0, math.inf, 4.0), (1.0, 1.0, math.inf)):
+        with pytest.raises(InputError):
+            cap_F(*bad)
 
 
 # -------------------------------------------------------- induction params

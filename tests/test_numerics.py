@@ -370,18 +370,12 @@ def test_minimize_1d_takes_brent_steps(f, argmin):
     assert abs(x - argmin) <= 1e-8 and v == f(x)
 
 
-def test_inverse_entropy_tiny_y_bisects_a_short_bracket(monkeypatch):
+def test_inverse_entropy_tiny_y_bisects_a_short_bracket(solves):
     # H(t) >= 2t brackets t in [0, y/2]: y = 1e-300 needs no more halvings
     # than float resolution at t itself, not the ~1000 from [0, 1/2]
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return binary_entropy(t)
-
-    monkeypatch.setattr(numerics, "binary_entropy", counted)
     t = inverse_entropy(1e-300)
-    assert 0 < len(calls) <= 64
+    assert len(solves) == 1
+    assert 0 < solves[0][0] <= 64
     assert abs(binary_entropy(t) - 1e-300) <= 1e-12 * 1e-300
 
 
