@@ -1,19 +1,16 @@
 """Drift dump for the point-domain noise operator: `cube.apply_noise` on
-seeded standard-normal point values at n = 0..14 over an eps grid, and the
-15 default `run_suite` payloads.
+seeded standard-normal point values at n = 0..14 over an eps grid.
 
     PYTHONPATH=src python scripts/noise_drift.py [OTHER_SRC]
 
-prints the sha256 of each default suite payload (its JSON with sorted keys)
-and the wall time of the noise calls. Given the `src` directory of another
-checkout, it also runs both there, after those here, in a subprocess that
-imports krawbound from OTHER_SRC, and prints:
-- the largest |T_eps f here - T_eps f there| / max |T_eps f there|, and its
-  (n, eps), over all cells, and how many cells kept every bit;
-- the sha256 of each suite payload there, marked where it differs.
+prints the wall time of the noise calls. Given the `src` directory of
+another checkout, it also runs them there, after those here, in a
+subprocess that imports krawbound from OTHER_SRC, and prints the wall time
+there and the largest |T_eps f here - T_eps f there| / max |T_eps f there|,
+and its (n, eps), over all cells, and how many cells kept every bit. The
+suite payloads are compared by scripts/import_drift.py.
 """
 
-import hashlib
 import io
 import json
 import os
@@ -23,7 +20,7 @@ import time
 
 import numpy as np
 
-from krawbound import cube, verify
+from krawbound import cube
 
 DIMS = range(15)
 EPS_GRID = (0.0, 0.01, 0.03, 0.1, 0.17, 0.25, 0.3, 0.45, 0.49, 0.5)
@@ -42,31 +39,21 @@ def noise_cells() -> tuple:
     return spent, np.concatenate(out)
 
 
-def suite_hashes() -> dict:
-    return {
-        tag: hashlib.sha256(json.dumps(verify.run_suite(tag).payload(), sort_keys=True).encode()).hexdigest()
-        for tag in verify.all_suite_tags()
-    }
-
-
 def main(argv: list) -> None:
     if argv == ["--dump"]:
         spent, values = noise_cells()
         buf = io.BytesIO()
         np.save(buf, values)
-        sys.stdout.buffer.write(json.dumps([spent, suite_hashes()]).encode() + b"\n" + buf.getvalue())
+        sys.stdout.buffer.write(json.dumps(spent).encode() + b"\n" + buf.getvalue())
         return
     spent, here = noise_cells()
-    hashes = suite_hashes()
     print(f"{len(DIMS) * len(EPS_GRID)} noise cells, {spent * 1e3:.1f} ms")
     if not argv:
-        for tag, h in hashes.items():
-            print(f"  {tag}: {h}")
         return
     env = dict(os.environ, PYTHONPATH=argv[0])
     dump = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True, capture_output=True)
     head, _, body = dump.stdout.partition(b"\n")
-    spent_there, hashes_there = json.loads(head)
+    spent_there = json.loads(head)
     there = np.load(io.BytesIO(body))
     print(f"wall time there: {spent_there * 1e3:.1f} ms; here / there: {spent / spent_there:.3f}")
     worst, at, same, start = -1.0, None, 0, 0
@@ -80,11 +67,6 @@ def main(argv: list) -> None:
                 worst, at = drift, (n, eps)
     print(f"max |drift| / max |T_eps f|: {worst:.3e} at (n, eps) = {at}")
     print(f"bit-identical cells: {same} of {len(DIMS) * len(EPS_GRID)}")
-    differ = [tag for tag in hashes if hashes[tag] != hashes_there.get(tag)]
-    for tag, h in hashes.items():
-        mark = "  DIFFERS" if tag in differ else ""
-        print(f"  {tag}: here {h[:16]} there {hashes_there.get(tag, '-')[:16]}{mark}")
-    print(f"{len(hashes) - len(differ)} of {len(hashes)} suite payloads sha256-identical")
 
 
 if __name__ == "__main__":

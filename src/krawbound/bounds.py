@@ -9,7 +9,6 @@ rather than assume them.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .bivariate import _alpha_max, _split_entropy, eta_p, phi, pi_fn, psi, tau
@@ -59,21 +58,17 @@ class MomentGapRecord(NamedTuple):
     bound_log2: float
     kraw_log2: float
     gap_log2: float
-    fitted_c: float
 
 
 def moment_gap(n: int, s: int, p: float) -> MomentGapRecord:
-    """Bound exponent minus the Krawchouk ratio it dominates, with the
-    constant C backed out of gap <= log2(n C^p s^{p/4})."""
+    """Bound exponent minus the Krawchouk ratio it dominates."""
     from .krawchouk import kraw_moments  # numpy, which the other bounds never load
 
     if not (1 <= s <= n / 2):
         raise InputError(f"moment_gap: need 1 <= s <= n/2, got s={s}, n={n}")
     bound = moment_bound(n, s, p)
     kraw = kraw_moments(n, s, p).log2_ratio
-    gap = bound - kraw
-    fitted_c = 2.0 ** ((gap - math.log2(n) - (p / 4) * math.log2(s)) / p)
-    return MomentGapRecord(n, s, p, bound, kraw, gap, fitted_c)
+    return MomentGapRecord(n, s, p, bound, kraw, bound - kraw)
 
 
 class TailRecord(NamedTuple):

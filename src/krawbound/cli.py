@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 input error, 3 a verification suite failed a case
 or produced a counterexample artifact. Data goes to stdout, diagnostics to
 stderr. All exponent outputs are log2-per-n unless --raw. The array layers
 and numpy are imported inside the commands that use them, so that `bound`
-of every kind but `gap`, `iso` without --s, and `verify` on the suites of
-scalar formulas (tau-symmetry, psi-two-reps, pi-min, phi-transform,
-edge-iso-min, disc-cont) never load numpy.
+of every kind but `gap`, `iso`, `kraw` without --p, and `verify` on the
+suites with no arrays (tau-symmetry, psi-two-reps, pi-min, phi-transform,
+edge-iso-min, edge-iso-sphere, disc-cont) never load numpy.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
         if eps is not None:
             payload["noised_l2_exponent"] = 0.5 * prof.noise_inner_log2(2 * eps * (1 - eps)) * scale
         coeffs = prof.fourier()
-        lc = _log2_binomial_row(n).tolist()
+        lc = _log2_binomial_row(n)
         for k in range(n + 1):
             if coeffs.signs[k] != 0:
                 levels.append([k, (lc[k] + 2.0 * float(coeffs.logs[k])) * scale])
@@ -399,7 +399,7 @@ def iso(n, s, sigma, i, raw, fmt, out):
     imax = math.floor(2 * sigma * (1 - sigma) * n)
     todo = [i] if i is not None else list(range(1, imax + 1))
     if s is not None:
-        ls, lns = _log2_binomial_row(s).tolist(), _log2_binomial_row(n - s).tolist()
+        ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
     rows = []
     for dist in todo:
         bnd = edge_iso_bound(n, sigma, dist) * scale

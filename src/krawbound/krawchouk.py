@@ -226,13 +226,15 @@ def kraw_eval_real(n: int, s: int, x: float) -> float:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _roots_and_counts(n: int, s: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def _roots_and_counts(n: int, s: int) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
     """Roots of K_s (eigenvalues of the Jacobi matrix of the degree recurrence,
     Golub-Welsch), its exact row, and the number of roots below each integer
-    i = 0..n, the arrays read-only. Checked: every nonzero K_s(i) has sign
+    i = 0..n, as tuples. Checked: every nonzero K_s(i) has sign
     (-1)^{#roots below i} and every exact zero has a root within 1e-9. The
     last ROW_CACHE_SIZE results are kept and shared by kraw_roots and
-    l2_between_roots, at most about 0.26 MB each (n = 2048, s = 1024)."""
+    l2_between_roots: 32 bytes a root and at most 36 a count (a slot and a
+    Python number), at most about 0.31 MB each (n = 2048, s = 1024), 0.22 MB
+    of it the exact row."""
     import numpy as np
 
     j = np.arange(1, s)
@@ -246,8 +248,7 @@ def _roots_and_counts(n: int, s: int) -> tuple[np.ndarray, tuple[int, ...], np.n
             raise InternalError(
                 f"kraw_roots: eigenvalues disagree with the sign of K_{s}({i}) at n={n}"
             )
-    roots.flags.writeable = below.flags.writeable = False
-    return roots, tuple(row), below
+    return tuple(roots.tolist()), tuple(row), tuple(below.tolist())
 
 
 def kraw_roots(n: int, s: int) -> RootList:
@@ -259,8 +260,7 @@ def kraw_roots(n: int, s: int) -> RootList:
         raise InputError(f"kraw_roots: need 1 <= s <= n/2, got n={n}, s={s}")
     if n > KRAW_ROOT_CAP:
         raise InputError(f"kraw_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
-    roots, _, _ = _roots_and_counts(n, s)
-    return RootList(n, s, tuple(roots.tolist()))
+    return RootList(n, s, _roots_and_counts(n, s)[0])
 
 
 def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
@@ -279,7 +279,7 @@ def kraw_moments(n: int, s: int, p: float) -> MomentRecord:
     lc = _log2_binomial_row(n)
     mode = "exact-assisted" if n <= KRAW_TABLE_CAP else "log"
     log2_moment = log_sum_exp2(lc + p * logs - n)
-    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * float(lc[s]), mode)
+    return MomentRecord(n, s, p, log2_moment, log2_moment - (p / 2.0) * lc[s], mode)
 
 
 def solve_i0(n: float, s: float, p: float) -> float:
@@ -334,7 +334,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
     if n > KRAW_ROOT_CAP:
         raise InputError(f"l2_between_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
     roots, row, below = _roots_and_counts(n, s)
-    lc = _log2_binomial_row(n).tolist()
+    lc = _log2_binomial_row(n)
     best_i: list[int | None] = [None] * (s + 1)
     best = [0.0] * (s + 1)
     for i, v in enumerate(row):
@@ -345,7 +345,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
         fi = 2.0 ** (lc[i] + 2.0 * math.log2(abs(v)) - n - lc[s])
         if best_i[k] is None or fi > best[k]:
             best_i[k], best[k] = i, fi
-    bounds = [0.0, *roots.tolist(), float(n)]
+    bounds = [0.0, *roots, float(n)]
     return [
         IntervalRecord(bounds[k], bounds[k + 1], best_i[k], best[k], empty=best_i[k] is None)
         for k in range(s + 1)

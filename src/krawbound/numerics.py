@@ -5,8 +5,8 @@ Brent's method) every implicit equation and minimization oracle runs on.
 Everything downstream works with base-2 exponents normalized per dimension n,
 so all helpers here speak log2, with -inf as the log of zero. Exact integer
 binomials are kept separate from the log-domain approximations; callers
-choose explicitly. numpy is imported inside the functions that build arrays,
-so that a caller of the scalar helpers alone never loads it.
+choose explicitly. numpy is imported only inside log_sum_exp2*, so that the
+scalar helpers and the log2-binomial row never load it.
 """
 
 from __future__ import annotations
@@ -226,12 +226,13 @@ def _binomial_row(n: int) -> list[int]:
     return row
 
 
-def _log2_binomial_row(n: int) -> np.ndarray:
-    """log2 C(n, i) for i = 0..n as a read-only float64 array: math.log2 of
-    the exact integers up to EXACT_BINOMIAL_CAP (it takes a big int,
-    rounding its top 53 bits to nearest), from log-gamma above it (as
-    log2_binomial). The last ROW_CACHE_SIZE rows are kept and shared by
-    every caller, 8 (n + 1) bytes each: 128 MB at worst, at n = 10^6."""
+def _log2_binomial_row(n: int) -> memoryview:
+    """log2 C(n, i) for i = 0..n as a read-only memoryview of doubles (Python
+    floats to index; numpy reads it without a copy): math.log2 of the exact
+    integers up to EXACT_BINOMIAL_CAP (it takes a big int, rounding its top
+    53 bits to nearest), from log-gamma above it (as log2_binomial). The last
+    ROW_CACHE_SIZE rows are kept and shared by every caller, 8 (n + 1) bytes
+    each: 128 MB at worst, at n = 10^6."""
     n = _integer("log2 binomial row", "n", n)
     if n < 0 or n > LOG2_BINOMIAL_CAP:
         raise InputError(f"log2 binomial row: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
@@ -239,16 +240,15 @@ def _log2_binomial_row(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _log2_binomial_row_built(n: int) -> np.ndarray:
-    import numpy as np
+def _log2_binomial_row_built(n: int) -> memoryview:
+    from array import array  # a shared library that only this builder loads
 
     if n <= EXACT_BINOMIAL_CAP:
-        row = np.array([math.log2(c) for c in _binomial_row(n)])
+        row = array("d", map(math.log2, _binomial_row(n)))
     else:
-        lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-        row = (lg[n] - lg - lg[::-1]) / LN2
-    row.flags.writeable = False
-    return row
+        lg = list(map(math.lgamma, range(1, n + 2)))  # lgamma(k + 1), k = 0..n
+        row = array("d", [(lg[n] - a - b) / LN2 for a, b in zip(lg, reversed(lg))])
+    return memoryview(row).toreadonly()
 
 
 def log2_binomial(n: int, k: int) -> float:

@@ -411,7 +411,7 @@ def _disc_cont(n, sigma, eps, tol):
 
 def _edge_iso_sphere(n, s):
     sigma = s / n
-    ls, lns = _log2_binomial_row(s).tolist(), _log2_binomial_row(n - s).tolist()
+    ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
     cases, worst_c = [], 0.0
     for j in range(1, s + 1):
         i = 2 * j

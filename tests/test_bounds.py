@@ -75,7 +75,6 @@ def test_moment_gap_nonnegative_sampled():
     for n, s, p in [(16, 4, 3), (24, 6, 4), (40, 11, 2.5), (64, 20, 5), (128, 30, 4)]:
         rec = moment_gap(n, s, p)
         assert rec.gap_log2 >= -1e-9
-        assert rec.fitted_c > 0
 
 
 def test_moment_gap_example_4_2_4():

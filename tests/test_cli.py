@@ -80,6 +80,8 @@ def test_cli_scalar_commands_never_load_numpy():
         "bound moment --n 64 --s 8 --p 4",
         "iso --n 20 --sigma 0.2",
         "kraw --n 6 --s 2",
+        "iso --n 20 --s 4",
+        "verify --suite edge-iso-sphere",
         "eval --n 8 --s 2 --seed 0",
     ]
     proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True, env=env)
@@ -91,6 +93,8 @@ def test_cli_scalar_commands_never_load_numpy():
         "bound 0 False",
         "iso 0 False",
         "kraw 0 False",
+        "iso 0 False",
+        "verify 0 False",
         "eval 0 True",
     ]
 

@@ -205,11 +205,15 @@ def test_rescale_is_a_no_op_exactly_inside_the_log_rows_range():
 
 
 def test_cached_rows_are_read_only_and_shared():
-    rows = (*kw.kraw_log_row(10, 3), *kw.kraw_log_row(5000, 7))
-    for row in (*rows, _log2_binomial_row(10), _log2_binomial_row(5000)):
+    for row in (*kw.kraw_log_row(10, 3), *kw.kraw_log_row(5000, 7)):
         assert not row.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 1
+    for row in (_log2_binomial_row(10), _log2_binomial_row(5000)):
+        assert row.readonly and type(row[0]) is float
+        assert not np.asarray(row).flags.writeable  # numpy reads the cached buffer itself
+        with pytest.raises(TypeError, match="read-only"):
+            row[0] = 1.0
     signs, logs = kw.kraw_log_row(5000, 7)
     for got, want in zip(kw.kraw_log_row(np.int64(5000), np.uint16(7)), (signs, logs)):
         assert got is want
@@ -220,14 +224,15 @@ def test_root_sets_built_once_per_key_and_read_only():
     # kraw_roots and l2_between_roots share one checked build of each (n, s)
     kw._roots_and_counts.cache_clear()
     roots, row, below = kw._roots_and_counts(40, 10)
-    assert kw.kraw_roots(40, 10).roots == tuple(roots.tolist())
+    assert kw.kraw_roots(40, 10).roots is roots
     assert len(kw.l2_between_roots(np.int64(40), np.uint8(10))) == 11
     info = kw._roots_and_counts.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert row == tuple(kw.kraw_table(40, 10).values)
-    for arr in (roots, below):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
+    assert type(roots[0]) is float and type(below[0]) is int
+    for seq in (roots, row, below):
+        with pytest.raises(TypeError):
+            seq[0] = 1
 
 
 def test_whole_float_sizes_refused_after_the_int_row_is_cached():
