@@ -9,8 +9,10 @@ on, as perfbench runs them, after one untimed round that writes the caches.
 It prints for this checkout's `src`:
 - the median and quartiles of the wall time of one whole CLI call, `verify
   --suite psi-two-reps` (a suite of scalar formulas) and `eval --seed` (the
-  array path), from process start to exit with nothing preloaded, and
-  whether the call loaded numpy;
+  array path), from process start to exit with nothing preloaded, whether
+  the call loaded numpy, and the sha256 of its parsed JSON payload (sorted
+  keys; the timestamp lives outside it), so that a change of whitespace
+  alone leaves it as it was;
 - the median and quartiles of the time `import krawbound.cli` takes with
   numpy, click, json and csv already loaded, so that only krawbound's own
   modules are timed, in ms;
@@ -18,9 +20,10 @@ It prints for this checkout's `src`:
 - the sha256 of each default suite payload (its JSON with sorted keys).
 Given the `src` directory of another checkout, it does the same there, with
 the two sides' processes alternating which runs first in each round, and
-marks the suite payloads that differ.
+marks the CLI and suite payloads that differ.
 """
 
+import hashlib
 import json
 import os
 import statistics
@@ -90,17 +93,20 @@ def run(src: str, code: str, *args: str) -> tuple[float, subprocess.CompletedPro
     return wall, proc
 
 
-def call(src: str, args: list) -> tuple[float, str]:
-    """Wall time (ms) of one whole CLI call, and whether it loaded numpy."""
+def call(src: str, args: list) -> tuple[float, str, str]:
+    """Wall time (ms) of one whole CLI call, whether it loaded numpy, and the
+    sha256 of its parsed payload."""
     wall, proc = run(src, CALL_PROBE, *args)
     loaded = proc.stderr.splitlines()[-1] == "True"
-    return wall, "numpy loaded" if loaded else "numpy not loaded"
+    payload = json.loads(proc.stdout)["payload"]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return wall, "numpy loaded" if loaded else "numpy not loaded", digest
 
 
-def import_only(src: str) -> tuple[float, str]:
+def import_only(src: str) -> tuple[float, str, None]:
     """krawbound's own import time (ms), and the dataclasses it builds."""
     spent, built = json.loads(run(src, IMPORT_PROBE)[1].stdout)
-    return spent * 1e3, f"dataclasses._process_class ran {built} times"
+    return spent * 1e3, f"dataclasses._process_class ran {built} times", None
 
 
 def main(argv: list) -> None:
@@ -125,12 +131,19 @@ def main(argv: list) -> None:
     for label, runs in results.items():
         print(f"{label}, {ROUNDS} fresh processes each, one CPU:")
         for side, got in runs.items():
-            q1, med, q3 = statistics.quantiles([ms for ms, _ in got], n=4)
-            notes = ", ".join(sorted({note for _, note in got}))
+            q1, med, q3 = statistics.quantiles([ms for ms, _, _ in got], n=4)
+            notes = ", ".join(sorted({note for _, note, _ in got}))
             print(f"  {side}: median {med:.1f} ms (quartiles {q1:.1f}, {q3:.1f}); {notes}")
         if argv:
             lower = sum(a[0] < b[0] for a, b in zip(runs["here"], runs["there"]))
             print(f"  here lower in {lower} of {ROUNDS} rounds")
+        digests = {side: {d for _, _, d in got} for side, got in runs.items()}
+        if digests["here"] != {None}:
+            for side, got in digests.items():
+                print(f"  {side} payload sha256: {', '.join(sorted(d[:16] for d in got))}")
+            if argv:
+                same = len(digests["here"]) == 1 and digests["here"] == digests["there"]
+                print("  payloads identical" if same else "  payloads DIFFER")
     hashes = {side: json.loads(run(src, HASH_PROBE)[1].stdout) for side, src in sides.items()}
     here = hashes["here"]
     there = hashes.get("there", here)

@@ -7,21 +7,21 @@ exponents), iso (edge-isoperimetric exponents).
 
 Exit codes: 0 success, 2 input error, 3 a verification suite failed a case
 or produced a counterexample artifact. Data goes to stdout, diagnostics to
-stderr. All exponent outputs are log2-per-n unless --raw. The array layers
-and numpy are imported inside the commands that use them, so that `bound`
-of every kind but `gap`, `iso`, `kraw` without --p, and `verify` on the
-suites with no arrays (tau-symmetry, psi-two-reps, pi-min, phi-transform,
-edge-iso-min, edge-iso-sphere, disc-cont) never load numpy.
+stderr. All exponent outputs are log2-per-n unless --raw. A call builds only
+the output --format asks for: the JSON envelope is one line with sorted keys
+(`| python -m json.tool` indents it), and the CSV table, with `csv` itself,
+exists only under --format csv. The array layers and numpy are imported
+inside the commands that use them, so that `bound` of every kind but `gap`,
+`iso`, `kraw` without --p, and `verify` on the suites with no arrays
+(tau-symmetry, psi-two-reps, pi-min, phi-transform, edge-iso-min,
+edge-iso-sphere, disc-cont) never load numpy.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import click
@@ -54,7 +54,9 @@ def _guard(fn):
 
 
 def _emit(command: str, payload, table, fmt: str, out: str | None) -> None:
-    """JSON: envelope with the payload; CSV: bare rectangular table."""
+    """JSON: the envelope with the payload, on one line so that the C encoder
+    runs; CSV: the bare rectangular (header, rows) that `table()` builds, a
+    call made only for CSV."""
     if fmt == "json":
         envelope = {
             "command": command,
@@ -63,9 +65,12 @@ def _emit(command: str, payload, table, fmt: str, out: str | None) -> None:
             "format": fmt,
             "payload": payload,
         }
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(envelope, sort_keys=True) + "\n"
     else:
-        header, rows = table
+        import csv
+        import io
+
+        header, rows = table()
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -90,6 +95,8 @@ def _parse_grid(specs: tuple[str, ...]) -> dict:
             raise click.UsageError(f"--grid expects axis=lo:hi:count, got {spec!r}")
         if count_i < 1:
             raise click.UsageError(f"--grid count must be >= 1, got {count_i}")
+        if axis in grid:
+            raise click.UsageError(f"--grid axis {axis!r} given more than once")
         values = linspace(lo_f, hi_f, count_i)
         if not all(map(math.isfinite, (lo_f, hi_f, *values))):
             raise click.UsageError(f"--grid values must be finite, got {spec!r}")
@@ -133,7 +140,7 @@ def kraw(n, s, p, fmt, out):
     payload = {"n": n, "s": s, "table": [[i, v] for i, v in enumerate(table.values)]}
     if p is not None:
         payload["moment"] = kraw_moments(n, s, p)._asdict()
-    _emit("kraw", payload, (("i", "K"), payload["table"]), fmt, out)
+    _emit("kraw", payload, lambda: (("i", "K"), payload["table"]), fmt, out)
 
 
 # -------------------------------------------------------------------- bound
@@ -210,8 +217,8 @@ def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
         need(sigma=sigma, n=n, k=k)
         value = support_projection_bound(sigma, k / n)
         payload.update(sigma=sigma, n=n, k=k, exponent=value * n if raw else value)
-    keys = [key for key in payload if key != "kind"]
-    _emit("bound", payload, (["kind"] + keys, [[payload["kind"]] + [payload[k] for k in keys]]), fmt, out)
+    keys = list(payload)
+    _emit("bound", payload, lambda: (keys, [[payload[k] for k in keys]]), fmt, out)
 
 
 # -------------------------------------------------------------------- eval
@@ -267,7 +274,7 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
             if coeffs.signs[k] != 0:
                 levels.append([k, (lc[k] + 2.0 * float(coeffs.logs[k])) * scale])
     payload["levels"] = levels
-    _emit("eval", payload, (("k", "mass_exponent"), levels), fmt, out)
+    _emit("eval", payload, lambda: (("k", "mass_exponent"), levels), fmt, out)
 
 
 # ---------------------------------------------------------------- induction
@@ -283,16 +290,17 @@ def eval_cmd(n, s, p, eps, seed, raw, fmt, out):
 def induction(n, s, p, fmt, out):
     """Dimension-step parameters (i0, t, rho, Phi, u*), the Hanner gap of the
     adjacent pair, and the one-step recursion residual."""
+    from dataclasses import asdict
+
     from .induction import hanner_gap_kraw, induction_params, recursion_residual
 
-    params = induction_params(n, s, p)
     payload = {
-        "params": asdict(params),
+        "params": asdict(induction_params(n, s, p)),
         "hanner": asdict(hanner_gap_kraw(n, s, p)),
         "recursion": asdict(recursion_residual(n, s, p)),
     }
-    row = asdict(params)
-    _emit("induction", payload, (list(row), [list(row.values())]), fmt, out)
+    row = payload["params"]
+    _emit("induction", payload, lambda: (list(row), [list(row.values())]), fmt, out)
 
 
 # ------------------------------------------------------------------- verify
@@ -314,20 +322,15 @@ def verify(ctx, suite, grid_specs, seed, budget, tol, fmt, out):
     grid = _parse_grid(grid_specs)
     budgets = {"restarts": budget, "instances": budget} if budget is not None else None
     report = run_suite(suite, grid=grid or None, seed=seed, budget=budgets, tol=tol)
-    rows = [
-        [
-            idx,
-            case.bound_name,
-            json.dumps(case.params, sort_keys=True),
-            case.lhs_log2n,
-            case.rhs_log2n,
-            case.margin,
-            case.passed,
+
+    def table():
+        rows = [
+            [i, c.bound_name, json.dumps(c.params, sort_keys=True), c.lhs_log2n, c.rhs_log2n, c.margin, c.passed]
+            for i, c in enumerate(report.cases)
         ]
-        for idx, case in enumerate(report.cases)
-    ]
-    header = ("case", "name", "params", "lhs", "rhs", "margin", "pass")
-    _emit("verify", report.payload(), (header, rows), fmt, out)
+        return ("case", "name", "params", "lhs", "rhs", "margin", "pass"), rows
+
+    _emit("verify", report.payload(), table, fmt, out)
     if report.counterexamples:
         click.echo(f"{len(report.counterexamples)} counterexample artifact(s)", err=True)
     if not report.passed:
@@ -371,7 +374,7 @@ def ue(n, eps, s, rate, raw, fmt, out):
         "gap_bits": formula * n - brute_raw,
     }
     keys = list(payload)
-    _emit("ue", payload, (keys, [[payload[k] for k in keys]]), fmt, out)
+    _emit("ue", payload, lambda: (keys, [[payload[k] for k in keys]]), fmt, out)
 
 
 # ---------------------------------------------------------------------- iso
@@ -409,7 +412,7 @@ def iso(n, s, sigma, i, raw, fmt, out):
             actual = actual if raw else actual / n
         rows.append([dist, bnd, actual])
     payload = {"n": n, "sigma": sigma, "rows": rows}
-    _emit("iso", payload, (("i", "bound_exponent", "sphere_exponent"), rows), fmt, out)
+    _emit("iso", payload, lambda: (("i", "bound_exponent", "sphere_exponent"), rows), fmt, out)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,20 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from krawbound import cli
-from krawbound.cube import apply_noise, lp_norm, random_homogeneous, spectral_project, sphere_indicator
-from krawbound.verify import SuiteConfig, SuiteReport
+from krawbound.cube import (
+    apply_noise,
+    lp_norm,
+    random_homogeneous,
+    spectral_project,
+    sphere_indicator,
+    weight_table,
+)
+from krawbound.verify import SuiteConfig, SuiteReport, run_suite
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text()
@@ -97,6 +105,89 @@ def test_cli_scalar_commands_never_load_numpy():
         "verify 0 False",
         "eval 0 True",
     ]
+
+
+def test_json_commands_never_load_csv():
+    # `import krawbound.cli` loads neither csv nor dataclasses; the JSON
+    # output of every command, array commands included, never builds the CSV
+    # table, and only --format csv imports csv
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import contextlib, io, sys, krawbound.cli\n"
+        "print('import', 'csv' in sys.modules, 'dataclasses' in sys.modules)\n"
+        "for args in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = krawbound.cli.main(args.split(), standalone_mode=False)\n"
+        "    print(args.split()[0], code or 0, 'csv' in sys.modules)"
+    )
+    commands = [
+        "verify --suite psi-two-reps",
+        "eval --n 12 --s 3 --p 4.0 --eps 0.1 --seed 0",
+        "induction --n 64 --s 16 --p 4",
+        "bound gap --n 16 --s 4 --p 3",
+        "kraw --n 6 --s 2 --p 4",
+        "kraw --n 6 --s 2 --format csv",
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import False False",
+        "verify 0 False",
+        "eval 0 False",
+        "induction 0 False",
+        "bound 0 False",
+        "kraw 0 False",
+        "kraw 0 True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--suite", "psi-two-reps"], ["eval", "--n", "12", "--s", "3", "--p", "4.0", "--eps", "0.1", "--seed", "0"]],
+)
+def test_json_envelope_is_one_line(args):
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert res.output.endswith("\n") and res.output.count("\n") == 1
+    doc = json.loads(res.output)
+    jsonschema.validate(doc, SCHEMA)
+    if args[0] == "verify":
+        want = run_suite("psi-two-reps").payload()
+    else:
+        f, scale = random_homogeneous(12, 3, 0), 1.0 / 12
+        mass = np.bincount(weight_table(12), weights=f.data**2)[3]
+        want = {
+            "object": "random-homogeneous",
+            "n": 12,
+            "s": 3,
+            "l2_exponent": math.log2(lp_norm(f, 2)) * scale,
+            "lp_exponent": math.log2(lp_norm(f, 4.0)) * scale,
+            "noised_l2_exponent": math.log2(lp_norm(apply_noise(f, 0.1), 2)) * scale,
+            "levels": [[3, math.log2(mass) * scale]],
+        }
+    assert doc["payload"] == json.loads(json.dumps(want))
+
+
+# the --format csv bytes of the two calls, as they were while the JSON
+# envelope was still indented; CSV output must not change with it
+PINNED_CSV = {
+    "verify --suite tau-symmetry --grid x=0.1:0.3:2 --grid y=0.05:0.25:2": (
+        b"case,name,params,lhs,rhs,margin,pass\r\n"
+        b'0,tau-symmetry,"{""x"": 0.1, ""y"": 0.05}",2.220446049250313e-16,1e-08,9.999999777955395e-09,True\r\n'
+        b'1,tau-symmetry,"{""x"": 0.1, ""y"": 0.25}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
+        b'2,tau-symmetry,"{""x"": 0.3, ""y"": 0.05}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
+        b'3,tau-symmetry,"{""x"": 0.3, ""y"": 0.25}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
+    ),
+    "kraw --n 4 --s 2": b"i,K\r\n0,6\r\n1,0\r\n2,-2\r\n3,0\r\n4,6\r\n",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_CSV))
+def test_csv_bytes_pinned(args):
+    res = run(*args.split(), "--format", "csv")
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == PINNED_CSV[args]
 
 
 def test_kraw_csv_example():
@@ -390,6 +481,15 @@ def test_grid_parse_errors_exit_2():
     # a non-finite end is refused, not rounded into an integer axis
     assert run("verify", "--suite", "extremal-search", "--grid", "n=nan:8:2").exit_code == 2
     assert run("verify", "--suite", "extremal-search", "--grid", "n=6:1e400:2").exit_code == 2
+
+
+def test_grid_repeated_axis_exits_2():
+    # a second spec for one axis is refused, not silently kept in place of the first
+    grid = ("--grid", "p=3:3:1", "--grid", "p=4:4:1", "--grid", "x=0.2:0.2:1")
+    res = run("verify", "--suite", "psi-two-reps", *grid)
+    assert res.exit_code == 2
+    assert "'p' given more than once" in res.output
+    assert run("verify", "--suite", "psi-two-reps", *grid[2:]).exit_code == 0
 
 
 def test_verify_csv_cases_table():
