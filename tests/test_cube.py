@@ -535,21 +535,6 @@ def test_distance_fast_path_matches_scan(n):
     assert all(v % 2 == 0 for v in slow[1:])
 
 
-@pytest.mark.parametrize("n", range(10, 19))
-def test_distance_pair_count_matches_transforms(n):
-    # a set with |A|^2 <= 2^n counts its pairs directly; its integers must be
-    # the transforms', on both sides of the switch
-    rng = np.random.default_rng(n)
-    edge = math.isqrt(1 << n)
-    for size in (1, 2, edge - 1, edge, edge + 1, 3 * edge):
-        A = CubeSubset.from_indices(n, rng.choice(1 << n, size=size, replace=False))
-        conv = walsh_hadamard(to_fourier(A.indicator()).data ** 2) * (1 << n)
-        want = np.bincount(weight_table(n), weights=np.rint(conv), minlength=n + 1)
-        got = distance_distribution(A).a
-        assert got == tuple(int(v) for v in want)
-        assert sum(got) == size**2
-
-
 # ------------------------------------------- undetected error probability
 
 
