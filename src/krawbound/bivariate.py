@@ -456,8 +456,8 @@ def phi_transform_check(sigma: float, eps: float) -> PhiTransformRecord:
 def eta_p(p: float, x: float, eps: float) -> float:
     """eta_p(x, eps) = (1/2) tilde_phi(1 - (p/(p-1)) x, 2 eps (1-eps))
     + x/(p-1), for 0 <= x <= (p-1)/p and p >= 1 + (1-2eps)^2."""
-    if not p > 1.0:
-        raise InputError(f"eta_p: need p > 1, got p={p}")
+    if not 1.0 < p < math.inf:
+        raise InputError(f"eta_p: need p > 1 and finite, got p={p}")
     eps = _gate("eta_p", "eps", eps)
     if x < -_SLACK or x > (p - 1.0) / p + 1e-9:
         raise InputError(f"eta_p: x={x} outside [0, (p-1)/p] for p={p}")

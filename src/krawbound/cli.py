@@ -145,14 +145,19 @@ def kraw(n, s, p, fmt, out):
 
 # -------------------------------------------------------------------- bound
 
+# The kinds that return a per-n exponent: the options each reads, named as
+# its payload keys in payload order, and its evaluator over those values.
+_BOUNDS = {
+    "edge-iso": (("n", "sigma", "i"), edge_iso_bound),
+    "hc": (("p", "eps", "r_p"), lambda p, eps, r_p: hypercontractive_bound(r_p, eps, p)),
+    "set-noise": (("sigma", "eps"), set_noise_bound),
+    "projection": (("n", "k", "p", "r_p"), projection_bound),
+    "support-projection": (("sigma", "n", "k"), lambda sigma, n, k: support_projection_bound(sigma, k / n)),
+}
+
 
 @main.command()
-@click.argument(
-    "kind",
-    type=click.Choice(
-        ["moment", "gap", "tail", "edge-iso", "hc", "set-noise", "projection", "support-projection"]
-    ),
-)
+@click.argument("kind", type=click.Choice(["moment", "gap", "tail", *_BOUNDS]))
 @click.option("--n", type=int, default=None)
 @click.option("--s", type=int, default=None)
 @click.option("--p", type=float, default=None)
@@ -167,58 +172,38 @@ def kraw(n, s, p, fmt, out):
 @_guard
 def bound(kind, n, s, p, i, k, eps, sigma, r_p, raw, fmt, out):
     """Evaluate one closed-form bound; reports the exponent per n."""
+    opts = {"n": n, "s": s, "p": p, "i": i, "k": k, "eps": eps, "sigma": sigma, "r_p": r_p}
 
-    def need(**vals):
-        missing = [name for name, v in vals.items() if v is None]
+    def need(*names):
+        # the option --r sets r_p
+        missing = [name.removesuffix("_p") for name in names if opts[name] is None]
         if missing:
             raise click.UsageError(f"bound {kind} requires --{' --'.join(missing)}")
+        return [opts[name] for name in names]
 
     if n is not None and n < 1:
         raise InputError(f"bound: need n >= 1, got n={n}")
     payload = {"kind": kind}
-    if kind == "moment":
-        need(n=n, s=s, p=p)
-        value = moment_bound(n, s, p)
-        payload.update(n=n, s=s, p=p, exponent=value if raw else value / n)
-    elif kind == "gap":
-        need(n=n, s=s, p=p)
-        payload.update(moment_gap(n, s, p)._asdict())
+    if kind in _BOUNDS:
+        if kind == "edge-iso" and sigma is None:
+            n, s = need("n", "s")
+            opts["sigma"] = s / n
+        names, evaluate = _BOUNDS[kind]
+        values = need(*names)
+        value = evaluate(*values)
+        # raw exponents scale by n alone, so --raw needs --n
+        payload.update(zip(names, values), exponent=value * need("n")[0] if raw else value)
     elif kind == "tail":
-        need(n=n, s=s, i=i)
-        rec = tail_bound(n, s, i)
+        rec = tail_bound(*need("n", "s", "i"))
         scale = n if raw else 1.0
-        payload.update(
-            n=n,
-            s=s,
-            i=i,
-            threshold_exponent=rec.threshold_exponent * scale,
-            prob_exponent=rec.prob_exponent * scale,
-        )
-    elif kind == "edge-iso":
-        if sigma is None:
-            need(n=n, s=s)
-            sigma = s / n
-        need(n=n, i=i)
-        value = edge_iso_bound(n, sigma, i)
-        payload.update(n=n, sigma=sigma, i=i, exponent=value * n if raw else value)
-    elif kind == "hc":
-        need(p=p, eps=eps, r=r_p)
-        value = hypercontractive_bound(r_p, eps, p)
-        payload.update(p=p, eps=eps, r_p=r_p, exponent=value * (n or 1) if raw else value)
-    elif kind == "set-noise":
-        need(sigma=sigma, eps=eps)
-        value = set_noise_bound(sigma, eps)
-        payload.update(sigma=sigma, eps=eps, exponent=value * (n or 1) if raw else value)
-    elif kind == "projection":
-        need(n=n, k=k, p=p, r=r_p)
-        value = projection_bound(n, k, p, r_p)
-        payload.update(n=n, k=k, p=p, r_p=r_p, exponent=value * n if raw else value)
+        payload.update(rec._asdict())
+        payload.update(threshold_exponent=rec.threshold_exponent * scale, prob_exponent=rec.prob_exponent * scale)
+    elif kind == "gap":
+        payload.update(moment_gap(*need("n", "s", "p"))._asdict())
     else:
-        need(sigma=sigma, n=n, k=k)
-        value = support_projection_bound(sigma, k / n)
-        payload.update(sigma=sigma, n=n, k=k, exponent=value * n if raw else value)
-    keys = list(payload)
-    _emit("bound", payload, lambda: (keys, [[payload[k] for k in keys]]), fmt, out)
+        value = moment_bound(*need("n", "s", "p"))
+        payload.update(n=n, s=s, p=p, exponent=value if raw else value / n)
+    _emit("bound", payload, lambda: (list(payload), [list(payload.values())]), fmt, out)
 
 
 # -------------------------------------------------------------------- eval
@@ -373,8 +358,7 @@ def ue(n, eps, s, rate, raw, fmt, out):
         "formula_exponent": formula * n * scale,
         "gap_bits": formula * n - brute_raw,
     }
-    keys = list(payload)
-    _emit("ue", payload, lambda: (keys, [[payload[k] for k in keys]]), fmt, out)
+    _emit("ue", payload, lambda: (list(payload), [list(payload.values())]), fmt, out)
 
 
 # ---------------------------------------------------------------------- iso
@@ -398,6 +382,8 @@ def iso(n, s, sigma, i, raw, fmt, out):
         if s is None:
             raise click.UsageError("iso requires --s or --sigma")
         sigma = s / n
+    if not 0.0 < sigma <= 0.5:
+        raise InputError(f"iso: need 0 < sigma <= 1/2, got sigma={sigma}")
     scale = float(n) if raw else 1.0
     imax = math.floor(2 * sigma * (1 - sigma) * n)
     todo = [i] if i is not None else list(range(1, imax + 1))

@@ -55,9 +55,6 @@ class SuiteConfig(NamedTuple):
     seed: int
     budget: dict
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class SuiteReport(NamedTuple):
     config: SuiteConfig
@@ -74,20 +71,13 @@ class SuiteReport(NamedTuple):
     def payload(self) -> dict:
         """Everything except wall time: the deterministic replay target."""
         return {
-            "config": self.config.to_dict(),
+            "config": self.config._asdict(),
             "cases": [c.to_dict() for c in self.cases],
             "worst_margin": self.worst_margin,
             "measured_constants": self.measured_constants,
             "counterexamples": list(self.counterexamples),
             "pass": self.passed,
         }
-
-
-def _finish(config, cases, constants, counterexamples, t0) -> SuiteReport:
-    if not cases:
-        raise InputError(f"{config.suite}: grid selects no cases")
-    worst, spent = min(c.margin for c in cases), time.time() - t0
-    return SuiteReport(config, tuple(cases), worst, constants, tuple(counterexamples), spent)
 
 
 # ------------------------------------------------------- extremal search
@@ -409,22 +399,30 @@ def _disc_cont(n, sigma, eps, tol):
     return cases, {"disc_cont_n_times_gap": worst_c}, ()
 
 
+def _ladder(tag, rungs, rung, tol=1e-9):
+    """One case per rung: rung(r) returns (cell, lhs, rhs, value). Returns
+    the cases and the rungs' values, from which a suite measures its
+    constants."""
+    cases, values = [], []
+    for r in rungs:
+        cell, lhs, rhs, value = rung(r)
+        cases.append(make_report(tag, cell, lhs, rhs, tol=tol))
+        values.append(value)
+    return cases, values
+
+
 def _edge_iso_sphere(n, s):
     sigma = s / n
     ls, lns = _log2_binomial_row(s), _log2_binomial_row(n - s)
-    cases, worst_c = [], 0.0
-    for j in range(1, s + 1):
-        i = 2 * j
-        if i > 2 * sigma * (1 - sigma) * n:
-            break
-        actual = ls[j] + lns[j]  # log2 of the C(s, j) C(n - s, j) pairs at distance i
+
+    def rung(i):
+        actual = ls[i // 2] + lns[i // 2]  # log2 of the C(s, i/2) C(n - s, i/2) pairs at distance i
         bound = edge_iso_bound(n, sigma, i) * n
-        factor = 2.0 ** (bound - actual)
-        worst_c = max(worst_c, factor / i)
-        cases.append(
-            make_report("edge-iso-sphere", {"n": n, "s": s, "i": i}, actual, bound, tol=1e-9)
-        )
-    return cases, {"edge_iso_overshoot_per_i": worst_c}, ()
+        return {"n": n, "s": s, "i": i}, actual, bound, 2.0 ** (bound - actual) / i
+
+    even = [2 * j for j in range(1, s + 1) if 2 * j <= 2 * sigma * (1 - sigma) * n]
+    cases, overshoot = _ladder("edge-iso-sphere", even, rung)
+    return cases, {"edge_iso_overshoot_per_i": max(overshoot, default=0.0)}, ()
 
 
 def _hc_sphere_gap(eps, s):
@@ -436,45 +434,36 @@ def _hc_sphere_gap(eps, s):
         raise InputError(f"hc-sphere-gap: need two or more distinct s >= 1 to fit a slope, got s={s}")
     eps = float(eps)
     p = 1 + (1 - 2 * eps) ** 2
-    cases, gaps, cs = [], [], []
-    for sv in s:
+
+    def rung(sv):
         n = 4 * sv
         prof = SymmetricProfile.sphere(n, sv)
-        r_p = (prof.lp_norm_log2(p) - prof.lp_norm_log2(1)) / n
-        bound = hypercontractive_bound(r_p, eps, p)
+        p_norm = prof.lp_norm_log2(p)
+        bound = hypercontractive_bound((p_norm - prof.lp_norm_log2(1)) / n, eps, p) * n + p_norm
         # ||T_eps f||_2^2 = <T_eps' f, f> with the composed rate eps'
         lhs = 0.5 * prof.noise_inner_log2(2 * eps * (1 - eps))
-        p_norm = prof.lp_norm_log2(p)
-        gap = bound * n + p_norm - lhs
-        gaps.append(gap)
-        cs.append(2.0**gap / sv**0.75)
-        cases.append(
-            make_report("hc-sphere-gap", {"n": n, "s": sv, "eps": eps}, lhs, bound * n + p_norm, tol=1e-9)
-        )
-    xs = [math.log2(sv) for sv in s]
-    slope = float(np.polyfit(xs, gaps, 1)[0])
-    constants = {"hc_gap_bits_slope_vs_log2_s": slope, "hc_gap_factor_over_s_0.75": cs}
-    return cases, constants, ()
+        return {"n": n, "s": sv, "eps": eps}, lhs, bound, bound - lhs
+
+    cases, gaps = _ladder("hc-sphere-gap", s, rung)
+    slope = float(np.polyfit([math.log2(sv) for sv in s], gaps, 1)[0])
+    cs = [2.0**gap / sv**0.75 for gap, sv in zip(gaps, s)]
+    return cases, {"hc_gap_bits_slope_vs_log2_s": slope, "hc_gap_factor_over_s_0.75": cs}, ()
 
 
 def _ue_sphere_union(eps, n, R):
     from .cube import sphere_union_ue_log2
 
     eps, R = float(eps), float(R)
-    cases, per_log = [], []
-    for nv in n:
+
+    def rung(nv):
         s = round(inverse_entropy(R) * nv)
-        r_eff = binary_entropy(s / nv)
         brute = sphere_union_ue_log2(nv - 1, s, eps)
-        exact = ue_exponent(r_eff, eps) * nv
-        factor_log2 = exact - brute
-        per_log.append(factor_log2 / math.log2(nv))
-        cases.append(
-            make_report("ue-sphere-union", {"n": nv, "R": R, "eps": eps}, brute, exact, tol=1e-9)
-        )
+        exact = ue_exponent(binary_entropy(s / nv), eps) * nv
+        return {"n": nv, "R": R, "eps": eps}, brute, exact, (exact - brute) / math.log2(nv)
+
+    cases, per_log = _ladder("ue-sphere-union", n, rung)
     exploding = any(b > a + 1.0 for a, b in zip(per_log, per_log[1:]))
-    constants = {"ue_gap_bits_per_log2n": per_log, "trend_non_exploding": not exploding}
-    return cases, constants, ()
+    return cases, {"ue_gap_bits_per_log2n": per_log, "trend_non_exploding": not exploding}, ()
 
 
 def _tails_sphere(n):
@@ -482,16 +471,14 @@ def _tails_sphere(n):
     # headroom in bits over an n^{-5/2} floor
     from .krawchouk import l2_between_roots
 
-    cases, scaled = [], []
-    for nv in n:
-        s = nv // 4
-        records = l2_between_roots(nv, s)
+    def rung(nv):
+        records = l2_between_roots(nv, nv // 4)
         interior = [r for r in records if not r.empty]
-        worst = min(r.attainment_factor for r in interior)
-        scaled.append(worst * nv**2.5)
-        cell = {"n": nv, "s": s, "intervals": len(records), "nonempty": len(interior)}
-        headroom = math.log2(max(scaled[-1], 1e-300))
-        cases.append(make_report("tails-sphere", cell, -headroom, 0.0, tol=0.0))
+        scaled = min(r.attainment_factor for r in interior) * nv**2.5
+        cell = {"n": nv, "s": nv // 4, "intervals": len(records), "nonempty": len(interior)}
+        return cell, -math.log2(max(scaled, 1e-300)), 0.0, scaled
+
+    cases, scaled = _ladder("tails-sphere", n, rung, tol=0.0)
     return cases, {"between_roots_mass_times_n_2.5": scaled}, ()
 
 
@@ -517,16 +504,13 @@ def _max_proj_roots(n):
 
 
 def _extremal_search(n, s, p, seed, restarts):
-    cases, artifacts = [], []
-    for nv, pv in product(n, map(float, p)):
-        for sv in (v for v in s if 1 <= v <= nv // 2):
-            rec = search_extremal_ratio(nv, sv, pv, budget=restarts, seed=seed)
-            cell = {"n": nv, "s": sv, "p": pv}
-            lhs, bound = rec.best_log2_ratio, rec.bound_log2
-            cases.append(make_report("extremal-search", cell, lhs, bound, tol=1e-9))
-            if rec.counterexample:
-                artifacts.append(rec.counterexample)
-    return cases, {}, artifacts
+    def rung(cell):
+        rec = search_extremal_ratio(**cell, budget=restarts, seed=seed)
+        return cell, rec.best_log2_ratio, rec.bound_log2, rec.counterexample
+
+    cells = [{"n": nv, "s": sv, "p": pv} for nv, pv in product(n, map(float, p)) for sv in s if 1 <= sv <= nv // 2]
+    cases, found = _ladder("extremal-search", cells, rung)
+    return cases, {}, [c for c in found if c]
 
 
 def _degree_at_most(n, s, p, seed, instances):
@@ -718,7 +702,10 @@ def run_suite(
             for cell in row.cells(**axes)
         ]
         constants, artifacts = {}, ()
-    return _finish(config, cases, constants, artifacts, t0)
+    if not cases:
+        raise InputError(f"{name}: grid selects no cases")
+    worst, spent = min(c.margin for c in cases), time.time() - t0
+    return SuiteReport(config, tuple(cases), worst, constants, tuple(artifacts), spent)
 
 
 def _member(caller: str, tag: str, tags: list) -> str:

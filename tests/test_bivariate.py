@@ -1128,6 +1128,13 @@ def test_eta_p_finite_or_refused(p, frac, eps):
     _finite_or_refused(bv.eta_p, p, frac * (p - 1.0) / p, eps)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.2])
+def test_eta_p_refuses_infinite_p(x):
+    # at x = 0 the formula alone answers 0.0 for any p, so p = inf needs its own check
+    with pytest.raises(InputError, match="eta_p: need p > 1 and finite"):
+        bv.eta_p(math.inf, x, 0.1)
+
+
 @pytest.mark.parametrize("p", [1.0 + 2.3e-9, 1.7733660110664715, 2.0, 589.7319167228677, 15138.498231841553])
 def test_eta_p_at_the_upper_end_of_x(p):
     # 1 - (p/(p-1)) x at x = (p-1)/p rounded to -2^-52 at these p, which

@@ -231,6 +231,14 @@ def test_bound_missing_flags_exit_2():
     assert "requires" in res.output
 
 
+@pytest.mark.parametrize("kind", [["hc", "--p", "2.5", "--eps", "0.15", "--r", "0.1"], ["set-noise", "--sigma", "0.3", "--eps", "0.2"]])
+def test_bound_raw_needs_n(kind):
+    # raw exponents scale by n, which hc and set-noise read only under --raw
+    res = run("bound", *kind, "--raw")
+    assert res.exit_code == 2
+    assert f"bound {kind[0]} requires --n" in res.output
+
+
 def test_eval_sphere_levels():
     doc = run_json("eval", "--n", "10", "--s", "3", "--p", "4", "--eps", "0.1")
     payload = doc["payload"]
@@ -318,6 +326,14 @@ def test_iso_sweep_csv_rectangular():
     assert len(rows) > 3
     # even distances on the sphere get exact counts, odd ones stay blank
     assert rows[2][2] != "" and rows[1][2] == ""
+
+
+@pytest.mark.parametrize("sigma", [["--sigma", "nan"], ["--sigma", "inf"], ["--sigma", "-0.2"], ["--sigma", "0"], ["--s", "0"]])
+def test_iso_refuses_sigma_outside_half_interval(sigma):
+    # nan and inf would reach math.floor, and sigma <= 0 admits no distance
+    res = run("iso", "--n", "12", *sigma)
+    assert res.exit_code == 2
+    assert "iso: need 0 < sigma <= 1/2" in res.output
 
 
 def test_iso_sphere_column_matches_exact_counts():

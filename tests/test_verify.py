@@ -518,5 +518,5 @@ def test_replay_payloads_byte_identical():
 
 def test_config_roundtrip():
     cfg = SuiteConfig("pi-min", grid={"sigma": (0.1, 0.4, 5)}, tolerances={}, seed=3, budget={})
-    assert cfg.to_dict()["suite"] == "pi-min"
-    assert cfg.to_dict()["grid"] == {"sigma": (0.1, 0.4, 5)}
+    assert cfg._asdict()["suite"] == "pi-min"
+    assert cfg._asdict()["grid"] == {"sigma": (0.1, 0.4, 5)}
