@@ -8,7 +8,7 @@ another checkout, it also runs them there, after those here, in a
 subprocess that imports krawbound from OTHER_SRC, and prints the wall time
 there and the largest |T_eps f here - T_eps f there| / max |T_eps f there|,
 and its (n, eps), over all cells, and how many cells kept every bit. The
-suite payloads are compared by scripts/import_drift.py.
+suite payloads are pinned by tests/test_golden.py.
 """
 
 import io

@@ -459,7 +459,7 @@ def eta_p(p: float, x: float, eps: float) -> float:
     if not 1.0 < p < math.inf:
         raise InputError(f"eta_p: need p > 1 and finite, got p={p}")
     eps = _gate("eta_p", "eps", eps)
-    if x < -_SLACK or x > (p - 1.0) / p + 1e-9:
+    if not -_SLACK <= x <= (p - 1.0) / p + 1e-9:
         raise InputError(f"eta_p: x={x} outside [0, (p-1)/p] for p={p}")
     x = min(max(x, 0.0), (p - 1.0) / p)
     if x == 0.0:

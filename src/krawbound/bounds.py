@@ -9,6 +9,7 @@ rather than assume them.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .bivariate import _alpha_max, _split_entropy, eta_p, phi, pi_fn, psi, tau
@@ -121,8 +122,8 @@ def set_noise_bound(sigma: float, eps: float) -> float:
 def projection_bound(n: int, k: int, p: float, r_p: float) -> float:
     """Per-n exponent bounding ||f_k||_2 / ||f||_p given
     r_p = (1/n) log2(||f||_p / ||f||_1)."""
-    if not p >= 2:
-        raise InputError(f"projection_bound: need p >= 2, got {p}")
+    if not 2 <= p < math.inf:
+        raise InputError(f"projection_bound: need finite p >= 2, got {p}")
     if n < 1 or not (0 <= k <= n):
         raise InputError(f"projection_bound: need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     arg = 1.0 - (p / (p - 1.0)) * r_p

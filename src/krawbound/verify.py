@@ -680,6 +680,8 @@ def run_suite(
     row = _SUITES[name]
     if tol is not None and row.tol is None:
         raise InputError(f"{name}: has no residual tolerance to override, got tol={tol}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise InputError(f"{name}: need a finite tol >= 0, got tol={tol}")
     if (seed is not None or budget is not None) and row.budget is None:
         raise InputError(f"{name}: is no seeded search, got seed={seed}, budget={budget}")
     grid = grid or {}

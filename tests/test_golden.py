@@ -75,6 +75,9 @@ CALLS = {
         "set-noise",
         "projection --n 16 --k 3",
         "support-projection --sigma 0.3",
+        # refused values
+        "hc --p 2.5 --eps 0.15 --r nan",
+        "projection --n 16 --k 3 --p inf --r 0.05",
     ],
     "eval": [
         "--n 10 --s 3 --p 4 --eps 0.1",
@@ -111,6 +114,9 @@ CALLS = {
         "--suite nope",
         "--suite tau-symmetry --seed 1",
         "--suite tau-symmetry --grid x=0:1:0",
+        "--suite tau-symmetry --tol inf",
+        "--suite tau-symmetry --tol nan",
+        "--suite tau-symmetry --tol -1",
     ],
 }
 

@@ -1,15 +1,21 @@
-"""Source hygiene: every name a module of `src/krawbound` or `tests` imports
-is read in that module. The one exception is a package `__init__.py`, whose
-relative imports (`from .module import name`) are its re-exports; any other
-import there must be read like anywhere else."""
+"""Source hygiene: every name a module of `src/krawbound`, `tests` or
+`scripts` imports is read in that module. The one exception is a package
+`__init__.py`, whose relative imports (`from .module import name`) are its
+re-exports; any other import there must be read like anywhere else. Each
+script also loads, without running its `main`, and every attribute it reads
+of a krawbound module exists, so that a renamed name fails here rather than
+at the script's next run."""
 
 import ast
+import importlib.util
+import types
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "krawbound"
 TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def _unread_imports(path: Path) -> list:
@@ -29,7 +35,7 @@ def _unread_imports(path: Path) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))], ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unread_imports(path) == []
 
@@ -37,6 +43,21 @@ def test_every_import_is_read(path):
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_test_module_import_is_read(path):
     assert _unread_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_script_loads_and_reads_only_existing_krawbound_names(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = getattr(script, node.value.id, None)
+            if isinstance(module, types.ModuleType) and module.__name__.startswith("krawbound"):
+                if not hasattr(module, node.attr):
+                    missing.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    assert missing == []
 
 
 def test_scan_flags_an_unread_import(tmp_path):

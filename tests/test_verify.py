@@ -479,6 +479,14 @@ def test_run_suite_rejects_tol_without_residual():
             run_suite(tag, tol=1e-300)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_run_suite_rejects_a_tol_not_finite_and_nonnegative(tol):
+    # inf would pass every case and nan fail every case, printing bare NaN,
+    # which is not JSON
+    with pytest.raises(InputError, match="need a finite tol >= 0"):
+        run_suite("tau-symmetry", tol=tol)
+
+
 def test_run_suite_rejects_several_values_on_a_single_value_axis():
     for tag, grid in [
         ("edge-iso-sphere", {"n": (40, 60, 80)}),
