@@ -128,10 +128,7 @@ def projection_bound(n: int, k: int, p: float, r_p: float) -> float:
         raise InputError(f"projection_bound: need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     arg = 1.0 - (p / (p - 1.0)) * r_p
     if not (-1e-12 <= arg <= 1.0 + 1e-12):
-        raise InputError(
-            f"projection_bound: 1 - (p/(p-1)) r_p = {arg} outside [0, 1]; "
-            f"admissible r_p lies in [0, (p-1)/p]"
-        )
+        raise InputError(f"projection_bound: r_p={r_p} outside [0, (p-1)/p] for p={p}")
     sigma = inverse_entropy(min(max(arg, 0.0), 1.0))
     kappa = min(k, n - k) / n
     return pi_fn(sigma, kappa) - ((p - 2.0) / (2.0 * p - 2.0)) * r_p

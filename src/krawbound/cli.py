@@ -101,9 +101,9 @@ def _parse_grid(specs: tuple[str, ...]) -> dict:
         if not all(map(math.isfinite, (lo_f, hi_f, *values))):
             raise click.UsageError(f"--grid values must be finite, got {spec!r}")
         if axis in ("n", "s"):
-            grid[axis] = tuple(dict.fromkeys(int(round(v)) for v in values))
-        else:
-            grid[axis] = values
+            # whole values become ints; run_suite refuses the rest
+            values = tuple(dict.fromkeys(int(v) if v.is_integer() else v for v in values))
+        grid[axis] = values
     return grid
 
 

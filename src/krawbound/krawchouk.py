@@ -27,7 +27,6 @@ from .numerics import (
     InternalError,
     _integer,
     _log2_binomial_row,
-    log2_binomial,
     log_sum_exp2,
 )
 
@@ -102,8 +101,6 @@ def _kraw_row_weight_recurrence(n: int, s: int) -> list[int]:
 
     Exact integer division at every step, O(n) big-integer operations.
     """
-    if not (0 <= s <= n):
-        raise InputError(f"need 0 <= s <= n, got n={n}, s={s}")
     mid = n // 2
     row = [0] * (n + 1)
     row[0] = math.comb(n, s)
@@ -170,7 +167,7 @@ def _kraw_log_row_built(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
         # with one exponent, so an exact zero never carries a stale one
         a, b, e = 0.0, 1.0, 0
         c, lo, hi = n - 2 * s, 2.0**-501, 2.0**500
-        base = log2_binomial(n, s)
+        base = _log2_binomial_row(n)[s]
         signs, logs = [1], [base]
         for i in range(0, mid):
             a, b = b, (c * b - i * a) / (n - i)
@@ -251,15 +248,21 @@ def _roots_and_counts(n: int, s: int) -> tuple[tuple[float, ...], tuple[int, ...
     return tuple(roots.tolist()), tuple(row), tuple(below.tolist())
 
 
+def _root_degree(who: str, n, s) -> tuple[int, int]:
+    """_degree's (n, s), further held to 1 <= s <= n/2 and n <= KRAW_ROOT_CAP."""
+    n, s = _degree(who, n, s)
+    if not (1 <= s <= n / 2):
+        raise InputError(f"{who}: need 1 <= s <= n/2, got n={n}, s={s}")
+    if n > KRAW_ROOT_CAP:
+        raise InputError(f"{who}: n={n} exceeds cap {KRAW_ROOT_CAP}")
+    return n, s
+
+
 def kraw_roots(n: int, s: int) -> RootList:
     """All s roots of K_s, in increasing order: the eigenvalues of the Jacobi
     matrix of the degree recurrence, cross-checked against the exact signs
     of K_s at the integers 0..n."""
-    n, s = _degree("kraw_roots", n, s)
-    if not (1 <= s <= n / 2):
-        raise InputError(f"kraw_roots: need 1 <= s <= n/2, got n={n}, s={s}")
-    if n > KRAW_ROOT_CAP:
-        raise InputError(f"kraw_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
+    n, s = _root_degree("kraw_roots", n, s)
     return RootList(n, s, _roots_and_counts(n, s)[0])
 
 
@@ -328,11 +331,7 @@ def l2_between_roots(n: int, s: int) -> list[IntervalRecord]:
     (including [0, y_1) and (y_s, n]), reports the best integer i and
     attainment_factor = max_i [C(n,i) K_s(i)^2 / 2^n] / C(n,s) in (0, 1].
     """
-    n, s = _degree("l2_between_roots", n, s)
-    if not (1 <= s <= n / 2):
-        raise InputError(f"l2_between_roots: need 1 <= s <= n/2, got n={n}, s={s}")
-    if n > KRAW_ROOT_CAP:
-        raise InputError(f"l2_between_roots: n={n} exceeds cap {KRAW_ROOT_CAP}")
+    n, s = _root_degree("l2_between_roots", n, s)
     roots, row, below = _roots_and_counts(n, s)
     lc = _log2_binomial_row(n)
     best_i: list[int | None] = [None] * (s + 1)

@@ -3,10 +3,10 @@ and the one root-bracketing solver and one 1-d minimizer (a grid scan, then
 Brent's method) every implicit equation and minimization oracle runs on.
 
 Everything downstream works with base-2 exponents normalized per dimension n,
-so all helpers here speak log2, with -inf as the log of zero. Exact integer
-binomials are kept separate from the log-domain approximations; callers
-choose explicitly. numpy is imported only inside log_sum_exp2*, so that the
-scalar helpers and the log2-binomial row never load it.
+so all helpers here speak log2, with -inf as the log of zero. Exact binomials
+come from math.comb or the row _binomial_row, log2 C(n, k) only from the
+cached row _log2_binomial_row. numpy is imported only inside log_sum_exp2*,
+so that the scalar helpers and the log2-binomial row never load it.
 """
 
 from __future__ import annotations
@@ -205,16 +205,6 @@ def inverse_entropy(y: float) -> float:
     return _solve(lambda t: _entropy(t) - y, 0.0, 0.5 * y)
 
 
-def exact_binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer. k outside [0, n] gives 0. Capped at n <= 4096."""
-    n, k = _integer("exact_binomial", "n", n), _integer("exact_binomial", "k", k)
-    if n < 0 or n > EXACT_BINOMIAL_CAP:
-        raise InputError(f"exact_binomial: n={n} outside [0, {EXACT_BINOMIAL_CAP}]")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _binomial_row(n: int) -> list[int]:
     """C(n, i) for i = 0..n by the multiplicative recurrence
     C(n, i+1) = C(n, i) (n-i) / (i+1), mirrored across n/2."""
@@ -230,9 +220,9 @@ def _log2_binomial_row(n: int) -> memoryview:
     """log2 C(n, i) for i = 0..n as a read-only memoryview of doubles (Python
     floats to index; numpy reads it without a copy): math.log2 of the exact
     integers up to EXACT_BINOMIAL_CAP (it takes a big int, rounding its top
-    53 bits to nearest), from log-gamma above it (as log2_binomial). The last
-    ROW_CACHE_SIZE rows are kept and shared by every caller, 8 (n + 1) bytes
-    each: 128 MB at worst, at n = 10^6."""
+    53 bits to nearest), from log-gamma above it, within 1e-10 relative.
+    The last ROW_CACHE_SIZE rows are kept and shared by every caller, 8 (n +
+    1) bytes each: 128 MB at worst, at n = 10^6."""
     n = _integer("log2 binomial row", "n", n)
     if n < 0 or n > LOG2_BINOMIAL_CAP:
         raise InputError(f"log2 binomial row: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
@@ -249,18 +239,6 @@ def _log2_binomial_row_built(n: int) -> memoryview:
         lg = list(map(math.lgamma, range(1, n + 2)))  # lgamma(k + 1), k = 0..n
         row = array("d", [(lg[n] - a - b) / LN2 for a, b in zip(lg, reversed(lg))])
     return memoryview(row).toreadonly()
-
-
-def log2_binomial(n: int, k: int) -> float:
-    """log2 C(n, k) via log-gamma; relative error ~1e-10 up to n = 10^6.
-
-    k outside [0, n] raises instead of returning -inf.
-    """
-    if n < 0 or n > LOG2_BINOMIAL_CAP:
-        raise InputError(f"log2_binomial: n={n} outside [0, {LOG2_BINOMIAL_CAP}]")
-    if k < 0 or k > n:
-        raise InputError(f"log2_binomial: k={k} outside [0, {n}]")
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
 def log_sum_exp2(exponents: np.typing.ArrayLike) -> float | np.ndarray:

@@ -40,7 +40,6 @@ from .numerics import (
     binary_entropy,
     inverse_entropy,
     linspace,
-    log2_binomial,
 )
 
 if TYPE_CHECKING:
@@ -488,7 +487,7 @@ def _max_proj_roots(n):
     cases, scaled = [], []
     for nv in n:
         s = nv // 8
-        sigma = inverse_entropy(log2_binomial(nv, s) / nv)
+        sigma = inverse_entropy(_log2_binomial_row(nv)[s] / nv)
         records = l2_between_roots(nv, s)
         worst_factor = 0.0
         for rec in records:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from krawbound.krawchouk import _rescale, kraw_table
-from krawbound.numerics import log2_binomial
+from krawbound.numerics import _log2_binomial_row
 
 
 def kraw_sum(n, s, i):
@@ -74,7 +74,7 @@ def kraw_log_row_rescaled_every_step(n, s):
     across n/2; also returns how many steps moved the exponent down and up."""
     mid = n // 2
     a, b, e = 0.0, 1.0, 0
-    base = log2_binomial(n, s)
+    base = _log2_binomial_row(n)[s]
     signs, logs, down, up = [1], [base], 0, 0
     for i in range(mid):
         a, b, e_next = _rescale(b, ((n - 2 * s) * b - i * a) / (n - i), e)

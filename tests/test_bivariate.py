@@ -3,13 +3,14 @@
 import importlib.util
 import math
 import pathlib
+import re
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from krawbound import bivariate as bv
 from krawbound import numerics, verify
@@ -32,8 +33,6 @@ def test_ratio_r_degree_zero():
 
 
 def test_ratio_r_value():
-    import mpmath
-
     mpmath.mp.dps = 40
     x, y = mpmath.mpf("0.1"), mpmath.mpf("0.2")
     a = 1 - 2 * x
@@ -43,8 +42,6 @@ def test_ratio_r_value():
 
 def _ratio_r_mp(x, y):
     """r(x, y) by its defining formula in 60-digit mpmath."""
-    import mpmath
-
     with mpmath.workdps(60):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         a = 1 - 2 * x
@@ -103,9 +100,10 @@ def test_exponent_i_matches_quadrature():
     cases = [(0.1, 0.05), (0.2, 0.09), (0.3, 0.03), (0.45, 0.002), (0.05, 0.25)]
     for x, y in cases:
         assert y <= bv.root_region_boundary(x)
-        val, err = quad(lambda z: math.log2(bv.ratio_r(x, z)), 0.0, y, limit=200)
+        with mpmath.workdps(30):
+            val, err = mpmath.quad(lambda z: math.log2(bv.ratio_r(x, float(z))), [0, y], error=True)
         assert err < 1e-9
-        assert bv.exponent_I(x, y) == pytest.approx(val - 1.0, abs=1e-7)
+        assert bv.exponent_I(x, y) == pytest.approx(float(val) - 1.0, abs=1e-7)
 
 
 def test_exponent_i_zero_limit_richardson():
@@ -136,8 +134,6 @@ def _exponent_i_mp(x, y):
     """exponent_I(x, y) = I(y, x) - I(0, x) - 1 with I the closed form exactly
     as written, 1-2u-b and 2(1-u) - a^2 - ab by subtraction, in mpmath with
     50 digits beyond the ~-log10(x) + 20 that those differences cancel."""
-    import mpmath
-
     with mpmath.workdps(70 - int(math.log10(x))):
         v = mpmath.mpf(x)
         a = 1 - 2 * v
@@ -251,8 +247,6 @@ def test_little_h_monotone_and_endpoints():
 
 
 def test_little_h4_value():
-    import mpmath
-
     mpmath.mp.dps = 40
     x = mpmath.mpf("0.1")
     ref = x ** (1 / mpmath.mpf(4)) * (1 - x) ** (3 / mpmath.mpf(4)) + x ** (
@@ -404,8 +398,6 @@ def test_psi_y_aux_solves_h(p, x):
 def _psi_mp(p, x):
     """psi(p, x) by the second representation in 50-digit mpmath, with
     a(p, delta) = x solved by 200 halvings of [0, 1/2]."""
-    import mpmath
-
     with mpmath.workdps(50):
         p, x = mpmath.mpf(p), mpmath.mpf(x)
 
@@ -544,8 +536,6 @@ def test_psi_representations_agree_at_tiny_x(x):
 @pytest.mark.parametrize("x", [1e-300, 0.25, 0.5 - 1e-6, 0.5 - 1e-9, 0.5 - 1e-12, 0.5 - 2.0**-54])
 def test_root_region_boundary_against_mpmath(x):
     # 1/2 - sqrt(x(1-x)) by subtraction has relative error 1 at x = 0.5 - 1e-9
-    import mpmath
-
     with mpmath.workdps(50):
         ref = 0.5 - mpmath.sqrt(mpmath.mpf(x) * (1 - mpmath.mpf(x)))
     assert bv.root_region_boundary(x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
@@ -629,8 +619,6 @@ def test_x_star_range_and_stationarity():
 def test_x_star_against_mpmath():
     # the closed form's numerator cancels as eps nears 1/2, which at small
     # sigma can put x* outside [0, sigma] and make phi raise
-    import mpmath
-
     with mpmath.workdps(60):
         for s in (2.0**-14, 1e-6, 1e-3, 0.1, 0.3, 0.5):
             for e in (1e-300, 1e-8, 0.01, 0.2, 0.45, 0.5 - 1e-6, 0.5 - 1e-10, 0.5 - 1e-13):
@@ -1143,3 +1131,23 @@ def test_eta_p_at_the_upper_end_of_x(p):
     # tilde_phi refused; its value there is tilde_phi(0, .)/2 + 1/p
     x = (p - 1.0) / p
     assert bv.eta_p(p, x, 0.1) == pytest.approx(0.5 * bv.tilde_phi(0.0, 0.18) + x / (p - 1.0), abs=1e-12)
+
+
+# -------------------------------------------------------------- refusals
+
+# each call is refused by the check its message names, before any work
+REFUSALS = {
+    "solve_h_inverse target": (lambda: bv.solve_h_inverse(4.0, 1.5), "solve_h_inverse: target=1.5 outside [0, 1]"),
+    "solve_h_inverse nan target": (
+        lambda: bv.solve_h_inverse(4.0, math.nan),
+        "solve_h_inverse: target=nan outside [0, 1]",
+    ),
+    "tilde_phi y": (lambda: bv.tilde_phi(-0.5, 0.1), "tilde_phi: y=-0.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

@@ -3,6 +3,7 @@ objects (Krawchouk rows, spheres, adjacent-sphere unions) that nearly
 attain them. Tightness constants are measured and reported, not assumed."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,41 @@ def test_ue_exponent_domain():
         ue_exponent(0.0, 0.1)
     with pytest.raises(InputError):
         ue_exponent(0.5, 0.0)
+
+
+# -------------------------------------------------------------- refusals
+
+# each call is refused by the check its message names, before any work
+REFUSALS = {
+    "moment_gap s": (lambda: moment_gap(16, 9, 3), "moment_gap: need 1 <= s <= n/2"),
+    "edge_iso_bound sigma": (lambda: edge_iso_bound(40, 0.6, 8), "edge_iso_bound: need 0 < sigma <= 1/2"),
+    "set_noise_bound sigma": (lambda: set_noise_bound(0.6, 0.1), "set_noise_bound: need sigma, eps in [0, 1/2]"),
+    "set_noise_bound eps": (lambda: set_noise_bound(0.3, -0.1), "set_noise_bound: need sigma, eps in [0, 1/2]"),
+    "projection_bound n": (lambda: projection_bound(0, 0, 2.5, 0.05), "projection_bound: need n >= 1 and 0 <= k <= n"),
+    "projection_bound k": (lambda: projection_bound(16, 17, 2.5, 0.05), "projection_bound: need n >= 1 and 0 <= k <= n"),
+    "support_projection_bound sigma": (
+        lambda: support_projection_bound(0.6, 0.1),
+        "support_projection_bound: need sigma in [0,1/2], k/n in [0,1]",
+    ),
+    "support_projection_bound k": (
+        lambda: support_projection_bound(0.3, 1.5),
+        "support_projection_bound: need sigma in [0,1/2], k/n in [0,1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("r_p", [math.nan, math.inf, -math.inf, -0.1, 0.7])
+def test_projection_refusal_names_r_p(r_p):
+    # the refused input itself, not 1 - (p/(p-1)) r_p derived from it
+    with pytest.raises(InputError, match=re.escape(f"projection_bound: r_p={r_p} outside [0, (p-1)/p] for p=2.5")):
+        projection_bound(16, 3, 2.5, r_p)
+    # the ends of [0, (p-1)/p] stay admitted, to within the same 1e-12 slack
+    for r_p in (-1e-13, 0.0, 0.6, 0.6 + 1e-13):
+        assert math.isfinite(projection_bound(16, 3, 2.5, r_p))

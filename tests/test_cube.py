@@ -2,6 +2,7 @@
 weight-symmetric profile paths that replace 2^n storage at large n."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -805,3 +806,62 @@ def test_union_ue_matches_dense():
 def test_union_ue_large_n_runs():
     val = sphere_union_ue_log2(199, 60, 0.11)
     assert -200.0 < val < 0.0
+
+
+# -------------------------------------------------------------- refusals
+
+# each call is refused by the check its message names, before any work
+REFUSALS = {
+    "CubeFunction length": (lambda: CubeFunction(3, POINT, np.zeros(4)), "CubeFunction: data length (4,) != 2^3"),
+    "CubeSubset length": (
+        lambda: CubeSubset(3, np.zeros(4, dtype=bool)),
+        "CubeSubset: membership length mismatch",
+    ),
+    "inner_product": (
+        lambda: inner_product(CubeFunction(2, POINT, np.ones(4)), CubeFunction(3, POINT, np.ones(8))),
+        "inner_product: dimension mismatch",
+    ),
+    "random_homogeneous s": (lambda: random_homogeneous(4, 5, 0), "random_homogeneous: need 0 <= s <= n, got n=4, s=5"),
+    "sphere_indicator s": (lambda: sphere_indicator(4, -1), "sphere_indicator: need 0 <= s <= n, got n=4, s=-1"),
+    "undetected_error_probability eps": (
+        lambda: undetected_error_probability(CubeSubset.from_indices(3, [0]), 0.6),
+        "undetected_error_probability: eps=0.6 outside [0, 1/2]",
+    ),
+    "noise_inner_log2 eps": (
+        lambda: SymmetricProfile.sphere(10, 3).noise_inner_log2(-0.1),
+        "noise_inner_log2: eps=-0.1 outside [0, 1/2]",
+    ),
+    "sphere_union_ue_log2 eps": (
+        lambda: sphere_union_ue_log2(10, 3, 0.0),
+        "sphere_union_ue_log2: eps=0.0 outside (0, 1/2]",
+    ),
+    "sphere_union radius": (
+        lambda: SymmetricProfile.sphere_union(10, [2, 11]),
+        "sphere_union: radius 11 outside [0, 10]",
+    ),
+    "SymmetricProfile mismatch": (
+        lambda: SymmetricProfile.sphere(10, 3).plus(SymmetricProfile.sphere(11, 3)),
+        "SymmetricProfile: dimension mismatch",
+    ),
+    "to_dense cap": (lambda: SymmetricProfile.sphere(25, 3).to_dense(), "to_dense: n=25 exceeds dense cap 24"),
+    "sphere_union_distance_distribution s": (
+        lambda: sphere_union_distance_distribution(10, 0),
+        "sphere_union_distance_distribution: need 1 <= s <= n <= 4096, got n=10, s=0",
+    ),
+    "sphere_union_distance_distribution cap": (
+        lambda: sphere_union_distance_distribution(4097, 3),
+        "sphere_union_distance_distribution: need 1 <= s <= n <= 4096, got n=4097, s=3",
+    ),
+    # the gate of the distance distribution covers the union's P_ue too
+    "sphere_union_ue_log2 cap": (
+        lambda: sphere_union_ue_log2(4097, 3, 0.1),
+        "sphere_union_distance_distribution: need 1 <= s <= n <= 4096, got n=4097, s=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

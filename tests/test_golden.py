@@ -78,6 +78,7 @@ CALLS = {
         # refused values
         "hc --p 2.5 --eps 0.15 --r nan",
         "projection --n 16 --k 3 --p inf --r 0.05",
+        "projection --n 16 --k 3 --p 2.5 --r nan",
     ],
     "eval": [
         "--n 10 --s 3 --p 4 --eps 0.1",
@@ -117,6 +118,7 @@ CALLS = {
         "--suite tau-symmetry --tol inf",
         "--suite tau-symmetry --tol nan",
         "--suite tau-symmetry --tol -1",
+        "--suite extremal-search --grid n=6:7:3 --grid p=3:3:1 --budget 2",
     ],
 }
 

@@ -2,6 +2,7 @@
 closed forms, exact moment computations, and the tensorization limit."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,3 +291,19 @@ def test_tensorization_converges_to_psi():
         gaps.append(abs(tensor_ratio_log2(4, 1, 4, m) - target))
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 0.01
+
+
+# -------------------------------------------------------------- refusals
+
+# each call is refused by the check its message names, before any work
+REFUSALS = {
+    "hanner_gap_kraw s=0": (lambda: hanner_gap_kraw(64, 0, 4), "hanner_gap_kraw: need 1 <= s <= n/2, got s=0, n=64"),
+    "hanner_gap_kraw s>n/2": (lambda: hanner_gap_kraw(64, 33, 4), "hanner_gap_kraw: need 1 <= s <= n/2, got s=33, n=64"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

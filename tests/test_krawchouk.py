@@ -1,6 +1,7 @@
 """Krawchouk engine: exact tables, log rows, roots, moments, concentration."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from krawbound import numerics
 from krawbound.bivariate import exponent_I, tau
 from krawbound.cube import SymmetricProfile, sphere_union_distance_distribution
 from krawbound.induction import hanner_gap_kraw, tensor_ratio_log2
-from krawbound.numerics import InputError, _log2_binomial_row, exact_binomial
+from krawbound.numerics import InputError, _log2_binomial_row
 from oracles import (
     kraw_log_row_rescaled_every_step,
     kraw_moment_exact,
@@ -37,17 +38,14 @@ def test_table_invariants_small():
     for n in range(1, 25):
         for s in range(n + 1):
             v = kw.kraw_table(n, s).values
-            assert v[0] == exact_binomial(n, s)
+            assert v[0] == math.comb(n, s)
             assert all(v[n - i] == (-1) ** s * v[i] for i in range(n + 1))
-            parseval = sum(exact_binomial(n, i) * v[i] ** 2 for i in range(n + 1))
-            assert parseval == 2**n * exact_binomial(n, s)
+            parseval = sum(math.comb(n, i) * v[i] ** 2 for i in range(n + 1))
+            assert parseval == 2**n * math.comb(n, s)
         rows = [kw.kraw_table(n, s).values for s in range(n + 1)]
         for s in range(n + 1):
             for i in range(n + 1):
-                assert (
-                    exact_binomial(n, i) * rows[s][i]
-                    == exact_binomial(n, s) * rows[i][s]
-                )
+                assert math.comb(n, i) * rows[s][i] == math.comb(n, s) * rows[i][s]
 
 
 def test_table_vs_recurrence():
@@ -262,7 +260,7 @@ def test_eval_real_examples():
     assert kw.kraw_eval_real(4, 2, 1.0) == 0.0
     assert kw.kraw_eval_real(4, 2, 2.0) == -2.0
     for n, s in [(7, 3), (20, 8), (64, 5)]:
-        assert kw.kraw_eval_real(n, s, 0.0) == float(exact_binomial(n, s))
+        assert kw.kraw_eval_real(n, s, 0.0) == float(math.comb(n, s))
 
 
 def test_eval_real_matches_table():
@@ -475,7 +473,7 @@ def test_concentration_refuses_the_empty_cube():
 def test_moments_vs_float_bruteforce():
     n, s, p = 30, 7, 3.5
     tab = kw.kraw_table(n, s).values
-    direct = sum(exact_binomial(n, i) * abs(tab[i]) ** p for i in range(n + 1)) / 2.0**n
+    direct = sum(math.comb(n, i) * abs(tab[i]) ** p for i in range(n + 1)) / 2.0**n
     rec = kw.kraw_moments(n, s, p)
     assert 2.0**rec.log2_moment == pytest.approx(direct, rel=1e-10)
 
@@ -613,3 +611,23 @@ def test_ratio_estimate_at_512():
                 2 * (n - i)
             )
             assert abs(ratio / expr - 1.0) <= 4.0 * s / d**2
+
+
+# -------------------------------------------------------------- refusals
+
+# each call is refused by the check its message names, before any work
+REFUSALS = {
+    "kraw_roots s": (lambda: kw.kraw_roots(10, 6), "kraw_roots: need 1 <= s <= n/2, got n=10, s=6"),
+    "kraw_roots cap": (lambda: kw.kraw_roots(2050, 3), "kraw_roots: n=2050 exceeds cap 2048"),
+    "l2_between_roots s": (lambda: kw.l2_between_roots(10, 0), "l2_between_roots: need 1 <= s <= n/2, got n=10, s=0"),
+    "l2_between_roots cap": (lambda: kw.l2_between_roots(4000, 3), "l2_between_roots: n=4000 exceeds cap 2048"),
+    "kraw_log_row cap": (lambda: kw.kraw_log_row(10**6 + 1, 3), "kraw_log_row: n=1000001 exceeds cap 1000000"),
+    "kraw_moments cap": (lambda: kw.kraw_moments(10**6 + 2, 3, 4.0), "kraw_moments: n=1000002 exceeds cap 1000000"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
